@@ -1,6 +1,9 @@
 """Command line front end.
 
-Exit codes: 0 on success, 1 when a verification fails, 2 on input errors.
+Exit codes: 0 on success, 1 when a verification fails, 2 on input errors
+(a bad grid file, slice, marking, seed or size), reported as one line on
+stderr.  On links every homology flavor, plus-prime included, needs explicit
+``--alexander`` slices.
 """
 
 from __future__ import annotations
@@ -10,55 +13,33 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from gridhom import cdp, domainposet, spectra, strata
 from gridhom.gridcore import GridDiagram, GridError, canonicalize, load_grid
-from gridhom.gridcomplex import FlavorSpec, stable_homology, u_map
-from gridhom.homalg import HomologyTable
-from gridhom.signs import SignAssignment, build_sign_assignment, verify_axioms
-
-_WORKER_STATE: dict = {}
+from gridhom.gridcomplex import FlavorSpec, capped_homology, stable_homology, u_map
+from gridhom.signs import build_sign_assignment, verify_axioms
 
 
-def _worker_init(n, o_row, x_row):
-    g = GridDiagram(n, tuple(o_row), tuple(x_row))
-    _WORKER_STATE["g"] = g
-    _WORKER_STATE["s"] = build_sign_assignment(g)
-
-
-def _worker_slice(args):
-    flavor, hat_markings, a2, cap = args
-    g, s = _WORKER_STATE["g"], _WORKER_STATE["s"]
-    spec = FlavorSpec.make(g, flavor, hat_markings if flavor == "hat" else None)
-    if cap is None:
-        table = stable_homology(g, s, spec, a2 if flavor == "plus_prime" else tuple(a2))
-    else:
-        from gridhom.gridcomplex import build_complex
-
-        cx = build_complex(g, s, spec, a2 if flavor == "plus_prime" else tuple(a2), cap)
-        table = HomologyTable({k: v for k, v in cx.homology().groups.items() if k <= cap - 2})
-    return a2, table.groups
+class InputError(GridError):
+    """A bad command line input; ``main`` reports it and returns 2."""
 
 
 def _load(path: str) -> GridDiagram:
     try:
         return load_grid(path)
     except (OSError, GridError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(2)
+        raise InputError(str(exc)) from None
 
 
-def _sign_assignment(g: GridDiagram, cache: str | None) -> SignAssignment:
-    if cache and os.path.exists(cache):
-        try:
-            return SignAssignment.load(cache, g)
-        except GridError:
-            pass
-    s = build_sign_assignment(g)
-    if cache:
-        s.dump(cache)
-    return s
+def _parse_slice(text: str, width: int) -> tuple[int, ...]:
+    """A doubled Alexander slice: ``width`` comma separated integers."""
+    try:
+        parts = tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise InputError(f"Alexander slice {text!r} is not a comma separated list of integers") from None
+    if len(parts) != width:
+        raise InputError(f"Alexander slice {text!r} has {len(parts)} entries; expected {width}")
+    return parts
 
 
 def _emit(args, obj, text_lines):
@@ -69,28 +50,20 @@ def _emit(args, obj, text_lines):
             print(line)
 
 
-def _table_obj(table: HomologyTable) -> dict:
-    return {str(k): {"rank": r, "torsion": list(t)} for k, (r, t) in sorted(table.nonzero().items())}
-
-
 def _write_csvs(outdir: str, name: str, tables: dict) -> None:
     os.makedirs(outdir, exist_ok=True)
-    for a2, groups in sorted(tables.items()):
+    for a2, table in sorted(tables.items()):
         label = a2 if isinstance(a2, int) else "_".join(str(v) for v in a2)
         path = os.path.join(outdir, f"{name}_A2_{label}.csv")
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["maslov", "rank", "torsion"])
-            for k, (r, t) in sorted(groups.items()):
+            for k, (r, t) in sorted(table.groups.items()):
                 writer.writerow([k, r, ";".join(map(str, t))])
 
 
 def cmd_validate(args) -> int:
-    try:
-        g = load_grid(args.grid)
-    except (OSError, GridError, ValueError) as exc:
-        print(f"invalid grid: {exc}", file=sys.stderr)
-        return 2
+    g = _load(args.grid)
     obj = {
         "n": g.n,
         "o_row": [r + 1 for r in g.o_row],
@@ -124,63 +97,35 @@ def cmd_generators(args) -> int:
 
 def _alexander_values(args, g: GridDiagram, flavor: str):
     if args.alexander:
-        vals = []
-        for spec in args.alexander:
-            parts = tuple(int(v) for v in spec.split(","))
-            if flavor == "plus_prime":
-                vals.append(parts[0])
-            else:
-                vals.append(parts)
-        return vals
-    gen_vals = [x.alexander2 for x in g.generators()]
-    if flavor == "plus_prime" or g.num_components == 1:
-        lo = min(v[0] for v in gen_vals)
-        hi = max(v[0] for v in gen_vals)
-        rng = range(lo, hi + 1, 2)
-        return [a2 if flavor == "plus_prime" else (a2,) for a2 in rng]
-    print("error: links need explicit --alexander slices", file=sys.stderr)
-    raise SystemExit(2)
+        if flavor == "plus_prime":
+            return [_parse_slice(spec, 1)[0] for spec in args.alexander]
+        return [_parse_slice(spec, g.num_components) for spec in args.alexander]
+    if g.num_components > 1:
+        raise InputError("links need explicit --alexander slices")
+    vals = [x.alexander2[0] for x in g.generators()]
+    rng = range(min(vals), max(vals) + 1, 2)
+    return list(rng) if flavor == "plus_prime" else [(a2,) for a2 in rng]
 
 
 def cmd_homology(args) -> int:
     g = _load(args.grid)
     flavor = args.flavor.replace("-", "_")
     values = _alexander_values(args, g, flavor)
-    cap = args.cap
-    tables: dict = {}
-    if args.jobs and args.jobs > 1:
-        spec = FlavorSpec.make(g, flavor)
-        hats = spec.hat_markings if flavor == "hat" else None
-        with ProcessPoolExecutor(
-            max_workers=args.jobs,
-            initializer=_worker_init,
-            initargs=(g.n, g.o_row, g.x_row),
-        ) as pool:
-            for a2, groups in pool.map(
-                _worker_slice, [(flavor, hats, a2, cap) for a2 in values]
-            ):
-                tables[a2 if isinstance(a2, int) else tuple(a2)] = groups
-    else:
-        s = _sign_assignment(g, args.sign_cache)
-        spec = FlavorSpec.make(g, flavor)
-        for a2 in values:
-            if cap is None:
-                t = stable_homology(g, s, spec, a2)
-            else:
-                from gridhom.gridcomplex import build_complex
-
-                cx = build_complex(g, s, spec, a2, cap)
-                t = HomologyTable(
-                    {k: v for k, v in cx.homology().groups.items() if k <= cap - 2}
-                )
-            tables[a2 if isinstance(a2, int) else tuple(a2)] = t.groups
+    s = build_sign_assignment(g)
+    spec = FlavorSpec.make(g, flavor)
+    tables = {}
+    for a2 in values:
+        if args.cap is None:
+            tables[a2] = stable_homology(g, s, spec, a2)
+        else:
+            tables[a2] = capped_homology(g, s, spec, a2, args.cap)
     obj = {
         "flavor": args.flavor,
-        "tables": {str(k): _table_obj(HomologyTable(v)) for k, v in sorted(tables.items())},
+        "tables": {str(k): t.to_json_obj() for k, t in sorted(tables.items())},
     }
     lines = [f"{args.flavor} homology of {args.grid}"]
-    for a2, groups in sorted(tables.items()):
-        nz = HomologyTable(groups).nonzero()
+    for a2, t in sorted(tables.items()):
+        nz = t.nonzero()
         lines.append(f"  2A={a2}: " + (str(nz) if nz else "0"))
     _emit(args, obj, lines)
     if args.out:
@@ -190,9 +135,11 @@ def cmd_homology(args) -> int:
 
 def cmd_u_map(args) -> int:
     g = _load(args.grid)
-    s = _sign_assignment(g, args.sign_cache)
+    if not 0 <= args.marking < g.n:
+        raise InputError(f"--marking must lie in 0..{g.n - 1}")
+    a2 = _parse_slice(args.alexander, g.num_components)
+    s = build_sign_assignment(g)
     spec = FlavorSpec.make(g, "plus")
-    a2 = tuple(int(v) for v in args.alexander.split(","))
     res = u_map(g, s, spec, args.marking, a2, args.cap)
     gradings = sorted(res.matrices)
     obj = {
@@ -213,8 +160,7 @@ def cmd_u_map(args) -> int:
 
 def cmd_signs_verify(args) -> int:
     g = _load(args.grid)
-    s = _sign_assignment(g, args.sign_cache)
-    rep = verify_axioms(g, s)
+    rep = verify_axioms(g, build_sign_assignment(g))
     obj = {
         "checked": rep.checked,
         "shapes": rep.shape_counts,
@@ -268,46 +214,16 @@ def cmd_poset_verify(args) -> int:
     return 0 if ok else 1
 
 
-def _default_seeds(g: GridDiagram):
-    x_id = g.generator(tuple(range(g.n)))
-    other = g.generator(tuple(range(1, g.n)) + (0,))
-    zero_n, zero_lam = cdp.trivial_decoration(g)
-    row_j = next(j for j in range(g.n) if g.o_row[j] != g.n - 1)
-    col_j = next(j for j in range(g.n - 1))
-    seeds = [
-        cdp.PartitionedDomain(g.marking_annulus("H", row_j, x_id), zero_n, zero_lam),
-        cdp.PartitionedDomain(g.marking_annulus("V", col_j, other), zero_n, zero_lam),
-        cdp.PartitionedDomain(
-            g.trivial_domain(x_id),
-            (2,) + (0,) * (g.n - 1),
-            ((1, 1),) + ((),) * (g.n - 1),
-        ),
-        cdp.PartitionedDomain(
-            g.trivial_domain(other),
-            (0, 2) + (0,) * (g.n - 2),
-            ((), (2,)) + ((),) * (g.n - 2),
-        ),
-    ]
-    if g.n >= 2:
-        infos = g.rectangle_infos(x_id.sigma)
-        if infos:
-            rect = infos[0].domain(g)
-            seeds.append(
-                cdp.PartitionedDomain(
-                    rect, (0, 1) + (0,) * (g.n - 2), ((), (1,)) + ((),) * (g.n - 2)
-                )
-            )
-    return seeds
-
-
 def cmd_cdp_verify(args) -> int:
     if args.grid:
         g = _load(args.grid)
     else:
         n = args.n
         g = canonicalize(GridDiagram(n, tuple((i + 1) % n for i in range(n)), tuple(range(n))))
+    if g.n < 2:
+        raise InputError("cdp-verify needs a grid with n >= 2")
     s = build_sign_assignment(g)
-    cc = cdp.ClosureComplex.build(s, _default_seeds(g))
+    cc = cdp.ClosureComplex.build(s, cdp.curated_seeds(g))
     ledger = cc.identity_ledger()
     d2 = cc.complex.check_d_squared()
     obj = {"closure_size": len(cc.elements), "d_squared_zero": d2, "identities": ledger}
@@ -322,18 +238,25 @@ def cmd_cdp_verify(args) -> int:
 
 
 def _parse_seed(g: GridDiagram, text: str) -> cdp.PartitionedDomain:
-    data = json.loads(text)
-    x = g.generator(tuple(v - 1 for v in data.get("from", list(range(1, g.n + 1)))))
-    dom_spec = data.get("domain", "trivial")
-    if dom_spec == "trivial":
-        dom = g.trivial_domain(x)
-    elif dom_spec[0] in "HV":
-        dom = g.marking_annulus(dom_spec[0], int(dom_spec[1:]), x)
-    else:
-        raise ValueError(f"unknown domain spec {dom_spec!r}")
-    n_vec = tuple(data.get("n_vec", [0] * g.n))
-    lambdas = tuple(tuple(lam) for lam in data.get("lambdas", [[]] * g.n))
-    return cdp.PartitionedDomain(dom, n_vec, lambdas)
+    """The ``--seed`` configuration; anything malformed exits with status 2."""
+    try:
+        data = json.loads(text)
+        sigma = tuple(v - 1 for v in data.get("from", range(1, g.n + 1)))
+        if sorted(sigma) != list(range(g.n)):
+            raise ValueError(f'"from" must be a permutation of 1..{g.n}')
+        x = g.generator(sigma)
+        dom_spec = data.get("domain", "trivial")
+        if dom_spec == "trivial":
+            dom = g.trivial_domain(x)
+        elif dom_spec[:1] in ("H", "V") and dom_spec[1:].isdigit() and int(dom_spec[1:]) < g.n:
+            dom = g.marking_annulus(dom_spec[0], int(dom_spec[1:]), x)
+        else:
+            raise ValueError(f'"domain" must be "trivial", "H<j>" or "V<j>" with j < {g.n}')
+        n_vec = tuple(int(v) for v in data.get("n_vec", [0] * g.n))
+        lambdas = tuple(tuple(int(p) for p in lam) for lam in data.get("lambdas", [[]] * g.n))
+        return cdp.PartitionedDomain(dom, n_vec, lambdas)
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise InputError(f"bad --seed: {exc}") from None
 
 
 def cmd_strata(args) -> int:
@@ -372,6 +295,8 @@ def cmd_strata(args) -> int:
 
 
 def cmd_zn(args) -> int:
+    if not 0 <= args.n <= strata.ZN_MAX:
+        raise InputError(f"zn needs 0 <= --n <= {strata.ZN_MAX}")
     sts = strata.zn_strata(args.n)
     edges = []
     if args.edges:
@@ -406,6 +331,8 @@ def cmd_zn(args) -> int:
 
 def cmd_permutohedron(args) -> int:
     n = args.n
+    if not 1 <= n <= strata.PERMUTOHEDRON_MAX:
+        raise InputError(f"permutohedron needs 1 <= --n <= {strata.PERMUTOHEDRON_MAX}")
     fs = strata.facets(n)
     coherent = strata.check_facet_coherence(n) if n <= 6 else None
     halfspaces = strata.check_half_space_description(n) if n <= 6 else None
@@ -431,11 +358,12 @@ def cmd_permutohedron(args) -> int:
 
 def cmd_spectrum(args) -> int:
     g = _load(args.grid)
-    s = _sign_assignment(g, args.sign_cache)
+    if g.num_components != 1:
+        raise InputError("spectrum reports need a knot grid (one component)")
     rng = None
     if args.alexander:
-        rng = [int(v) for v in args.alexander]
-    report = spectra.spectrum_report(g, s, rng)
+        rng = [_parse_slice(v, 1)[0] for v in args.alexander]
+    report = spectra.spectrum_report(g, build_sign_assignment(g), rng)
     obj = spectra.report_to_json_obj(report)
     lines = [f"spectrum report for {args.grid}"]
     for a2, rep in sorted(report.items()):
@@ -449,7 +377,9 @@ def cmd_spectrum(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="gridhom", description=__doc__)
+    p = argparse.ArgumentParser(
+        prog="gridhom", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
     p.add_argument("--json", action="store_true", help="machine readable output")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -468,21 +398,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("grid")
     sp.add_argument("--flavor", default="hat", choices=["plus", "hat", "tilde", "plus-prime"])
     sp.add_argument("--alexander", action="append", help="doubled Alexander slice, comma separated per component (use --alexander=-2,0 for negatives; repeatable)")
-    sp.add_argument("--cap", type=int, default=None, help="Maslov cap (needed for plus-prime on links)")
-    sp.add_argument("--jobs", type=int, default=1, help="parallel slice workers")
+    sp.add_argument("--cap", type=int, default=None, help="Maslov cap; reports gradings up to cap - 2")
     sp.add_argument("--out", help="directory for per-grading CSVs")
-    sp.add_argument("--sign-cache", help="JSON file caching the sign table")
 
     sp = add("u-map", cmd_u_map, help="the U_i map on homology")
     sp.add_argument("grid")
     sp.add_argument("--marking", type=int, default=0)
     sp.add_argument("--alexander", required=True, help="doubled source slice, comma separated")
     sp.add_argument("--cap", type=int, default=None)
-    sp.add_argument("--sign-cache")
 
     sp = add("signs-verify", cmd_signs_verify, help="verify the sign axioms exhaustively")
     sp.add_argument("grid")
-    sp.add_argument("--sign-cache")
 
     sp = add("poset-verify", cmd_poset_verify, help="generator order vs Bruhat; interval law")
     sp.add_argument("grid")
@@ -491,7 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("cdp-verify", cmd_cdp_verify, help="d^2=0 and the nine sign identities")
     sp.add_argument("--grid")
     sp.add_argument("--n", type=int, default=3)
-    sp.add_argument("--seeds", default="default", choices=["default"])
 
     sp = add("strata", cmd_strata, help="enumerate moduli strata of a configuration")
     sp.add_argument("grid")
@@ -509,7 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("spectrum", cmd_spectrum, help="per-Alexander wedge report")
     sp.add_argument("grid")
     sp.add_argument("--alexander", action="append", help="doubled grading to include (repeatable)")
-    sp.add_argument("--sign-cache")
 
     return p
 
@@ -518,8 +442,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except SystemExit:
-        raise
     except GridError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

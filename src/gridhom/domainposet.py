@@ -10,7 +10,6 @@ drive the acyclicity of the positive-domain complex.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from gridhom.gridcore import Generator, GridDiagram, GridDomain
 

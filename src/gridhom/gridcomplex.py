@@ -20,8 +20,9 @@ Flavors:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from gridhom import partitions as pt
 from gridhom.gridcore import GridDiagram, GridError
 from gridhom.homalg import (
     HomologyTable,
@@ -70,20 +71,6 @@ def _x_constraint_mask(g: GridDiagram, flavor: str) -> tuple[int, ...]:
     comp_of_x = [g.component_of_o[g.o_row.index(g.x_row[c])] for c in range(g.n)]
     special = comp_of_x[g.n - 1]
     return tuple(c for c in range(g.n) if comp_of_x[c] == special)
-
-
-def _compositions(total: int, parts: int):
-    """All tuples of `parts` non-negative integers summing to `total`."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 def build_complex(
@@ -143,7 +130,7 @@ def build_complex(
                 # unconstrained component: bounded only by the Maslov cap
                 options = []
                 for total in range(budget + 1):
-                    options.extend(_compositions(total, len(cols)))
+                    options.extend(pt.weak_compositions(total, len(cols)))
                 per_comp.append(options)
                 continue
             gap2 = alexander2[k if special_comp is None else 0] - x.alexander2[k]
@@ -157,7 +144,7 @@ def build_complex(
             if not cols and gap > 0:
                 ok = False
                 break
-            per_comp.append(list(_compositions(gap, len(cols))))
+            per_comp.append(list(pt.weak_compositions(gap, len(cols))))
         if not ok:
             continue
         for choice in itertools.product(*per_comp):
@@ -193,29 +180,13 @@ def build_complex(
     return IntegerChainComplex(grading, diff)
 
 
-def homology_table(
-    g: GridDiagram,
-    s: SignAssignment,
-    spec: FlavorSpec,
-    alexander_values,
-    maslov_cap: int | None = None,
-    truncate: bool = True,
-) -> dict:
-    """Per-Alexander homology tables ``{alexander2: HomologyTable}``.
-
-    Uncapped slices are exact.  With a cap, homology is exact below
-    ``maslov_cap - 1``; ``truncate`` drops the unreliable rows above that.
-    """
-    out = {}
-    for a2 in alexander_values:
-        cx = build_complex(g, s, spec, a2, maslov_cap)
-        table = cx.homology()
-        if truncate and maslov_cap is not None:
-            table = HomologyTable(
-                {k: v for k, v in table.groups.items() if k <= maslov_cap - 2}
-            )
-        out[a2 if isinstance(a2, int) else tuple(a2)] = table
-    return out
+def capped_homology(
+    g: GridDiagram, s: SignAssignment, spec: FlavorSpec, alexander2, maslov_cap: int
+) -> HomologyTable:
+    """Homology of the slice truncated at ``maslov_cap``, keeping only the
+    gradings ``k <= maslov_cap - 2``, where the truncation is exact."""
+    table = build_complex(g, s, spec, alexander2, maslov_cap).homology()
+    return HomologyTable({k: v for k, v in table.groups.items() if k <= maslov_cap - 2})
 
 
 def stable_homology(
@@ -230,24 +201,17 @@ def stable_homology(
 
     plus/hat/tilde slices are finite, so the exact answer comes from one
     uncapped run.  plus_prime slices of links are infinite: the cap is
-    raised until two consecutive windows agree (each capped run is exact
-    below cap-1, so agreement certifies the overlap).
+    raised until two consecutive capped tables agree (each is exact in its
+    window, so agreement certifies that nothing appears above the smaller).
     """
     if spec.flavor != "plus_prime" or g.num_components == 1:
         return build_complex(g, s, spec, alexander2, None).homology()
     prev = None
-    cap = cap_start
-    while cap <= cap_limit:
-        cx = build_complex(g, s, spec, alexander2, cap)
-        cut = {k: v for k, v in cx.homology().groups.items() if k <= cap - 2}
-        if prev is not None:
-            prev_cap, prev_cut = prev
-            same_low = {k: v for k, v in cut.items() if k <= prev_cap - 2} == prev_cut
-            nothing_new = not any(prev_cap - 2 < k <= cap - 2 for k in cut)
-            if same_low and nothing_new:
-                return HomologyTable(cut)
-        prev = (cap, cut)
-        cap += 2
+    for cap in range(cap_start, cap_limit + 1, 2):
+        table = capped_homology(g, s, spec, alexander2, cap)
+        if table == prev:
+            return table
+        prev = table
     raise UnboundedSlice(f"homology did not stabilize below cap {cap_limit}")
 
 

@@ -73,10 +73,6 @@ class Generator:
     maslov: int
     alexander2: tuple[int, ...]
 
-    @property
-    def alexander_total2(self) -> int:
-        return sum(self.alexander2)
-
 
 @dataclass(frozen=True)
 class GridDiagram:
@@ -141,13 +137,6 @@ class GridDiagram:
     @property
     def num_components(self) -> int:
         return max(self.component_of_o) + 1
-
-    @cached_property
-    def markings_per_component(self) -> tuple[int, ...]:
-        counts = [0] * self.num_components
-        for comp in self.component_of_o:
-            counts[comp] += 1
-        return tuple(counts)
 
     # -- marking positions (doubled coordinates) -----------------------------
 
@@ -399,10 +388,6 @@ class RectInfo:
         """Identifier used by sign assignments."""
         return (self.from_sigma, self.pair, self.role)
 
-    @property
-    def wraps_vertically(self) -> bool:
-        return self.row0 + self.height > len(self.from_sigma)
-
     def covers_cell(self, c: int, r: int) -> bool:
         n = len(self.from_sigma)
         return (c - self.col0) % n < self.width and (r - self.row0) % n < self.height
@@ -474,7 +459,11 @@ class GridDomain:
         return GridDomain(self.diagram, self.from_sigma, other.to_sigma, mult)
 
     def subtract(self, other: "GridDomain") -> "GridDomain":
-        """2-chain difference; endpoints become (self.from -> precomposed)."""
+        """2-chain difference ``self - other``, running from ``other.to`` to ``self.to``.
+
+        When ``other`` is a prefix of ``self`` this is the remaining suffix;
+        callers that strip a suffix re-wrap the multiplicities themselves.
+        """
         n = self.diagram.n
         mult = tuple(
             tuple(self.mult[c][r] - other.mult[c][r] for r in range(n)) for c in range(n)
@@ -580,21 +569,28 @@ def canonicalize(g: GridDiagram) -> GridDiagram:
 
 
 def parse_grid_text(text: str) -> GridDiagram:
-    """Parse the plain-text grid format (1-indexed rows per column)."""
-    n = None
-    x_rows = o_rows = None
+    """Parse the plain-text grid format (1-indexed rows per column).
+
+    Besides blank lines and ``#`` comments the file holds exactly one line
+    each of ``n=``, ``X:`` and ``O:``.
+    """
+    fields: dict[str, str] = {}
     for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        if line.lower().startswith("n"):
-            n = int(line.split("=", 1)[1])
-        elif line.upper().startswith("X"):
-            x_rows = [int(t) for t in line.split(":", 1)[1].split()]
-        elif line.upper().startswith("O"):
-            o_rows = [int(t) for t in line.split(":", 1)[1].split()]
-    if n is None or x_rows is None or o_rows is None:
+        key, sep, value = line.partition("=" if line[0] in "nN" else ":")
+        key = key.strip().lower()
+        if not sep or key not in ("n", "x", "o"):
+            raise InvalidGrid(f"unknown line in grid file: {line!r}")
+        if key in fields:
+            raise InvalidGrid(f"repeated {key!r} line in grid file")
+        fields[key] = value
+    if len(fields) != 3:
         raise InvalidGrid("grid file needs lines 'n=', 'X:' and 'O:'")
+    n = int(fields["n"])
+    x_rows = [int(t) for t in fields["x"].split()]
+    o_rows = [int(t) for t in fields["o"].split()]
     if len(x_rows) != n or len(o_rows) != n:
         raise InvalidGrid("marking rows must list one entry per column")
     return GridDiagram(n, tuple(r - 1 for r in o_rows), tuple(r - 1 for r in x_rows))

@@ -14,7 +14,6 @@ pushed down to homology.
 from __future__ import annotations
 
 import heapq
-import json
 from dataclasses import dataclass, field
 
 Chain = dict  # key -> int coefficient
@@ -130,14 +129,9 @@ class HomologyTable:
     def total_rank(self) -> int:
         return sum(r for r, _ in self.groups.values())
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {str(k): {"rank": r, "torsion": list(t)} for k, (r, t) in sorted(self.groups.items())}
-        )
-
-    @staticmethod
-    def from_pairs(pairs) -> "HomologyTable":
-        return HomologyTable({k: (r, ()) for k, r in pairs})
+    def to_json_obj(self) -> dict:
+        """The non-zero groups as ``{str(k): {"rank": r, "torsion": [...]}}``."""
+        return {str(k): {"rank": r, "torsion": list(t)} for k, (r, t) in sorted(self.nonzero().items())}
 
 
 # -- Morse reduction -----------------------------------------------------------

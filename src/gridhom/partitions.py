@@ -17,17 +17,8 @@ class EmptyPartition(Exception):
     pass
 
 
-def validate(lam: Composition) -> None:
-    if any(p < 1 for p in lam):
-        raise ValueError(f"composition parts must be positive: {lam}")
-
-
 def total(lam: Composition) -> int:
     return sum(lam)
-
-
-def length(lam: Composition) -> int:
-    return len(lam)
 
 
 def all_compositions(n: int):
@@ -37,6 +28,20 @@ def all_compositions(n: int):
         return
     for bits in itertools.product((0, 1), repeat=n - 1):
         yield from_epsilon(bits)
+
+
+def weak_compositions(n: int, parts: int):
+    """All tuples of ``parts`` non-negative integers summing to ``n``, in
+    lexicographic order."""
+    if parts == 1:
+        yield (n,)
+    elif parts == 0:
+        if n == 0:
+            yield ()
+    else:
+        for first in range(n + 1):
+            for rest in weak_compositions(n - first, parts - 1):
+                yield (first,) + rest
 
 
 def epsilon(lam: Composition) -> tuple[int, ...]:

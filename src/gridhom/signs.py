@@ -24,10 +24,9 @@ exhaustively; nothing is trusted on faith.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
-from gridhom.gridcore import GridDiagram, Generator, GridError, RectInfo
+from gridhom.gridcore import GridDiagram, GridError, RectInfo
 
 CliffordElt = dict  # bitmask of {0..n-1} -> int coefficient
 
@@ -51,11 +50,6 @@ def _mul_vector(elt: CliffordElt, i: int, j: int) -> CliffordElt:
             else:
                 del out[new]
     return out
-
-
-def _inversions(sigma) -> int:
-    n = len(sigma)
-    return sum(1 for i in range(n) for j in range(i + 1, n) if sigma[i] > sigma[j])
 
 
 class _PinLifts:
@@ -146,31 +140,6 @@ class SignAssignment:
             for info in self.diagram.rectangle_infos(x.sigma):
                 self.of(info)
         return dict(self._cache)
-
-    # -- persistence ---------------------------------------------------------
-
-    def dump(self, path: str) -> None:
-        table = self.table()
-        data = {
-            "grid": {"n": self.diagram.n, "o_row": self.diagram.o_row, "x_row": self.diagram.x_row},
-            "signs": [
-                [list(sigma), list(pair), role, s] for (sigma, pair, role), s in table.items()
-            ],
-        }
-        with open(path, "w") as fh:
-            json.dump(data, fh)
-
-    @staticmethod
-    def load(path: str, g: GridDiagram) -> "SignAssignment":
-        with open(path) as fh:
-            data = json.load(fh)
-        grid = data["grid"]
-        if (grid["n"], tuple(grid["o_row"]), tuple(grid["x_row"])) != (g.n, g.o_row, g.x_row):
-            raise GridError("sign cache was built for a different grid")
-        sa = SignAssignment(g)
-        for sigma, pair, role, s in data["signs"]:
-            sa._cache[(tuple(sigma), tuple(pair), role)] = s
-        return sa
 
 
 def build_sign_assignment(g: GridDiagram) -> SignAssignment:

@@ -195,7 +195,7 @@ def report_to_json_obj(report: dict) -> dict:
         entry = {}
         for flavor, table in rep.tables.items():
             entry[flavor] = {
-                "homology": {str(k): {"rank": r, "torsion": list(t)} for k, (r, t) in sorted(table.nonzero().items())},
+                "homology": table.to_json_obj(),
                 **rep.wedges[flavor].to_json_obj(),
             }
         if rep.u_maps:

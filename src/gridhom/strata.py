@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 
 from gridhom import partitions as pt
-from gridhom.gridcore import Generator, GridDiagram, GridDomain, GridError
+from gridhom.gridcore import GridDiagram, GridDomain, GridError
 from gridhom.signs import SignAssignment
 
 
@@ -207,7 +207,7 @@ def enumerate_strata(
             feasible = True
             for j in range(n):
                 options = []
-                for counts in _compositions_of(n_vec[j], r):
+                for counts in pt.weak_compositions(n_vec[j], r):
                     blocks = _split_concatenation(lambdas[j], counts)
                     if blocks is None:
                         continue
@@ -255,15 +255,6 @@ def enumerate_strata(
                     assert codim == k - total_dim, "codimension bookkeeping mismatch"
                     found[desc.key] = desc
     return sorted(found.values(), key=lambda d: (d.codim, d.key))
-
-
-def _compositions_of(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions_of(total - first, parts - 1):
-            yield (first,) + rest
 
 
 def codim1_boundary_events(desc: StratumDescriptor) -> list[tuple[str, tuple]]:
@@ -349,10 +340,14 @@ class ZnStratum:
         return (2 * n - 1) - self.dim
 
 
+ZN_MAX = 12  # largest N for zn_strata
+PERMUTOHEDRON_MAX = 8  # largest n for permutohedron_faces
+
+
 def zn_strata(n: int) -> list[ZnStratum]:
     """All strata of Sym^N(C)/R, by imaginary signs and real collisions."""
-    if n > 12:
-        raise ValueError("zn_strata is intended for N <= 12")
+    if n > ZN_MAX:
+        raise ValueError(f"zn_strata is intended for N <= {ZN_MAX}")
     out = []
     for p_minus in range(n + 1):
         for p_zero in range(n - p_minus + 1):
@@ -441,8 +436,8 @@ def vertex_coordinates(sigma) -> tuple[int, ...]:
 
 def permutohedron_faces(n: int, max_codim: int | None = None) -> list[PermutohedronFace]:
     """All faces of Pi_n (chains of proper nonempty subsets of {1..n})."""
-    if n > 8:
-        raise ValueError("permutohedron_faces is intended for n <= 8")
+    if n > PERMUTOHEDRON_MAX:
+        raise ValueError(f"permutohedron_faces is intended for n <= {PERMUTOHEDRON_MAX}")
     universe = list(range(1, n + 1))
     faces = [PermutohedronFace(n, ())]
     frontier = [()]

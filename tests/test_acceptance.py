@@ -155,49 +155,13 @@ def test_criterion_6_sign_axioms(trefoil5, signs5, unknot3, signs3):
     )
 
 
-def curated_seeds(g):
-    x_id = g.generator(tuple(range(g.n)))
-    other = g.generator(tuple(range(1, g.n)) + (0,))
-    zero_n, zero_lam = cdp.trivial_decoration(g)
-    row_j = next(j for j in range(g.n) if g.o_row[j] != g.n - 1)
-    seeds = [
-        cdp.PartitionedDomain(g.marking_annulus("H", row_j, x_id), zero_n, zero_lam),
-        cdp.PartitionedDomain(g.marking_annulus("V", 0, other), zero_n, zero_lam),
-        cdp.PartitionedDomain(
-            g.trivial_domain(x_id), (2,) + (0,) * (g.n - 1), ((1, 1),) + ((),) * (g.n - 1)
-        ),
-        cdp.PartitionedDomain(
-            g.trivial_domain(other), (3,) + (0,) * (g.n - 1), ((2, 1),) + ((),) * (g.n - 1)
-        ),
-    ]
-    # an L-shape and (when present) a cross
-    want = {"L": True, "X": True}
-    for x in g.generators():
-        for r1, y in g.rectangles_from(x):
-            for r2, z in g.rectangles_from(y):
-                d = r1.compose(r2)
-                rows = {r for c in range(g.n) for r in range(g.n) if d.mult[c][r]}
-                cols = {c for c in range(g.n) for r in range(g.n) if d.mult[c][r]}
-                if len(cols) == g.n and all(all(d.mult[c][r] for c in range(g.n)) for r in rows):
-                    continue
-                if len(rows) == g.n and all(all(d.mult[c][r] for r in range(g.n)) for c in cols):
-                    continue
-                key = "X" if max(v for col in d.mult for v in col) == 2 else "L"
-                if want.get(key):
-                    want[key] = False
-                    seeds.append(cdp.PartitionedDomain(d, zero_n, zero_lam))
-        if not any(want.values()):
-            break
-    return seeds
-
-
 def test_criterion_7_cdp_identities():
     t0 = time.perf_counter()
     ok = True
     for n in (2, 3, 4):
         g = GridDiagram(n, tuple((i + 1) % n for i in range(n)), tuple(range(n)))
         s = build_sign_assignment(g)
-        cc = cdp.ClosureComplex.build(s, curated_seeds(g))
+        cc = cdp.ClosureComplex.build(s, cdp.curated_seeds(g))
         ok = ok and cc.complex.check_d_squared()
         ledger = cc.identity_ledger()
         ok = ok and len(ledger) == 9 and all(ledger.values())

@@ -85,6 +85,13 @@ class TestCDDifferential:
 
 
 class TestCDPDifferential:
+    def test_mismatched_decoration_raises(self, unknot3):
+        x = unknot3.generator((0, 1, 2))
+        with pytest.raises(ValueError):
+            cdp.PartitionedDomain(unknot3.trivial_domain(x), (1, 0, 0), ((), (1,), ()))
+        with pytest.raises(ValueError):
+            cdp.PartitionedDomain(unknot3.trivial_domain(x), (0, 0), ((), ()))
+
     def test_single_bubble_vanishes(self, unknot3, signs3):
         x = unknot3.generator((0, 1, 2))
         t = cdp.PartitionedDomain(unknot3.trivial_domain(x), (1, 0, 0), ((1,), (), ()))

@@ -62,46 +62,6 @@ class TestHomology:
         files = os.listdir(tmp_path)
         assert any(f.endswith(".csv") for f in files)
 
-    def test_parallel_jobs(self, capsys):
-        code, out = run(
-            capsys,
-            "--json",
-            "homology",
-            fixture_path("unknot2.grid"),
-            "--flavor",
-            "hat",
-            "--alexander=0",
-            "--jobs",
-            "2",
-        )
-        assert code == 0
-        assert json.loads(out)["tables"]["(0,)"] == {"0": {"rank": 1, "torsion": []}}
-
-    def test_sign_cache(self, tmp_path, capsys):
-        cache = str(tmp_path / "signs.json")
-        code, _ = run(
-            capsys,
-            "homology",
-            fixture_path("unknot2.grid"),
-            "--flavor",
-            "hat",
-            "--alexander=0",
-            "--sign-cache",
-            cache,
-        )
-        assert code == 0 and os.path.exists(cache)
-        code, _ = run(
-            capsys,
-            "homology",
-            fixture_path("unknot2.grid"),
-            "--flavor",
-            "hat",
-            "--alexander=0",
-            "--sign-cache",
-            cache,
-        )
-        assert code == 0
-
 
 class TestVerifiers:
     def test_signs_verify(self, capsys):
@@ -145,6 +105,30 @@ class TestVerifiers:
         assert code == 0
         types = sorted(e.get("type") for e in data["strata"] if e["codim"] == 1)
         assert types == ["TypeI", "TypeII"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "hopf4.grid"],
+        ["u-map", "unknot2.grid", "--alexander", "2", "--marking", "7"],
+        ["u-map", "unknot2.grid", "--alexander", "0,1"],
+        ["homology", "unknot2.grid", "--alexander=abc"],
+        ["homology", "unknot2.grid", "--alexander=0,2"],
+        ["homology", "hopf4.grid", "--flavor", "plus-prime"],
+        ["strata", "unknot2.grid", "--seed", "{bad"],
+        ["strata", "unknot2.grid", "--seed", '{"domain":"Q1"}'],
+        ["strata", "unknot2.grid", "--seed", '{"n_vec":[1,0],"lambdas":[[],[1]]}'],
+        ["cdp-verify", "--n", "1"],
+        ["zn", "--n", "13"],
+        ["permutohedron", "--n", "9"],
+    ],
+)
+def test_bad_input_exits_2(argv, capsys):
+    argv = [fixture_path(a) if a.endswith(".grid") else a for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 class TestSpectrum:

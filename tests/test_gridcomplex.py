@@ -9,7 +9,7 @@ from gridhom.gridcomplex import (
     FlavorSpec,
     UnboundedSlice,
     build_complex,
-    homology_table,
+    capped_homology,
     stable_homology,
     u_map,
 )
@@ -199,14 +199,15 @@ class TestPlusPrimeLinks:
 class TestTables:
     def test_homology_table_wrapper(self, unknot2, signs2):
         spec = FlavorSpec.make(unknot2, "plus")
-        tables = homology_table(unknot2, signs2, spec, [(0,), (2,)])
-        assert tables[(0,)].nonzero() == {0: (1, ())}
-        assert tables[(2,)].nonzero() == {2: (1, ())}
+        for a2, want in (((0,), {0: (1, ())}), ((2,), {2: (1, ())})):
+            assert capped_homology(unknot2, signs2, spec, a2, maslov_cap=6).nonzero() == want
+            assert stable_homology(unknot2, signs2, spec, a2).nonzero() == want
 
     def test_capped_table_truncates(self, unknot2, signs2):
         spec = FlavorSpec.make(unknot2, "plus")
-        tables = homology_table(unknot2, signs2, spec, [(4,)], maslov_cap=3)
-        assert tables[(4,)].nonzero() == {}
+        table = capped_homology(unknot2, signs2, spec, (4,), maslov_cap=3)
+        assert table.nonzero() == {}
+        assert capped_homology(unknot2, signs2, spec, (4,), maslov_cap=6).nonzero() == {4: (1, ())}
 
     def test_cap_stability(self, trefoil5, signs5):
         # raising the cap only changes rows above cap - 2

@@ -71,6 +71,11 @@ class TestCanonicalize:
             GridDiagram(2, (0, 0), (1, 0))
         with pytest.raises(InvalidGrid):
             GridDiagram(2, (0, 1), (0, 1))
+        with pytest.raises(InvalidGrid, match="unknown line"):
+            parse_grid_text("n=2\nX: 1 2\nO: 2 1\nQ: junk\n")
+        for repeated in ("n=2", "X: 2 1", "O: 1 2"):
+            with pytest.raises(InvalidGrid, match="repeated"):
+                parse_grid_text(f"n=2\nX: 1 2\nO: 2 1\n{repeated}\n")
 
 
 class TestRectangles:

@@ -6,8 +6,9 @@ from hypothesis import given, strategies as st
 from gridhom import partitions as pt
 
 
+# compositions of 1..8 built from their epsilon bit strings, plus ()
 compositions = st.integers(1, 8).flatmap(
-    lambda n: st.lists(st.integers(1, 4), min_size=1).filter(lambda l: sum(l) == n).map(tuple)
+    lambda n: st.lists(st.integers(0, 1), min_size=n - 1, max_size=n - 1).map(pt.from_epsilon)
 ) | st.just(())
 
 

@@ -78,18 +78,3 @@ def test_gauge_changes_preserve_homology_ranks(unknot3, signs3):
         got = build_complex(unknot3, GaugeTwist(signs3, gauge), spec, (0,)).homology().groups
         assert got == reference
 
-
-def test_cache_roundtrip(tmp_path, unknot3, signs3):
-    path = str(tmp_path / "signs.json")
-    signs3.dump(path)
-    loaded = SignAssignment.load(path, unknot3)
-    assert loaded.table() == signs3.table()
-
-
-def test_cache_rejects_other_grid(tmp_path, unknot3, signs3, unknot2):
-    path = str(tmp_path / "signs.json")
-    signs3.dump(path)
-    from gridhom.gridcore import GridError
-
-    with pytest.raises(GridError):
-        SignAssignment.load(path, unknot2)
