@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from gridhom import partitions as pt
 from gridhom.domainposet import g_set
-from gridhom.gridcore import Generator, GridDiagram, GridDomain
+from gridhom.gridcore import Generator, GridDiagram, GridDomain, PeriodicDomain
 from gridhom.homalg import HomologyTable, IntegerChainComplex, chain_add
 from gridhom.signs import SignAssignment
 
@@ -38,6 +38,8 @@ class PartitionedDomain:
 
     def __post_init__(self):
         n = self.domain.diagram.n
+        if not self.domain.is_positive():
+            raise ValueError("the domain of a partitioned domain must be positive")
         if len(self.n_vec) != n or len(self.lambdas) != n:
             raise ValueError(f"n_vec and lambdas need one entry per marking ({n})")
         for nj, lam in zip(self.n_vec, self.lambdas):
@@ -50,8 +52,7 @@ class PartitionedDomain:
 
     @property
     def key(self):
-        d = self.domain
-        return (d.from_sigma, d.to_sigma, d.mult, self.n_vec, self.lambdas)
+        return self.domain.key + (self.n_vec, self.lambdas)
 
 
 def trivial_decoration(g: GridDiagram) -> tuple[tuple[int, ...], tuple]:
@@ -81,13 +82,9 @@ def curated_seeds(g: GridDiagram) -> list[PartitionedDomain]:
         for r1, y in g.rectangles_from(x):
             for r2, z in g.rectangles_from(y):
                 d = r1.compose(r2)
-                rows = {r for c in range(g.n) for r in range(g.n) if d.mult[c][r]}
-                cols = {c for c in range(g.n) for r in range(g.n) if d.mult[c][r]}
-                if len(cols) == g.n and all(all(d.mult[c][r] for c in range(g.n)) for r in rows):
+                if d.annulus_kind():
                     continue
-                if len(rows) == g.n and all(all(d.mult[c][r] for r in range(g.n)) for c in cols):
-                    continue
-                key = "X" if max(v for col in d.mult for v in col) == 2 else "L"
+                key = "X" if d.max_multiplicity() == 2 else "L"
                 if want.get(key):
                     want[key] = False
                     seeds.append(PartitionedDomain(d, zero_n, zero_lam))
@@ -116,9 +113,7 @@ def cd_terms(s: SignAssignment, D: GridDomain):
             yield "prefix", s.of(info), rest
     sign_suffix = _parity_sign(D.maslov_index())
     for info in g.rectangle_infos_into(D.to_sigma):
-        # E * R = D with R from z to y; E runs from D.from to z
-        diffm = D.subtract(info.domain(g))
-        E = GridDomain(g, D.from_sigma, info.from_sigma, diffm.mult)
+        E = D.strip_suffix(info.domain(g))
         if E.is_positive():
             yield "suffix", sign_suffix * s.of(info), E
 
@@ -126,9 +121,8 @@ def cd_terms(s: SignAssignment, D: GridDomain):
 def cd_differential(s: SignAssignment, D: GridDomain) -> list[tuple[int, GridDomain]]:
     out: dict = {}
     for _, coeff, E in cd_terms(s, D):
-        key = (E.from_sigma, E.to_sigma, E.mult)
-        cur, _ = out.get(key, (0, E))
-        out[key] = (cur + coeff, E)
+        cur, _ = out.get(E.key, (0, E))
+        out[E.key] = (cur + coeff, E)
     return [(c, E) for c, E in out.values() if c]
 
 
@@ -160,14 +154,10 @@ def delta_II(s: SignAssignment, t: PartitionedDomain):
     for j in range(g.n):
         sign = _prefix_sign(t, j)
         for kind, label in (("H", "row"), ("V", "col")):
-            if kind == "H" and g.o_row[j] == g.n - 1:
-                continue  # the top row is not allowable
-            if kind == "V" and j == g.n - 1:
+            # no room in the top row or the last column: they are not allowable
+            if t.domain.annulus_room(kind, j) < 1:
                 continue
-            rest = t.domain.subtract(g.marking_annulus(kind, j, x))
-            E = GridDomain(g, t.domain.from_sigma, t.domain.to_sigma, rest.mult)
-            if not E.is_positive():
-                continue
+            E = t.domain.subtract(g.marking_annulus(kind, j, x))
             n_vec = tuple(v + 1 if k == j else v for k, v in enumerate(t.n_vec))
             for lam2, ue_sign in pt.unit_enlargements(t.lambdas[j]):
                 lambdas = t.lambdas[:j] + (lam2,) + t.lambdas[j + 1 :]
@@ -368,23 +358,19 @@ def graded_piece_complex(
     """The associated-graded piece CD^{a,b,y} on the interval [m^{a,b,y}, Id].
 
     Generators are the x in G^{a,b,y} (each carrying its unique positive
-    domain); the differential splits off front rectangles avoiding the last
-    row and column.
+    domain, the zero-data domain plus the periodic domain with data (a, b),
+    so its Maslov index is the sum of theirs); the differential splits off
+    front rectangles avoiding the last row and column.
     """
     a, b = tuple(a), tuple(b)
     members = g_set(g, a, b, y)
-    grading = {}
-    for sigma in members:
-        D = g.unique_domain(g.generator(sigma), y, a, b)
-        grading[sigma] = D.maslov_index()
+    mu_periodic = PeriodicDomain(a, b).to_domain(g, y).maslov_index()
+    grading = {x: g.base_domain(g.generator(x), y).maslov_index() + mu_periodic for x in members}
     diff: dict = {}
     for sigma in members:
         col: dict = {}
         for info in g.rectangle_infos(sigma):
-            if info.to_sigma not in members:
-                continue
-            rect = info.domain(g)
-            if any(rect.a_vec()) or any(rect.b_vec()):
+            if info.to_sigma not in members or info.meets_last_column() or info.meets_top_row():
                 continue
             col[info.to_sigma] = col.get(info.to_sigma, 0) + s.of(info)
         col = {k: v for k, v in col.items() if v}

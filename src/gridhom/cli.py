@@ -176,6 +176,8 @@ def cmd_signs_verify(args) -> int:
 
 
 def cmd_poset_verify(args) -> int:
+    if args.bound < 0:
+        raise InputError("--bound must be >= 0")
     g = _load(args.grid)
     gens = list(g.generators())
     mismatches = 0
@@ -260,6 +262,8 @@ def _parse_seed(g: GridDiagram, text: str) -> cdp.PartitionedDomain:
 
 
 def cmd_strata(args) -> int:
+    if args.max_codim < 0:
+        raise InputError("--max-codim must be >= 0")
     g = _load(args.grid)
     s = build_sign_assignment(g)
     if args.seed is None:

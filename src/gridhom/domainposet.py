@@ -11,14 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from gridhom.gridcore import Generator, GridDiagram, GridDomain
+from gridhom.gridcore import Generator, GridDiagram, PeriodicDomain, RectInfo
 
 Perm = tuple[int, ...]
 
 
 def generator_leq(g: GridDiagram, y: Generator, x: Generator) -> bool:
     """y <= x iff the unique (x -> y) domain with A = B = 0 is positive."""
-    return all(v >= 0 for col in _base_domain_mult(g, x, y) for v in col)
+    return g.base_domain(x, y).is_positive()
 
 
 def inversions(sigma: Perm) -> int:
@@ -101,7 +101,7 @@ class WitnessRectangle:
 
     kind: str  # "A" or "B"
     from_gen: Generator
-    domain: GridDomain
+    rect: RectInfo
     omega: int
     tau: int
 
@@ -117,15 +117,14 @@ def _witnesses(g: GridDiagram, a, b, y: Generator) -> list[WitnessRectangle]:
     n = g.n
     out = []
     for info in g.rectangle_infos_into(y.sigma):
-        rect = info.domain(g)
-        av, bv = rect.a_vec(), rect.b_vec()
+        av, bv = info.a_vec(), info.b_vec()
         z = g.generator(info.from_sigma)
         if any(av) and all(x <= bound for x, bound in zip(av, a)):
             omega = (n - 1 - info.col0) % n
-            out.append(WitnessRectangle("A", z, rect, omega, info.width))
+            out.append(WitnessRectangle("A", z, info, omega, info.width))
         if any(bv) and all(x <= bound for x, bound in zip(bv, b)):
             omega = (n - 1 - info.row0) % n
-            out.append(WitnessRectangle("B", z, rect, omega, info.height))
+            out.append(WitnessRectangle("B", z, info, omega, info.height))
     return out
 
 
@@ -148,21 +147,10 @@ def g_minimum(g: GridDiagram, a, b, y: Generator) -> Generator:
     if w is None:
         return y
     if w.kind == "A":
-        a2 = tuple(x - r for x, r in zip(a, w.domain.a_vec()))
+        a2 = tuple(x - r for x, r in zip(a, w.rect.a_vec()))
         return g_minimum(g, a2, b, w.from_gen)
-    b2 = tuple(x - r for x, r in zip(b, w.domain.b_vec()))
+    b2 = tuple(x - r for x, r in zip(b, w.rect.b_vec()))
     return g_minimum(g, a, b2, w.from_gen)
-
-
-def _base_domain_mult(g: GridDiagram, x: Generator, y: Generator):
-    cache = g.__dict__.setdefault("_base_domain_cache", {})
-    key = (x.sigma, y.sigma)
-    mult = cache.get(key)
-    if mult is None:
-        zero = (0,) * (g.n - 1)
-        mult = g.unique_domain(x, y, zero, zero).mult
-        cache[key] = mult
-    return mult
 
 
 def g_set(g: GridDiagram, a, b, y: Generator) -> set[Perm]:
@@ -171,26 +159,10 @@ def g_set(g: GridDiagram, a, b, y: Generator) -> set[Perm]:
 
     The domain with data (a, b) is the zero-data domain plus the periodic
     domain with those coefficients, so membership is a direct positivity
-    scan.
+    test.
     """
-    n = g.n
-    a, b = tuple(a), tuple(b)
-    out = set()
-    for x in g.generators():
-        base = _base_domain_mult(g, x, y)
-        ok = True
-        for c in range(n):
-            add_b = b[c] if c < n - 1 else 0
-            col = base[c]
-            for r in range(n):
-                if col[r] + (a[r] if r < n - 1 else 0) + add_b < 0:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.add(x.sigma)
-    return out
+    periodic = PeriodicDomain(tuple(a), tuple(b)).to_domain(g, y)
+    return {x.sigma for x in g.generators() if g.base_domain(x, y).compose(periodic).is_positive()}
 
 
 def interval(g: GridDiagram, lo: Generator, hi: Generator) -> set[Perm]:

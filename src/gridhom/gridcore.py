@@ -17,14 +17,20 @@ annuli ``H_j`` / ``V_j`` are the row and column through ``O_j``.  The marking
 ``X_{n-1}`` (0-indexed column ``n-1``) sits in the top-right cell
 ``(n-1, n-1)`` after canonicalization, and every domain handled by this
 package has coefficient zero there.
+
+A domain's multiplicities are one flat tuple of ``n*n`` ints, the cell
+``(c, r)`` at index ``c*n + r``.  The order is column-major, so domain keys
+compare column by column.  Only this module reads or builds that tuple; the
+other modules ask ``GridDomain`` and ``RectInfo`` for what they need.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from operator import add, sub
 
 Perm = tuple[int, ...]
 
@@ -81,6 +87,11 @@ class GridDiagram:
     n: int
     o_row: Perm
     x_row: Perm
+    # Unbounded per-diagram caches: graded generators, rectangles leaving a
+    # generator, and zero-data domains between two generators.
+    _gen_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _rect_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _base_domain_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = self.n
@@ -160,11 +171,10 @@ class GridDiagram:
 
     def generator(self, sigma: Perm) -> Generator:
         sigma = tuple(sigma)
-        cache = self.__dict__.setdefault("_gen_cache", {})
-        gen = cache.get(sigma)
+        gen = self._gen_cache.get(sigma)
         if gen is None:
             gen = Generator(sigma, self._maslov(sigma), self._alexander2(sigma))
-            cache[sigma] = gen
+            self._gen_cache[sigma] = gen
         return gen
 
     def _points2(self, sigma: Perm) -> list[tuple[int, int]]:
@@ -216,11 +226,10 @@ class GridDiagram:
     def rectangle_infos(self, sigma: Perm) -> list["RectInfo"]:
         """All rectangles leaving x^sigma, as lightweight records (cached)."""
         sigma = tuple(sigma)
-        cache = self.__dict__.setdefault("_rect_cache", {})
-        infos = cache.get(sigma)
+        infos = self._rect_cache.get(sigma)
         if infos is None:
             infos = self._build_rect_infos(sigma)
-            cache[sigma] = infos
+            self._rect_cache[sigma] = infos
         return infos
 
     def _build_rect_infos(self, sigma: Perm) -> list["RectInfo"]:
@@ -296,20 +305,8 @@ class GridDiagram:
 
     # -- domains ---------------------------------------------------------------
 
-    def zero_mult(self) -> tuple[tuple[int, ...], ...]:
-        return tuple((0,) * self.n for _ in range(self.n))
-
     def trivial_domain(self, x: Generator) -> "GridDomain":
-        return GridDomain(self, x.sigma, x.sigma, self.zero_mult())
-
-    def annulus_mult(self, kind: str, index: int) -> tuple[tuple[int, ...], ...]:
-        """Multiplicity matrix of the positional annulus H_(index) or V_(index)."""
-        n = self.n
-        if kind == "row":
-            return tuple(tuple(1 if r == index else 0 for r in range(n)) for _ in range(n))
-        if kind == "col":
-            return tuple(tuple(1 for _ in range(n)) if c == index else (0,) * n for c in range(n))
-        raise ValueError(f"kind must be 'row' or 'col', got {kind!r}")
+        return GridDomain(self, x.sigma, x.sigma, (0,) * (self.n * self.n))
 
     def marking_annulus(self, kind: str, j: int, x: Generator) -> "GridDomain":
         """H_j (row through O_j) or V_j (column through O_j) as a domain x -> x.
@@ -317,14 +314,16 @@ class GridDiagram:
         The last row and column are not allowable (they cover the top-right
         X marking) and are rejected.
         """
+        n = self.n
         if kind == "H":
-            if self.o_row[j] == self.n - 1:
+            row = self.o_row[j]
+            if row == n - 1:
                 raise InvalidGrid(f"row through O_{j} is the top row; not allowable")
-            mult = self.annulus_mult("row", self.o_row[j])
+            mult = tuple(int(i % n == row) for i in range(n * n))
         elif kind == "V":
-            if j == self.n - 1:
+            if j == n - 1:
                 raise InvalidGrid(f"column through O_{j} is the last column; not allowable")
-            mult = self.annulus_mult("col", j)
+            mult = tuple(int(i // n == j) for i in range(n * n))
         else:
             raise ValueError(f"kind must be 'H' or 'V', got {kind!r}")
         return GridDomain(self, x.sigma, x.sigma, mult)
@@ -340,27 +339,28 @@ class GridDiagram:
         n = self.n
         if len(a) != n - 1 or len(b) != n - 1:
             raise ValueError("a and b must have length n-1")
-        xs, ys = set(self._points2_int(x.sigma)), set(self._points2_int(y.sigma))
-
-        def defect(u: int, v: int) -> int:
-            return (1 if (u, v) in xs else 0) - (1 if (u, v) in ys else 0)
-
-        m = [[0] * n for _ in range(n)]
-        for r in range(n - 1):
-            m[n - 1][r] = a[r]
-        for c in range(n - 1):
-            m[c][n - 1] = b[c]
-        m[n - 1][n - 1] = 0
+        xs, ys = set(enumerate(x.sigma)), set(enumerate(y.sigma))
+        m = [0] * (n * n)
+        m[(n - 1) * n : n * n - 1] = a
+        m[n - 1 : n * n - 1 : n] = b
         for c in range(n - 2, -1, -1):
             for r in range(n - 2, -1, -1):
-                m[c][r] = defect(c + 1, r + 1) - m[c + 1][r + 1] + m[c][r + 1] + m[c + 1][r]
-        dom = GridDomain(self, x.sigma, y.sigma, tuple(tuple(col) for col in m))
+                i = c * n + r
+                corner = ((c + 1, r + 1) in xs) - ((c + 1, r + 1) in ys)
+                m[i] = corner - m[i + n + 1] + m[i + 1] + m[i + n]
+        dom = GridDomain(self, x.sigma, y.sigma, tuple(m))
         if not dom.satisfies_boundary_condition():
             raise GridError("inconsistent boundary data in unique_domain")
         return dom
 
-    def _points2_int(self, sigma: Perm) -> list[tuple[int, int]]:
-        return [(i, sigma[i]) for i in range(self.n)]
+    def base_domain(self, x: Generator, y: Generator) -> "GridDomain":
+        """``unique_domain(x, y)`` with zero last-column/top-row data (cached)."""
+        key = (x.sigma, y.sigma)
+        dom = self._base_domain_cache.get(key)
+        if dom is None:
+            zero = (0,) * (self.n - 1)
+            dom = self._base_domain_cache[key] = self.unique_domain(x, y, zero, zero)
+        return dom
 
 
 @dataclass(frozen=True)
@@ -388,26 +388,47 @@ class RectInfo:
         """Identifier used by sign assignments."""
         return (self.from_sigma, self.pair, self.role)
 
-    def covers_cell(self, c: int, r: int) -> bool:
+    def meets_last_column(self) -> bool:
         n = len(self.from_sigma)
-        return (c - self.col0) % n < self.width and (r - self.row0) % n < self.height
+        return (n - 1 - self.col0) % n < self.width
+
+    def meets_top_row(self) -> bool:
+        n = len(self.from_sigma)
+        return (n - 1 - self.row0) % n < self.height
+
+    def a_vec(self) -> tuple[int, ...]:
+        """The domain's multiplicities in the rightmost column, rows 0..n-2."""
+        n, hit = len(self.from_sigma), self.meets_last_column()
+        return tuple(int(hit and (r - self.row0) % n < self.height) for r in range(n - 1))
+
+    def b_vec(self) -> tuple[int, ...]:
+        """The domain's multiplicities in the topmost row, columns 0..n-2."""
+        n, hit = len(self.from_sigma), self.meets_top_row()
+        return tuple(int(hit and (c - self.col0) % n < self.width) for c in range(n - 1))
 
     def domain(self, g: GridDiagram) -> "GridDomain":
         n = g.n
-        mult = tuple(
-            tuple(1 if self.covers_cell(c, r) else 0 for r in range(n)) for c in range(n)
-        )
-        return GridDomain(g, self.from_sigma, self.to_sigma, mult)
+        mult = [0] * (n * n)
+        for dc in range(self.width):
+            col = (self.col0 + dc) % n * n
+            for dr in range(self.height):
+                mult[col + (self.row0 + dr) % n] = 1
+        return GridDomain(g, self.from_sigma, self.to_sigma, tuple(mult))
 
 
 @dataclass(frozen=True)
 class GridDomain:
-    """An integer 2-chain between two generators; ``mult[c][r]`` per cell."""
+    """An integer 2-chain between two generators; ``mult[c*n + r]`` per cell."""
 
     diagram: GridDiagram
     from_sigma: Perm
     to_sigma: Perm
-    mult: tuple[tuple[int, ...], ...]
+    mult: tuple[int, ...]
+
+    @property
+    def key(self) -> tuple:
+        """``(from_sigma, to_sigma, mult)``; equal on one diagram iff the domains are."""
+        return (self.from_sigma, self.to_sigma, self.mult)
 
     @property
     def from_gen(self) -> Generator:
@@ -418,30 +439,55 @@ class GridDomain:
         return self.diagram.generator(self.to_sigma)
 
     def is_positive(self) -> bool:
-        return all(v >= 0 for col in self.mult for v in col)
+        return min(self.mult) >= 0
 
     def is_trivial(self) -> bool:
-        return self.from_sigma == self.to_sigma and all(v == 0 for col in self.mult for v in col)
+        return self.from_sigma == self.to_sigma and not any(self.mult)
+
+    def max_multiplicity(self) -> int:
+        return max(self.mult)
+
+    def annulus_kind(self) -> str | None:
+        """``"H"`` when the support is a non-empty union of full rows, ``"V"``
+        when it is a non-empty union of full columns, None otherwise."""
+        n, m = self.diagram.n, self.mult
+        rows = {i % n for i, v in enumerate(m) if v}
+        cols = {i // n for i, v in enumerate(m) if v}
+        if rows and all(m[c * n + r] for r in rows for c in range(n)):
+            return "H"
+        if cols and all(m[c * n + r] for c in cols for r in range(n)):
+            return "V"
+        return None
+
+    def annulus_room(self, kind: str, j: int) -> int:
+        """How many copies of H_j ("H") or V_j ("V") fit in the domain: its
+        least multiplicity on the row or column through O_j."""
+        g, n = self.diagram, self.diagram.n
+        if kind == "H":
+            return min(self.mult[g.o_row[j] :: n])
+        if kind == "V":
+            return min(self.mult[j * n : (j + 1) * n])
+        raise ValueError(f"kind must be 'H' or 'V', got {kind!r}")
 
     # -- coefficient vectors -------------------------------------------------
 
     def o_vec(self) -> tuple[int, ...]:
-        g = self.diagram
-        return tuple(self.mult[c][g.o_row[c]] for c in range(g.n))
+        g, n = self.diagram, self.diagram.n
+        return tuple(self.mult[c * n + g.o_row[c]] for c in range(n))
 
     def x_vec(self) -> tuple[int, ...]:
-        g = self.diagram
-        return tuple(self.mult[c][g.x_row[c]] for c in range(g.n))
+        g, n = self.diagram, self.diagram.n
+        return tuple(self.mult[c * n + g.x_row[c]] for c in range(n))
 
     def a_vec(self) -> tuple[int, ...]:
         """Multiplicities in the rightmost column, rows 0..n-2."""
         n = self.diagram.n
-        return tuple(self.mult[n - 1][r] for r in range(n - 1))
+        return self.mult[(n - 1) * n : n * n - 1]
 
     def b_vec(self) -> tuple[int, ...]:
         """Multiplicities in the topmost row, columns 0..n-2."""
         n = self.diagram.n
-        return tuple(self.mult[c][n - 1] for c in range(n - 1))
+        return self.mult[n - 1 : n * n - 1 : n]
 
     # -- structure -------------------------------------------------------------
 
@@ -452,39 +498,31 @@ class GridDomain:
     def compose(self, other: "GridDomain") -> "GridDomain":
         if self.to_sigma != other.from_sigma:
             raise EndpointMismatch(f"cannot compose: {self.to_sigma} != {other.from_sigma}")
-        n = self.diagram.n
-        mult = tuple(
-            tuple(self.mult[c][r] + other.mult[c][r] for r in range(n)) for c in range(n)
-        )
+        mult = tuple(map(add, self.mult, other.mult))
         return GridDomain(self.diagram, self.from_sigma, other.to_sigma, mult)
 
     def subtract(self, other: "GridDomain") -> "GridDomain":
-        """2-chain difference ``self - other``, running from ``other.to`` to ``self.to``.
-
-        When ``other`` is a prefix of ``self`` this is the remaining suffix;
-        callers that strip a suffix re-wrap the multiplicities themselves.
-        """
-        n = self.diagram.n
-        mult = tuple(
-            tuple(self.mult[c][r] - other.mult[c][r] for r in range(n)) for c in range(n)
-        )
+        """Prefix strip: for ``self = other * E`` this is ``E``, the 2-chain
+        ``self - other`` running from ``other.to`` to ``self.to``."""
+        mult = tuple(map(sub, self.mult, other.mult))
         return GridDomain(self.diagram, other.to_sigma, self.to_sigma, mult)
+
+    def strip_suffix(self, other: "GridDomain") -> "GridDomain":
+        """Suffix strip: for ``self = E * other`` this is ``E``, the 2-chain
+        ``self - other`` running from ``self.from`` to ``other.from``."""
+        mult = tuple(map(sub, self.mult, other.mult))
+        return GridDomain(self.diagram, self.from_sigma, other.from_sigma, mult)
 
     def satisfies_boundary_condition(self) -> bool:
         """Corner defects must be +1 at x-coordinates, -1 at y, 0 elsewhere."""
-        g, n = self.diagram, self.diagram.n
-        xs = set(g._points2_int(self.from_sigma))
-        ys = set(g._points2_int(self.to_sigma))
+        n, m = self.diagram.n, self.mult
+        xs, ys = set(enumerate(self.from_sigma)), set(enumerate(self.to_sigma))
         for u in range(n):
+            left = (u - 1) % n * n
             for v in range(n):
-                d = (
-                    self.mult[u][v]
-                    + self.mult[u - 1][v - 1]
-                    - self.mult[u - 1][v]
-                    - self.mult[u][v - 1]
-                )
-                want = (1 if (u, v) in xs else 0) - (1 if (u, v) in ys else 0)
-                if d != want:
+                below = (v - 1) % n
+                d = m[u * n + v] + m[left + below] - m[left + v] - m[u * n + below]
+                if d != ((u, v) in xs) - ((u, v) in ys):
                     return False
         return True
 
@@ -510,9 +548,8 @@ class GridDomain:
             if not candidates:
                 raise GridError("positive domain with mu > 0 admits no rectangle split")
             candidates.sort(key=lambda t: (-t[0].col0, -t[0].row0, t[0].pair, t[0].role))
-            _, rect, rest = candidates[0]
+            _, rect, current = candidates[0]
             out.append(rect)
-            current = GridDomain(g, rest.from_sigma, rest.to_sigma, rest.mult)
         return out
 
 
@@ -527,21 +564,16 @@ class PeriodicDomain:
     def from_domain(d: GridDomain) -> "PeriodicDomain":
         if d.from_sigma != d.to_sigma:
             raise EndpointMismatch("periodic domains have equal endpoints")
-        n = d.diagram.n
-        h = tuple(d.mult[n - 1][i] for i in range(n - 1))
-        v = tuple(d.mult[i][n - 1] for i in range(n - 1))
-        return PeriodicDomain(h, v)
+        return PeriodicDomain(d.a_vec(), d.b_vec())
 
     def to_domain(self, g: GridDiagram, x: Generator) -> GridDomain:
+        """The chain at x: ``h_coeffs[r]`` on each row r, plus ``v_coeffs[c]``
+        on each column c."""
         n = g.n
-        m = [[0] * n for _ in range(n)]
-        for i, coeff in enumerate(self.h_coeffs):
-            for c in range(n):
-                m[c][i] += coeff
-        for i, coeff in enumerate(self.v_coeffs):
-            for r in range(n):
-                m[i][r] += coeff
-        return GridDomain(g, x.sigma, x.sigma, tuple(tuple(col) for col in m))
+        h = tuple(self.h_coeffs) + (0,) * (n - len(self.h_coeffs))
+        v = tuple(self.v_coeffs) + (0,) * (n - len(self.v_coeffs))
+        mult = tuple(v[c] + h[r] for c in range(n) for r in range(n))
+        return GridDomain(g, x.sigma, x.sigma, mult)
 
 
 # -- canonicalization and parsing ---------------------------------------------

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from gridhom.gridcore import GridDiagram, GridError, RectInfo
+from gridhom.gridcore import GridDiagram, GridDomain, GridError, RectInfo
 
 CliffordElt = dict  # bitmask of {0..n-1} -> int coefficient
 
@@ -117,7 +117,6 @@ class SignAssignment:
         key = info.key
         s = self._cache.get(key)
         if s is None:
-            n = self.diagram.n
             i, j = info.pair
             if info.role == 1:
                 i, j = j, i  # orient the reflection vector from the BL corner's column
@@ -127,9 +126,9 @@ class SignAssignment:
             # never disturb the two-decomposition axiom, and together with
             # the orientation above they pin the annulus axioms.
             flip = 0
-            if (n - 1 - info.row0) % n < info.height:
+            if info.meets_top_row():
                 flip ^= info.width & 1
-            if (n - 1 - info.col0) % n < info.width:
+            if info.meets_last_column():
                 flip ^= info.height & 1
             self._cache[key] = s = -s if flip else s
         return s
@@ -190,20 +189,12 @@ class AxiomReport:
         return not self.violations
 
 
-def _classify(g: GridDiagram, mult, decomps) -> str:
-    n = g.n
-    if any(mult[c][r] > 1 for c in range(n) for r in range(n)):
+def _classify(d: GridDomain, decomps) -> str:
+    if d.max_multiplicity() > 1:
         return "cross"
-    covered_rows = {r for c in range(n) for r in range(n) if mult[c][r]}
-    covered_cols = {c for c in range(n) for r in range(n) if mult[c][r]}
-    if len(covered_cols) == n and all(
-        all(mult[c][r] for c in range(n)) for r in covered_rows
-    ):
-        return "annulus-horizontal"
-    if len(covered_rows) == n and all(
-        all(mult[c][r] for r in range(n)) for c in covered_cols
-    ):
-        return "annulus-vertical"
+    kind = d.annulus_kind()
+    if kind:
+        return "annulus-horizontal" if kind == "H" else "annulus-vertical"
     pairs = {info.pair for info, _ in decomps} | {info.pair for _, info in decomps}
     cols = set()
     for p in pairs:
@@ -213,7 +204,7 @@ def _classify(g: GridDiagram, mult, decomps) -> str:
     # hexagon: orient by where the narrow rectangle sits relative to the wide one
     r1, r2 = decomps[0]
     wide, narrow = (r1, r2) if r1.width >= r2.width else (r2, r1)
-    above = (narrow.row0 - wide.row0) % n >= wide.height
+    above = (narrow.row0 - wide.row0) % d.diagram.n >= wide.height
     left_aligned = narrow.col0 == wide.col0
     if above:
         return "hexagon-ul" if left_aligned else "hexagon-ur"
@@ -222,23 +213,17 @@ def _classify(g: GridDiagram, mult, decomps) -> str:
 
 def verify_axioms(g: GridDiagram, s: SignAssignment) -> AxiomReport:
     """Exhaustively check the sign axioms over all index-2 positive domains."""
-    n = g.n
     groups: dict = {}
     for x in g.generators():
         for r1 in g.rectangle_infos(x.sigma):
+            first = r1.domain(g)
             for r2 in g.rectangle_infos(r1.to_sigma):
-                mult = tuple(
-                    tuple(
-                        (1 if r1.covers_cell(c, r) else 0) + (1 if r2.covers_cell(c, r) else 0)
-                        for r in range(n)
-                    )
-                    for c in range(n)
-                )
-                groups.setdefault((x.sigma, r2.to_sigma, mult), []).append((r1, r2))
+                d = first.compose(r2.domain(g))
+                groups.setdefault(d.key, (d, []))[1].append((r1, r2))
     shape_counts = {name: 0 for name in SHAPE_CLASSES}
     violations = []
-    for (from_sigma, to_sigma, mult), decomps in groups.items():
-        shape = _classify(g, mult, decomps)
+    for (from_sigma, _, mult), (d, decomps) in groups.items():
+        shape = _classify(d, decomps)
         shape_counts[shape] += 1
         prods = [s.of(r1) * s.of(r2) for r1, r2 in decomps]
         if shape == "annulus-horizontal":

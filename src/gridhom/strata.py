@@ -57,8 +57,7 @@ class StratumPiece:
 
     @property
     def key(self):
-        d = self.domain
-        return (d.from_sigma, d.to_sigma, d.mult, self.e_rows, self.f_cols, self.n_vec, self.lambdas)
+        return self.domain.key + (self.e_rows, self.f_cols, self.n_vec, self.lambdas)
 
 
 @dataclass(frozen=True)
@@ -88,39 +87,31 @@ def _positive_subdomains(g: GridDiagram, rem: GridDomain):
                     continue
                 rest = rem.subtract(cand)
                 if rest.is_positive():
-                    yield cand, GridDomain(g, w.sigma, rem.to_sigma, rest.mult)
+                    yield cand, rest
+
+
+def _strip_annuli(g: GridDiagram, dom: GridDomain, kind: str, counts) -> GridDomain:
+    """dom minus ``counts[j]`` copies of each annulus H_j or V_j at its start."""
+    x = g.generator(dom.from_sigma)
+    for j, k in enumerate(counts):
+        for _ in range(k):
+            dom = dom.subtract(g.marking_annulus(kind, j, x))
+    return dom
 
 
 def _extractions(g: GridDiagram, rem: GridDomain):
-    """Choices of row/column multiples (E, F) with E + F <= rem."""
-    n = g.n
-    x = g.generator(rem.from_sigma)
-    row_max = []
-    col_max = []
-    for j in range(n):
-        r = g.o_row[j]
-        row_max.append(min(rem.mult[c][r] for c in range(n)))
-        col_max.append(min(rem.mult[j]))
-    for e_rows in itertools.product(*(range(v + 1) for v in row_max)):
-        left = rem
-        ok = True
-        for j, e in enumerate(e_rows):
-            for _ in range(e):
-                left = GridDomain(
-                    g, left.from_sigma, left.to_sigma,
-                    left.subtract(g.marking_annulus("H", j, x)).mult,
-                )
-        cmax = [min(left.mult[j]) for j in range(n)]
-        for f_cols in itertools.product(*(range(min(v, c) + 1) for v, c in zip(col_max, cmax))):
-            left2 = left
-            for j, f in enumerate(f_cols):
-                for _ in range(f):
-                    left2 = GridDomain(
-                        g, left2.from_sigma, left2.to_sigma,
-                        left2.subtract(g.marking_annulus("V", j, x)).mult,
-                    )
-            if left2.is_positive():
-                yield tuple(e_rows), tuple(f_cols), left2
+    """Choices of row/column multiples (E, F) with E + F <= rem.
+
+    The rows H_j are pairwise disjoint, and so are the columns V_j, so for a
+    positive rem each choice within the per-annulus room leaves a positive
+    remainder.
+    """
+    row_room = [rem.annulus_room("H", j) for j in range(g.n)]
+    for e_rows in itertools.product(*(range(v + 1) for v in row_room)):
+        left = _strip_annuli(g, rem, "H", e_rows)
+        col_room = [left.annulus_room("V", j) for j in range(g.n)]
+        for f_cols in itertools.product(*(range(v + 1) for v in col_room)):
+            yield tuple(e_rows), tuple(f_cols), _strip_annuli(g, left, "V", f_cols)
 
 
 def _lambda_refinements(eta, extras, max_extra_codim):
@@ -276,26 +267,15 @@ def codim1_boundary_events(desc: StratumDescriptor) -> list[tuple[str, tuple]]:
         ):
             if piece.dim != 0:
                 continue
-            survivor = (
-                other.domain.from_sigma,
-                other.domain.to_sigma,
-                other.domain.mult,
-                other.n_vec,
-                other.lambdas,
-            )
+            survivor = other.domain.key + (other.n_vec, other.lambdas)
             if piece.domain.maslov_index() == 1:
                 events.append((rect_label, survivor))
             else:
                 events.append((bubble_label, survivor))
         return events
     piece = desc.pieces[0]
-    survivor = (
-        piece.domain.from_sigma,
-        piece.domain.to_sigma,
-        piece.domain.mult,
-        tuple(n + e for n, e in zip(piece.n_vec, piece.extras)),
-        piece.lambdas,
-    )
+    n_vec = tuple(n + e for n, e in zip(piece.n_vec, piece.extras))
+    survivor = piece.domain.key + (n_vec, piece.lambdas)
     if label == "TypeII":
         events.append(("row" if any(piece.e_rows) else "col", survivor))
     else:

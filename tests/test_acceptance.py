@@ -237,11 +237,7 @@ def test_criterion_10_strata():
         for r1, y in g.rectangles_from(x):
             for r2, z in g.rectangles_from(y):
                 d = r1.compose(r2)
-                rows = {r for c in range(3) for r in range(3) if d.mult[c][r]}
-                cols = {c for c in range(3) for r in range(3) if d.mult[c][r]}
-                if len(cols) == 3 and all(all(d.mult[c][r] for c in range(3)) for r in rows):
-                    continue
-                if len(rows) == 3 and all(all(d.mult[c][r] for r in range(3)) for c in cols):
+                if d.annulus_kind():
                     continue
                 l_shape = d
                 break

@@ -33,18 +33,9 @@ def curated_seeds(g, rng=None):
         for r1, y in g.rectangles_from(x):
             for r2, z in g.rectangles_from(y):
                 d = r1.compose(r2)
-                mults = [v for col in d.mult for v in col]
-                rows = {r for c in range(g.n) for r in range(g.n) if d.mult[c][r]}
-                cols = {c for c in range(g.n) for r in range(g.n) if d.mult[c][r]}
-                full_row = len(cols) == g.n and all(
-                    all(d.mult[c][r] for c in range(g.n)) for r in rows
-                )
-                full_col = len(rows) == g.n and all(
-                    all(d.mult[c][r] for r in range(g.n)) for c in cols
-                )
-                if full_row or full_col:
+                if d.annulus_kind():
                     continue
-                if max(mults) == 2 and all(len(s.domain.mult) for s in seeds):
+                if d.max_multiplicity() == 2 and all(len(s.domain.mult) for s in seeds):
                     seeds.append(cdp.PartitionedDomain(d, zero_n, zero_lam))  # cross
                 elif len(seeds) < 6:
                     seeds.append(cdp.PartitionedDomain(d, zero_n, zero_lam))  # L-shape
@@ -91,6 +82,10 @@ class TestCDPDifferential:
             cdp.PartitionedDomain(unknot3.trivial_domain(x), (1, 0, 0), ((), (1,), ()))
         with pytest.raises(ValueError):
             cdp.PartitionedDomain(unknot3.trivial_domain(x), (0, 0), ((), ()))
+        negative = unknot3.trivial_domain(x).subtract(unknot3.marking_annulus("H", 0, x))
+        zero_n, zero_lam = cdp.trivial_decoration(unknot3)
+        with pytest.raises(ValueError):
+            cdp.PartitionedDomain(negative, zero_n, zero_lam)
 
     def test_single_bubble_vanishes(self, unknot3, signs3):
         x = unknot3.generator((0, 1, 2))

@@ -122,6 +122,8 @@ class TestVerifiers:
         ["cdp-verify", "--n", "1"],
         ["zn", "--n", "13"],
         ["permutohedron", "--n", "9"],
+        ["poset-verify", "unknot2.grid", "--bound", "-1"],
+        ["strata", "unknot2.grid", "--max-codim", "-1"],
     ],
 )
 def test_bad_input_exits_2(argv, capsys):

@@ -17,6 +17,34 @@ from gridhom.gridcore import (
 )
 
 
+def cell(d, c, r):
+    """Multiplicity of domain d at cell (c, r), read from the flat tuple."""
+    return d.mult[c * d.diagram.n + r]
+
+
+def hand_annulus_kind(d):
+    """Independent oracle for GridDomain.annulus_kind, written cell by cell."""
+    n = d.diagram.n
+    rows = {r for c in range(n) for r in range(n) if cell(d, c, r)}
+    cols = {c for c in range(n) for r in range(n) if cell(d, c, r)}
+    if len(cols) == n and all(all(cell(d, c, r) for c in range(n)) for r in rows):
+        return "H"
+    if len(rows) == n and all(all(cell(d, c, r) for r in range(n)) for c in cols):
+        return "V"
+    return None
+
+
+def index_two_domains(g):
+    """{key: (domain, [(R1, R2), ...])} over all compositions of two rectangles."""
+    chains = {}
+    for x in g.generators():
+        for r1, y in g.rectangles_from(x):
+            for r2, z in g.rectangles_from(y):
+                d = r1.compose(r2)
+                chains.setdefault(d.key, (d, []))[1].append((r1, r2))
+    return chains
+
+
 def brute_force_rectangles(g, sigma):
     """Independent oracle: scan all torus rectangles by corner intervals."""
     n = g.n
@@ -192,20 +220,8 @@ class TestDomains:
 
     def test_l_shape_two_decompositions_same_chain(self, unknot3):
         # every index-2 non-annulus has exactly two rectangle decompositions
-        g = unknot3
-        chains = {}
-        for x in g.generators():
-            for r1, y in g.rectangles_from(x):
-                for r2, z in g.rectangles_from(y):
-                    d = r1.compose(r2)
-                    chains.setdefault((d.from_sigma, d.to_sigma, d.mult), []).append((r1, r2))
-        for (fs, ts, mult), decomps in chains.items():
-            d = GridDomain(g, fs, ts, mult)
-            rows = {r for c in range(3) for r in range(3) if mult[c][r]}
-            cols = {c for c in range(3) for r in range(3) if mult[c][r]}
-            h_ann = len(cols) == 3 and all(all(mult[c][r] for c in range(3)) for r in rows)
-            v_ann = len(rows) == 3 and all(all(mult[c][r] for r in range(3)) for c in cols)
-            assert len(decomps) == (1 if h_ann or v_ann else 2)
+        for d, decomps in index_two_domains(unknot3).values():
+            assert len(decomps) == (1 if hand_annulus_kind(d) else 2)
 
     def test_mu_additive_random(self, grid4):
         rng = random.Random(11)
@@ -278,9 +294,7 @@ class TestDecompose:
 
     def test_requires_positive(self, unknot3):
         x = unknot3.generator((0, 1, 2))
-        neg = GridDomain(
-            unknot3, x.sigma, x.sigma, tuple(tuple(-1 for _ in range(3)) for _ in range(3))
-        )
+        neg = GridDomain(unknot3, x.sigma, x.sigma, (-1,) * 9)
         with pytest.raises(NotPositive):
             neg.decompose_into_rectangles()
 
@@ -321,7 +335,7 @@ class TestUniqueDomain:
             d = unknot3.unique_domain(x, y, a, b)
             assert d.a_vec() == a and d.b_vec() == b
             assert d.satisfies_boundary_condition()
-            assert d.mult[2][2] == 0
+            assert d.x_vec()[2] == 0  # X_2 sits in the top-right cell
 
 
 class TestPeriodicDomains:
@@ -335,6 +349,75 @@ class TestPeriodicDomains:
             d = p.to_domain(grid4, x)
             assert PeriodicDomain.from_domain(d) == p
             assert d.satisfies_boundary_condition()
+
+
+class TestFlatQueries:
+    """The named GridDomain/RectInfo queries against cell-by-cell references."""
+
+    @pytest.mark.parametrize("name", ["unknot2", "unknot3", "hopf4", "trefoil5", "t25"])
+    def test_rect_geometry_matches_domain(self, name, request):
+        g = request.getfixturevalue(name)
+        n = g.n
+        for x in g.generators():
+            for info in g.rectangle_infos(x.sigma):
+                d = info.domain(g)
+                assert info.a_vec() == d.a_vec() and info.b_vec() == d.b_vec()
+                assert info.meets_last_column() == any(cell(d, n - 1, r) for r in range(n))
+                assert info.meets_top_row() == any(cell(d, c, n - 1) for c in range(n))
+
+    @pytest.mark.parametrize("name", ["unknot3", "grid4"])
+    def test_annulus_kind_matches_hand_check(self, name, request):
+        g = request.getfixturevalue(name)
+        kinds = [d.annulus_kind() for d, _ in index_two_domains(g).values()]
+        assert kinds == [hand_annulus_kind(d) for d, _ in index_two_domains(g).values()]
+        assert {"H", "V", None} <= set(kinds)
+
+    def test_strip_suffix_inverts_compose(self, unknot3, signs3):
+        from gridhom import cdp
+
+        closure = cdp.ClosureComplex.build(signs3, cdp.curated_seeds(unknot3))
+        checked = 0
+        for t in closure.elements.values():
+            D = t.domain
+            rebuilt = []
+            for info in unknot3.rectangle_infos_into(D.to_sigma):
+                R = info.domain(unknot3)
+                E = D.strip_suffix(R)
+                if E.is_positive():
+                    assert E.compose(R).key == D.key
+                    rebuilt.append(E.key)
+            suffixes = [E.key for label, _, E in cdp.cd_terms(signs3, D) if label == "suffix"]
+            assert rebuilt == suffixes
+            checked += len(suffixes)
+        assert checked
+
+    def test_annulus_room_matches_repeated_subtract(self, grid4):
+        def brute_room(d, kind, j):
+            try:
+                ann = grid4.marking_annulus(kind, j, grid4.generator(d.from_sigma))
+            except InvalidGrid:  # the top row and the last column
+                return 0
+            k, rest = 0, d.subtract(ann)
+            while rest.is_positive():
+                k, rest = k + 1, rest.subtract(ann)
+            return k
+
+        rng = random.Random(4)
+        gens = list(grid4.generators())
+        for _ in range(60):
+            x = rng.choice(gens)
+            d = grid4.trivial_domain(x)
+            for _ in range(rng.randint(0, 3)):
+                kind, j = rng.choice("HV"), rng.randrange(3)
+                if kind == "H" and grid4.o_row[j] == 3:
+                    continue
+                d = d.compose(grid4.marking_annulus(kind, j, x))
+            for _ in range(rng.randint(0, 3)):
+                rect, _ = rng.choice(grid4.rectangles_from(grid4.generator(d.to_sigma)))
+                d = d.compose(rect)
+            for kind in "HV":
+                for j in range(4):
+                    assert d.annulus_room(kind, j) == brute_room(d, kind, j)
 
 
 class TestParsing:
