@@ -370,7 +370,7 @@ def graded_piece_complex(
     for sigma in members:
         col: dict = {}
         for info in g.rectangle_infos(sigma):
-            if info.to_sigma not in members or info.meets_last_column() or info.meets_top_row():
+            if info.to_sigma not in members or info.meets_last_column or info.meets_top_row:
                 continue
             col[info.to_sigma] = col.get(info.to_sigma, 0) + s.of(info)
         col = {k: v for k, v in col.items() if v}

@@ -19,8 +19,10 @@ Flavors:
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
+from operator import sub
 
 from gridhom import partitions as pt
 from gridhom.gridcore import GridDiagram, GridError
@@ -91,18 +93,30 @@ def build_complex(
     computes the exact slice; truncating at a cap still computes homology
     exactly below ``cap - 1``.  plus_prime slices are infinite and require
     a cap.
+
+    The differential is built per generator sigma: its rectangles are
+    filtered once (no avoided X, a target generator with cells in the
+    slice), and each cell (sigma, j) then only subtracts a rectangle's O
+    markings from j and looks the result up; a negative entry, such as one
+    in a frozen column, matches no cell.  Every diff entry
+    stores the key object that ``grading`` holds for its cell, so all
+    columns that mention a cell share one key.  Signs are asked only for
+    arrows that land in the slice.
     """
     g._require_canonical()
     n = g.n
     flavor = spec.flavor
     comp_of_o = g.component_of_o
     ncomp = g.num_components
-    comp_markings = [[c for c in range(n) if comp_of_o[c] == k] for k in range(ncomp)]
     frozen = set()
     if flavor == "hat":
         frozen = set(spec.hat_markings)
     elif flavor == "tilde":
         frozen = set(range(n))
+    # per component, the O columns whose U-power j_c may be non-zero
+    free_cols = [[c for c in range(n) if comp_of_o[c] == k and c not in frozen] for k in range(ncomp)]
+    # weak compositions of (total, parts), listed once for all generators
+    compositions = functools.cache(lambda total, parts: list(pt.weak_compositions(total, parts)))
 
     special_comp = None
     if flavor == "plus_prime":
@@ -124,13 +138,12 @@ def build_complex(
         budget = None if maslov_cap is None else (maslov_cap - x.maslov) // 2
         per_comp: list[list[tuple[int, ...]]] = []
         ok = True
-        for k in range(ncomp):
-            cols = [c for c in comp_markings[k] if c not in frozen]
+        for k, cols in enumerate(free_cols):
             if special_comp is not None and k != special_comp:
                 # unconstrained component: bounded only by the Maslov cap
                 options = []
                 for total in range(budget + 1):
-                    options.extend(pt.weak_compositions(total, len(cols)))
+                    options.extend(compositions(total, len(cols)))
                 per_comp.append(options)
                 continue
             gap2 = alexander2[k if special_comp is None else 0] - x.alexander2[k]
@@ -144,39 +157,50 @@ def build_complex(
             if not cols and gap > 0:
                 ok = False
                 break
-            per_comp.append(list(pt.weak_compositions(gap, len(cols))))
+            per_comp.append(compositions(gap, len(cols)))
         if not ok:
             continue
         for choice in itertools.product(*per_comp):
             j = [0] * n
-            for k in range(ncomp):
-                cols = [c for c in comp_markings[k] if c not in frozen]
-                for c, v in zip(cols, choice[k]):
+            for cols, part in zip(free_cols, choice):
+                for c, v in zip(cols, part):
                     j[c] = v
             gr = x.maslov + 2 * sum(j)
             if maslov_cap is None or gr <= maslov_cap:
                 grading[(x.sigma, tuple(j))] = gr
 
+    # cells[sigma][j] is the key the grading holds for the cell (sigma, j);
+    # diff columns store these keys, so each cell has one key object.  The
+    # grading lists each generator's cells together, so walking cells keeps
+    # its order, which the Morse reduction's tie-breaks depend on.
+    cells: dict = {}
+    for key in grading:
+        cells.setdefault(key[0], {})[key[1]] = key
+
     avoid = _x_constraint_mask(g, flavor)
     diff: dict = {}
-    for (sigma, j), gr in grading.items():
-        col: dict = {}
+    for sigma, by_j in cells.items():
+        # the rectangles leaving sigma that can give an arrow in this slice:
+        # no avoided X and a target generator with cells
+        arrows = []
         for info in g.rectangle_infos(sigma):
-            if any(info.x_vec[c] for c in avoid):
+            targets = cells.get(info.to_sigma)
+            if targets is None or any(info.x_vec[c] for c in avoid):
                 continue
-            j2 = tuple(a - b for a, b in zip(j, info.o_vec))
-            if any(v < 0 for v in j2):
-                continue
-            key2 = (info.to_sigma, j2)
-            if key2 not in grading:
-                continue  # only possible when it fell below nothing; never above
-            coeff = col.get(key2, 0) + s.of(info)
-            if coeff:
-                col[key2] = coeff
-            else:
-                del col[key2]
-        if col:
-            diff[(sigma, j)] = col
+            arrows.append((info, targets, info.o_vec if any(info.o_vec) else None))
+        for j, key in by_j.items():
+            col: dict = {}
+            for info, targets, o_vec in arrows:
+                key2 = targets.get(j if o_vec is None else tuple(map(sub, j, o_vec)))
+                if key2 is None:
+                    continue
+                coeff = col.get(key2, 0) + s.of(info)
+                if coeff:
+                    col[key2] = coeff
+                else:
+                    del col[key2]
+            if col:
+                diff[key] = col
     return IntegerChainComplex(grading, diff)
 
 
@@ -239,6 +263,41 @@ class UMapResult:
         return len(diag) == rs and all(d == 1 for d in diag)
 
 
+@dataclass
+class ReducedSlice:
+    """One slice, built once and Morse-reduced once with both homotopy
+    equivalences tracked, so it can be the source or the target of a U map."""
+
+    complex: IntegerChainComplex
+    iota: dict  # key of the reduced complex -> chain in ``complex``
+    pi: dict  # key of ``complex`` -> chain in the reduced complex
+    bases: dict  # grading -> GradedHomologyBasis of the reduced complex
+
+    @staticmethod
+    def build(g, s, spec, alexander2, maslov_cap=None) -> "ReducedSlice":
+        cx = build_complex(g, s, spec, alexander2, maslov_cap)
+        reduced, iota, pi = reduce_complex(cx, track_iota=True, track_pi=True)
+        return ReducedSlice(cx, iota, pi, homology_with_bases(reduced))
+
+    @property
+    def table(self) -> HomologyTable:
+        groups = {}
+        for gr, basis in self.bases.items():
+            if basis.free_reps or basis.torsion:
+                groups[gr] = (len(basis.free_reps), basis.torsion)
+        return HomologyTable(groups)
+
+
+def cached_slice(slices: dict, g, s, spec, alexander2, maslov_cap=None) -> ReducedSlice:
+    """The slice ``alexander2`` under ``maslov_cap`` from ``slices`` (keyed
+    by ``(alexander2, maslov_cap)``), built on a miss."""
+    key = (alexander2, maslov_cap)
+    found = slices.get(key)
+    if found is None:
+        found = slices[key] = ReducedSlice.build(g, s, spec, alexander2, maslov_cap)
+    return found
+
+
 def u_map(
     g: GridDiagram,
     s: SignAssignment,
@@ -246,15 +305,25 @@ def u_map(
     marking: int,
     alexander2,
     maslov_cap: int | None = None,
+    *,
+    slices: dict | None = None,
 ) -> UMapResult:
-    """The degree -2 map U_marking from slice ``alexander2`` downward."""
+    """The degree -2 map U_marking from slice ``alexander2`` downward.
+
+    ``slices`` is a caller-owned cache of ``ReducedSlice`` of this grid,
+    sign table and plus flavor, keyed by ``(alexander2 tuple, maslov_cap)``:
+    both slices are taken from it when present and added to it otherwise, so
+    a caller walking down a tower builds and reduces each slice once.  With
+    ``None`` both slices are built here.
+    """
     if spec.flavor != "plus":
         raise ValueError("U maps are computed on the plus flavor")
     comp = g.component_of_o[marking]
     a2 = tuple(alexander2)
     target_a2 = tuple(v - 2 if k == comp else v for k, v in enumerate(a2))
-    src = build_complex(g, s, spec, a2, maslov_cap)
-    dst = build_complex(g, s, spec, target_a2, None if maslov_cap is None else maslov_cap - 2)
+    slices = {} if slices is None else slices
+    src = cached_slice(slices, g, s, spec, a2, maslov_cap)
+    dst = cached_slice(slices, g, s, spec, target_a2, None if maslov_cap is None else maslov_cap - 2)
 
     def u_of(key):
         sigma, j = key
@@ -264,23 +333,19 @@ def u_map(
         return {(sigma, j2): 1}
 
     # chain map check: d(U x) == U(d x) within the truncation
-    for key in src.grading:
-        left = dst.apply(u_of(key))
+    for key in src.complex.grading:
+        left = dst.complex.apply(u_of(key))
         right: dict = {}
-        for key2, v in src.diff.get(key, {}).items():
+        for key2, v in src.complex.diff.get(key, {}).items():
             for key3, v3 in u_of(key2).items():
                 right[key3] = right.get(key3, 0) + v * v3
         right = {k: v for k, v in right.items() if v}
         if left != right:
             raise GridError(f"U map is not a chain map at {key}")
 
-    red_src, iota, _ = reduce_complex(src, track_iota=True)
-    red_dst, _, pi = reduce_complex(dst, track_pi=True)
-    hb_src = homology_with_bases(red_src)
-    hb_dst = homology_with_bases(red_dst)
-
+    iota, pi, hb_dst = src.iota, dst.pi, dst.bases
     matrices: dict = {}
-    for gr, basis in hb_src.items():
+    for gr, basis in src.bases.items():
         if not basis.free_reps:
             continue
         cols = []
@@ -302,14 +367,4 @@ def u_map(
         rows = max((len(c) for c in cols), default=0)
         matrices[gr] = [[c[r] if r < len(c) else 0 for c in cols] for r in range(rows)]
 
-    src_table = _table_of(hb_src)
-    dst_table = _table_of(hb_dst)
-    return UMapResult(src_table, dst_table, matrices)
-
-
-def _table_of(hb) -> HomologyTable:
-    groups = {}
-    for gr, basis in hb.items():
-        if basis.free_reps or basis.torsion:
-            groups[gr] = (len(basis.free_reps), basis.torsion)
-    return HomologyTable(groups)
+    return UMapResult(src.table, dst.table, matrices)

@@ -273,6 +273,8 @@ class GridDiagram:
                             height=h,
                             o_vec=o_vec,
                             x_vec=x_vec,
+                            meets_last_column=n - 1 in cols,
+                            meets_top_row=n - 1 in rowset,
                         )
                     )
         return infos
@@ -382,28 +384,22 @@ class RectInfo:
     height: int
     o_vec: tuple[int, ...]
     x_vec: tuple[int, ...]
+    meets_last_column: bool  # covers a cell of column n-1
+    meets_top_row: bool  # covers a cell of row n-1
 
     @property
     def key(self) -> tuple:
         """Identifier used by sign assignments."""
         return (self.from_sigma, self.pair, self.role)
 
-    def meets_last_column(self) -> bool:
-        n = len(self.from_sigma)
-        return (n - 1 - self.col0) % n < self.width
-
-    def meets_top_row(self) -> bool:
-        n = len(self.from_sigma)
-        return (n - 1 - self.row0) % n < self.height
-
     def a_vec(self) -> tuple[int, ...]:
         """The domain's multiplicities in the rightmost column, rows 0..n-2."""
-        n, hit = len(self.from_sigma), self.meets_last_column()
+        n, hit = len(self.from_sigma), self.meets_last_column
         return tuple(int(hit and (r - self.row0) % n < self.height) for r in range(n - 1))
 
     def b_vec(self) -> tuple[int, ...]:
         """The domain's multiplicities in the topmost row, columns 0..n-2."""
-        n, hit = len(self.from_sigma), self.meets_top_row()
+        n, hit = len(self.from_sigma), self.meets_top_row
         return tuple(int(hit and (c - self.col0) % n < self.width) for c in range(n - 1))
 
     def domain(self, g: GridDiagram) -> "GridDomain":

@@ -126,9 +126,9 @@ class SignAssignment:
             # never disturb the two-decomposition axiom, and together with
             # the orientation above they pin the annulus axioms.
             flip = 0
-            if info.meets_top_row():
+            if info.meets_top_row:
                 flip ^= info.width & 1
-            if info.meets_last_column():
+            if info.meets_last_column:
                 flip ^= info.height & 1
             self._cache[key] = s = -s if flip else s
         return s

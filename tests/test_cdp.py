@@ -9,39 +9,28 @@ from gridhom.gridcore import GridDiagram
 from gridhom.signs import build_sign_assignment
 
 
-def curated_seeds(g, rng=None):
-    """Annuli, an L-shape, a cross when available, and partitioned constants."""
-    x_id = g.generator(tuple(range(g.n)))
-    other = g.generator(tuple(range(1, g.n)) + (0,))
+def curated_seeds(g):
+    """``cdp.curated_seeds`` plus two seeds it lacks: the partitioned constant
+    domain with lambda = (1, 2) and the second index-2 L-shape."""
     zero_n, zero_lam = cdp.trivial_decoration(g)
-    seeds = []
-    row_j = next(j for j in range(g.n) if g.o_row[j] != g.n - 1)
-    seeds.append(cdp.PartitionedDomain(g.marking_annulus("H", row_j, x_id), zero_n, zero_lam))
-    seeds.append(cdp.PartitionedDomain(g.marking_annulus("V", 0, other), zero_n, zero_lam))
-    seeds.append(
-        cdp.PartitionedDomain(
-            g.trivial_domain(x_id), (2,) + (0,) * (g.n - 1), ((1, 1),) + ((),) * (g.n - 1)
-        )
-    )
-    seeds.append(
+    other = g.generator(tuple(range(1, g.n)) + (0,))
+    extra = [
         cdp.PartitionedDomain(
             g.trivial_domain(other), (3,) + (0,) * (g.n - 1), ((1, 2),) + ((),) * (g.n - 1)
         )
-    )
-    # an index-2 L-shape or cross: compose two rectangles
-    for x in g.generators():
-        for r1, y in g.rectangles_from(x):
-            for r2, z in g.rectangles_from(y):
-                d = r1.compose(r2)
-                if d.annulus_kind():
-                    continue
-                if d.max_multiplicity() == 2 and all(len(s.domain.mult) for s in seeds):
-                    seeds.append(cdp.PartitionedDomain(d, zero_n, zero_lam))  # cross
-                elif len(seeds) < 6:
-                    seeds.append(cdp.PartitionedDomain(d, zero_n, zero_lam))  # L-shape
-                if len(seeds) >= 7:
-                    return seeds
-    return seeds
+    ]
+
+    def l_shapes():
+        for x in g.generators():
+            for r1, y in g.rectangles_from(x):
+                for r2, _ in g.rectangles_from(y):
+                    d = r1.compose(r2)
+                    if not d.annulus_kind() and d.max_multiplicity() == 1:
+                        yield d
+
+    second = next(itertools.islice(l_shapes(), 1, None))
+    extra.append(cdp.PartitionedDomain(second, zero_n, zero_lam))
+    return cdp.curated_seeds(g) + extra
 
 
 class TestCDDifferential:

@@ -145,6 +145,16 @@ class TestSpectrum:
 
 
 class TestGoldenFiles:
+    def test_spectrum_matches_golden(self, capsys):
+        argv = ["--json", "spectrum", fixture_path("trefoil5.grid")]
+        for a2 in (2, 4, 6, 8):
+            argv += ["--alexander", str(a2)]
+        code, out = run(capsys, *argv)
+        assert code == 0
+        with open(fixture_path(os.path.join("expected", "trefoil5_spectrum.json"))) as fh:
+            assert out == fh.read()
+
+
     @pytest.mark.parametrize("name,flavors", [
         ("unknot2", ("hat", "plus", "tilde")),
         ("trefoil5", ("hat", "plus")),

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from gridhom.gridcore import GridDiagram, canonicalize
-from gridhom.homalg import HomologyTable
+from gridhom.homalg import HomologyTable, IntegerChainComplex
 from gridhom.signs import build_sign_assignment
 from gridhom.gridcomplex import (
     FlavorSpec,
@@ -217,3 +217,131 @@ class TestTables:
             cx = build_complex(trefoil5, signs5, spec, (0,), maslov_cap=cap)
             cut = {k: v for k, v in cx.homology().nonzero().items() if k <= cap - 2}
             assert cut == {k: v for k, v in full.items() if k <= cap - 2}
+
+
+# -- build_complex against a reference written from the definition -------------
+
+
+def spreads(total, parts):
+    """All ``parts``-tuples of non-negative integers summing to ``total``."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for bars in itertools.combinations(range(total + parts - 1), parts - 1):
+        edges = (-1,) + bars + (total + parts - 1,)
+        yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
+
+
+def reference_complex(g, s, spec, alexander2, cap=None):
+    """One slice from the definition: every cell [x, j] of the slice, and for
+    every cell every rectangle out of x that crosses no forbidden X and whose
+    O markings j can pay for.  No per-generator tables, no shared keys."""
+    n = g.n
+    comp_of_o = g.component_of_o
+    comp_of_x = [comp_of_o[g.o_row.index(g.x_row[c])] for c in range(n)]
+    frozen = {"hat": set(spec.hat_markings), "tilde": set(range(n))}.get(spec.flavor, set())
+    if spec.flavor == "plus_prime":
+        special = comp_of_x[n - 1]
+        pinned = {special: alexander2}
+        forbidden = [c for c in range(n) if comp_of_x[c] == special]
+    else:
+        pinned = dict(enumerate(alexander2))
+        forbidden = list(range(n))
+    grading = {}
+    for x in g.generators():
+        if cap is not None and x.maslov > cap:
+            continue
+        budget = None if cap is None else (cap - x.maslov) // 2
+        choices = []
+        for k in range(g.num_components):
+            cols = [c for c in range(n) if comp_of_o[c] == k and c not in frozen]
+            if k in pinned:
+                gap2 = pinned[k] - x.alexander2[k]
+                totals = [gap2 // 2] if gap2 >= 0 and gap2 % 2 == 0 else []
+            else:
+                totals = range(budget + 1)
+            choices.append([(cols, v) for t in totals for v in spreads(t, len(cols))])
+        for choice in itertools.product(*choices):
+            j = [0] * n
+            for cols, values in choice:
+                for c, v in zip(cols, values):
+                    j[c] = v
+            gr = x.maslov + 2 * sum(j)
+            if cap is None or gr <= cap:
+                grading[(x.sigma, tuple(j))] = gr
+    diff = {}
+    for (sigma, j), gr in grading.items():
+        col = {}
+        for info in g.rectangle_infos(sigma):
+            if any(info.x_vec[c] for c in forbidden):
+                continue
+            key2 = (info.to_sigma, tuple(a - b for a, b in zip(j, info.o_vec)))
+            if key2 not in grading:
+                continue
+            coeff = col.get(key2, 0) + s.of(info)
+            if coeff:
+                col[key2] = coeff
+            else:
+                del col[key2]
+        if col:
+            diff[(sigma, j)] = col
+    return IntegerChainComplex(grading, diff)
+
+
+class RecordingSigns:
+    """A sign table that records the rectangles it is asked about."""
+
+    def __init__(self, signs):
+        self.signs = signs
+        self.asked = set()
+
+    def of(self, info):
+        self.asked.add(info.key)
+        return self.signs.of(info)
+
+
+def assert_same_build(g, s, spec, alexander2, cap=None):
+    ref_signs, lib_signs = RecordingSigns(s), RecordingSigns(s)
+    ref = reference_complex(g, ref_signs, spec, alexander2, cap)
+    lib = build_complex(g, lib_signs, spec, alexander2, cap)
+    assert lib.grading == ref.grading
+    assert lib.diff == ref.diff
+    for key, col in ref.diff.items():
+        assert list(lib.diff[key].items()) == list(col.items()), key
+    # the same rectangles are signed, so a fresh table makes the same lifts
+    assert lib_signs.asked == ref_signs.asked
+    return lib
+
+
+class TestBuildReference:
+    @pytest.mark.parametrize("name", ["unknot2", "unknot3", "hopf4", "trefoil5"])
+    @pytest.mark.parametrize("flavor", ["plus", "hat", "tilde", "plus_prime"])
+    def test_small_grids(self, name, flavor, request):
+        g = request.getfixturevalue(name)
+        s = build_sign_assignment(g)
+        spec = FlavorSpec.make(g, flavor)
+        if flavor == "plus_prime":
+            special = g.component_of_o[g.o_row.index(g.x_row[g.n - 1])]
+            slices = sorted({a2[special] for a2 in a2_range(g)})
+            caps = (6,) if g.num_components > 1 else (None, 4)
+        else:
+            slices = a2_range(g)
+            caps = (None, 4)
+        cells = 0
+        for a2 in slices:
+            for cap in caps:
+                cells += len(assert_same_build(g, s, spec, a2, cap).grading)
+        assert cells
+
+    def test_plus_prime_capped_link(self, hopf4, signs_hopf):
+        spec = FlavorSpec.make(hopf4, "plus_prime")
+        for cap in (2, 4, 6, 8):
+            for a2 in (-2, 0, 2, 4):
+                assert_same_build(hopf4, signs_hopf, spec, a2, cap)
+
+    def test_t25_hat(self, t25, signs7):
+        spec = FlavorSpec.make(t25, "hat")
+        lo = min(x.alexander2[0] for x in t25.generators())
+        for a2 in range(lo, 3, 2):
+            assert_same_build(t25, signs7, spec, (a2,))

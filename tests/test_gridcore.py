@@ -362,8 +362,8 @@ class TestFlatQueries:
             for info in g.rectangle_infos(x.sigma):
                 d = info.domain(g)
                 assert info.a_vec() == d.a_vec() and info.b_vec() == d.b_vec()
-                assert info.meets_last_column() == any(cell(d, n - 1, r) for r in range(n))
-                assert info.meets_top_row() == any(cell(d, c, n - 1) for c in range(n))
+                assert info.meets_last_column == any(cell(d, n - 1, r) for r in range(n))
+                assert info.meets_top_row == any(cell(d, c, n - 1) for c in range(n))
 
     @pytest.mark.parametrize("name", ["unknot3", "grid4"])
     def test_annulus_kind_matches_hand_check(self, name, request):

@@ -1,7 +1,7 @@
 import pytest
 
-from gridhom.homalg import HomologyTable
-from gridhom.gridcomplex import FlavorSpec, build_complex
+from gridhom.homalg import HomologyTable, reduce_complex
+from gridhom.gridcomplex import FlavorSpec, build_complex, stable_homology, u_map
 from gridhom.spectra import (
     CellStructure,
     cell_census,
@@ -131,3 +131,49 @@ class TestReport:
     def test_links_rejected(self, hopf4, signs_hopf):
         with pytest.raises(ValueError):
             spectrum_report(hopf4, signs_hopf)
+
+
+class TestSharedSlices:
+    """spectrum_report builds and reduces each plus slice once and hands it
+    to u_map as source and as target; the answers must not change."""
+
+    def test_report_matches_standalone(self, trefoil5, signs5):
+        order = [8, 2, 4]  # unsorted, with a gap at 6
+        rep = spectrum_report(trefoil5, signs5, order)
+        assert list(rep) == order
+        for a2 in order:
+            for flavor in ("hat", "plus"):
+                spec = FlavorSpec.make(trefoil5, flavor)
+                assert rep[a2].tables[flavor] == stable_homology(trefoil5, signs5, spec, (a2,))
+            res = u_map(trefoil5, signs5, FlavorSpec.make(trefoil5, "plus"), 0, (a2,))
+            gradings = sorted(set(res.matrices) | set(rep[a2].tables["plus"].groups))
+            assert rep[a2].u_maps[0] == {
+                "iso": bool(gradings) and all(res.is_isomorphism_at(gr) for gr in gradings),
+                "matrices": {gr: res.matrices.get(gr, []) for gr in gradings},
+            }
+        plain = spectrum_report(trefoil5, signs5, order, with_u_maps=False)
+        assert {a2: r.tables for a2, r in plain.items()} == {a2: r.tables for a2, r in rep.items()}
+
+    def test_u_map_cache(self, trefoil5, signs5):
+        spec = FlavorSpec.make(trefoil5, "plus")
+        slices = {}
+        shared = u_map(trefoil5, signs5, spec, 0, (6,), slices=slices)
+        assert set(slices) == {((6,), None), ((4,), None)}
+        alone = u_map(trefoil5, signs5, spec, 0, (6,))
+        assert shared.matrices == alone.matrices
+        assert shared.source_table == alone.source_table
+        assert shared.target_table == alone.target_table
+        capped = u_map(trefoil5, signs5, spec, 0, (6,), maslov_cap=8, slices=slices)
+        assert set(slices) == {((6,), None), ((4,), None), ((6,), 8), ((4,), 6)}
+        assert capped.matrices == u_map(trefoil5, signs5, spec, 0, (6,), maslov_cap=8).matrices
+
+    @pytest.mark.parametrize("a2", [4, 6, 8, 10])
+    def test_tracking_leaves_reduction_unchanged(self, a2, trefoil5, signs5):
+        cx = build_complex(trefoil5, signs5, FlavorSpec.make(trefoil5, "plus"), (a2,))
+        plain, _, _ = reduce_complex(cx)
+        tracked, iota, pi = reduce_complex(cx, track_iota=True, track_pi=True)
+        assert list(tracked.grading.items()) == list(plain.grading.items())
+        assert list(tracked.diff) == list(plain.diff)
+        for key, col in plain.diff.items():
+            assert list(tracked.diff[key].items()) == list(col.items())
+        assert set(iota) == set(plain.grading) and set(pi) == set(cx.grading)
