@@ -3,7 +3,8 @@
 Exit codes: 0 on success, 1 when a verification fails, 2 on input errors
 (a bad grid file, slice, marking, seed or size), reported as one line on
 stderr.  On links every homology flavor, plus-prime included, needs explicit
-``--alexander`` slices.
+``--alexander`` slices, and plus-prime also needs ``--cap``: its slices of a
+link are infinite, and a capped table is exact up to grading cap - 2.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import sys
 
 from gridhom import cdp, domainposet, spectra, strata
 from gridhom.gridcore import GridDiagram, GridError, canonicalize, load_grid
-from gridhom.gridcomplex import FlavorSpec, capped_homology, stable_homology, u_map
+from gridhom.gridcomplex import FlavorSpec, build_complex, capped_homology, u_map
 from gridhom.signs import build_sign_assignment, verify_axioms
 
 
@@ -111,12 +112,14 @@ def cmd_homology(args) -> int:
     g = _load(args.grid)
     flavor = args.flavor.replace("-", "_")
     values = _alexander_values(args, g, flavor)
+    if flavor == "plus_prime" and g.num_components > 1 and args.cap is None:
+        raise InputError("plus-prime slices of a link are infinite; give --cap")
     s = build_sign_assignment(g)
     spec = FlavorSpec.make(g, flavor)
     tables = {}
     for a2 in values:
         if args.cap is None:
-            tables[a2] = stable_homology(g, s, spec, a2)
+            tables[a2] = build_complex(g, s, spec, a2).homology()
         else:
             tables[a2] = capped_homology(g, s, spec, a2, args.cap)
     obj = {

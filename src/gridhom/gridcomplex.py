@@ -4,9 +4,10 @@ Generators are ``[x, j_1, ..., j_n]`` with ``j_i >= 0`` recording negative
 U-powers; the homological grading is ``M(x) + 2 sum(j)`` and each U_i lowers
 its component's Alexander grading by one.  The full plus complex is
 infinitely generated, so every computation happens in a fixed Alexander
-(multi-)grading with a Maslov cap; raising the cap only adds cells at the
-top, and ``stable_homology`` raises it until the table is stable below
-``cap - 2``.
+(multi-)grading.  Such a slice is finite for plus, hat and tilde, and for
+plus_prime on a knot; plus_prime slices of links are infinite and are
+computed only under a Maslov cap, which gives homology exactly below
+``cap - 1`` (``capped_homology``).
 
 Flavors:
 
@@ -31,6 +32,7 @@ from gridhom.homalg import (
     IntegerChainComplex,
     homology_with_bases,
     reduce_complex,
+    smith_normal_form,
 )
 from gridhom.signs import SignAssignment
 
@@ -88,11 +90,11 @@ def build_complex(
     component) for plus/hat/tilde; for plus_prime it is the doubled grading
     on the distinguished component alone.
 
-    For plus/hat/tilde the slice is finite (the U-power total over each
-    component is pinned by the Alexander grading), so ``maslov_cap=None``
-    computes the exact slice; truncating at a cap still computes homology
-    exactly below ``cap - 1``.  plus_prime slices are infinite and require
-    a cap.
+    For plus/hat/tilde, and plus_prime on a knot, the slice is finite (the
+    U-power total over each component is pinned by the Alexander grading),
+    so ``maslov_cap=None`` computes the exact slice.  plus_prime slices of
+    links are infinite: without a cap this raises ``UnboundedSlice``.  A
+    slice truncated at a cap has its homology exact below ``cap - 1``.
 
     The differential is built per generator sigma: its rectangles are
     filtered once (no avoided X, a target generator with cells in the
@@ -213,32 +215,6 @@ def capped_homology(
     return HomologyTable({k: v for k, v in table.groups.items() if k <= maslov_cap - 2})
 
 
-def stable_homology(
-    g: GridDiagram,
-    s: SignAssignment,
-    spec: FlavorSpec,
-    alexander2,
-    cap_start: int = 2,
-    cap_limit: int = 80,
-) -> HomologyTable:
-    """Homology of one slice, with cap stabilization where a cap is needed.
-
-    plus/hat/tilde slices are finite, so the exact answer comes from one
-    uncapped run.  plus_prime slices of links are infinite: the cap is
-    raised until two consecutive capped tables agree (each is exact in its
-    window, so agreement certifies that nothing appears above the smaller).
-    """
-    if spec.flavor != "plus_prime" or g.num_components == 1:
-        return build_complex(g, s, spec, alexander2, None).homology()
-    prev = None
-    for cap in range(cap_start, cap_limit + 1, 2):
-        table = capped_homology(g, s, spec, alexander2, cap)
-        if table == prev:
-            return table
-        prev = table
-    raise UnboundedSlice(f"homology did not stabilize below cap {cap_limit}")
-
-
 @dataclass
 class UMapResult:
     """The U_i chain map between two Alexander slices, pushed to homology."""
@@ -248,8 +224,6 @@ class UMapResult:
     matrices: dict  # source grading -> integer matrix (target free basis x source)
 
     def is_isomorphism_at(self, gr: int) -> bool:
-        from gridhom.homalg import smith_normal_form
-
         rs = self.source_table.rank(gr)
         rt = self.target_table.rank(gr - 2)
         if rs != rt:
@@ -281,11 +255,7 @@ class ReducedSlice:
 
     @property
     def table(self) -> HomologyTable:
-        groups = {}
-        for gr, basis in self.bases.items():
-            if basis.free_reps or basis.torsion:
-                groups[gr] = (len(basis.free_reps), basis.torsion)
-        return HomologyTable(groups)
+        return HomologyTable.from_bases(self.bases)
 
 
 def cached_slice(slices: dict, g, s, spec, alexander2, maslov_cap=None) -> ReducedSlice:

@@ -77,7 +77,7 @@ class IntegerChainComplex:
 
     def homology(self) -> "HomologyTable":
         reduced, _, _ = reduce_complex(self)
-        return _homology_snf(reduced)
+        return HomologyTable.from_bases(homology_with_bases(reduced))
 
     def associated_graded(self, filtration, leq=None) -> list["IntegerChainComplex"]:
         """Split into filtration-level pieces.
@@ -113,6 +113,13 @@ class HomologyTable:
     """Per grading: free rank and invariant torsion factors d1 | d2 | ..."""
 
     groups: dict  # grading -> (rank, tuple of torsion factors > 1)
+
+    @staticmethod
+    def from_bases(bases: dict) -> "HomologyTable":
+        """The table of ``homology_with_bases``'s output, non-zero groups only."""
+        return HomologyTable(
+            {k: (len(b.free_reps), b.torsion) for k, b in bases.items() if b.free_reps or b.torsion}
+        )
 
     def rank(self, k: int) -> int:
         return self.groups.get(k, (0, ()))[0]
@@ -248,60 +255,52 @@ def reduce_complex(
 # -- Smith normal form -----------------------------------------------------------
 
 
-def smith_normal_form(mat: list[list[int]], transforms: bool = False):
+def smith_normal_form(mat: list[list[int]]):
     """Diagonalize an integer matrix: S = L * mat * R.
 
-    Returns (diag, L, Linv, R, Rinv); the transform matrices are None unless
-    requested.  ``diag`` lists the invariant factors (non-negative, each
-    dividing the next, zeros trailing implicitly for the full rank profile).
+    Returns (diag, L, Linv, R, Rinv).  ``diag`` lists the invariant factors
+    (non-negative, each dividing the next, zeros trailing implicitly for the
+    full rank profile).
     """
     m = len(mat)
     n = len(mat[0]) if m else 0
     a = [row[:] for row in mat]
-    if transforms:
-        L = [[int(i == j) for j in range(m)] for i in range(m)]
-        Linv = [[int(i == j) for j in range(m)] for i in range(m)]
-        R = [[int(i == j) for j in range(n)] for i in range(n)]
-        Rinv = [[int(i == j) for j in range(n)] for i in range(n)]
-    else:
-        L = Linv = R = Rinv = None
+    L = [[int(i == j) for j in range(m)] for i in range(m)]
+    Linv = [[int(i == j) for j in range(m)] for i in range(m)]
+    R = [[int(i == j) for j in range(n)] for i in range(n)]
+    Rinv = [[int(i == j) for j in range(n)] for i in range(n)]
 
     def row_op(i, j, q):  # row_i -= q * row_j
         a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-        if transforms:
-            L[i] = [x - q * y for x, y in zip(L[i], L[j])]
-            for r in range(m):  # Linv column op: col_j += q * col_i
-                Linv[r][j] += q * Linv[r][i]
+        L[i] = [x - q * y for x, y in zip(L[i], L[j])]
+        for r in range(m):  # Linv column op: col_j += q * col_i
+            Linv[r][j] += q * Linv[r][i]
 
     def col_op(i, j, q):  # col_i -= q * col_j
         for r in range(m):
             a[r][i] -= q * a[r][j]
-        if transforms:
-            for r in range(n):
-                R[r][i] -= q * R[r][j]
-            Rinv[j] = [x + q * y for x, y in zip(Rinv[j], Rinv[i])]
+        for r in range(n):
+            R[r][i] -= q * R[r][j]
+        Rinv[j] = [x + q * y for x, y in zip(Rinv[j], Rinv[i])]
 
     def row_swap(i, j):
         a[i], a[j] = a[j], a[i]
-        if transforms:
-            L[i], L[j] = L[j], L[i]
-            for r in range(m):
-                Linv[r][i], Linv[r][j] = Linv[r][j], Linv[r][i]
+        L[i], L[j] = L[j], L[i]
+        for r in range(m):
+            Linv[r][i], Linv[r][j] = Linv[r][j], Linv[r][i]
 
     def col_swap(i, j):
         for r in range(m):
             a[r][i], a[r][j] = a[r][j], a[r][i]
-        if transforms:
-            for r in range(n):
-                R[r][i], R[r][j] = R[r][j], R[r][i]
-            Rinv[i], Rinv[j] = Rinv[j], Rinv[i]
+        for r in range(n):
+            R[r][i], R[r][j] = R[r][j], R[r][i]
+        Rinv[i], Rinv[j] = Rinv[j], Rinv[i]
 
     def row_negate(i):
         a[i] = [-x for x in a[i]]
-        if transforms:
-            L[i] = [-x for x in L[i]]
-            for r in range(m):
-                Linv[r][i] = -Linv[r][i]
+        L[i] = [-x for x in L[i]]
+        for r in range(m):
+            Linv[r][i] = -Linv[r][i]
 
     diag = []
     s = 0
@@ -362,36 +361,6 @@ def smith_normal_form(mat: list[list[int]], transforms: bool = False):
     return diag, L, Linv, R, Rinv
 
 
-def _homology_snf(cx: IntegerChainComplex) -> HomologyTable:
-    gradings = cx.gradings()
-    if not gradings:
-        return HomologyTable({})
-    basis = {k: cx.basis_at(k) for k in range(min(gradings), max(gradings) + 1)}
-    ranks: dict[int, int] = {}
-    torsion: dict[int, tuple] = {}
-    for k in basis:
-        lower = basis.get(k - 1, [])
-        if not lower or not basis[k]:
-            ranks[k] = 0
-            torsion[k] = ()
-            continue
-        idx = {key: i for i, key in enumerate(lower)}
-        mat = [[0] * len(basis[k]) for _ in lower]
-        for j, key in enumerate(basis[k]):
-            for key2, v in cx.diff.get(key, {}).items():
-                mat[idx[key2]][j] = v
-        diag, *_ = smith_normal_form(mat)
-        ranks[k] = sum(1 for d in diag if d)
-        torsion[k] = tuple(d for d in diag if d > 1)
-    groups = {}
-    for k in basis:
-        free = len(basis[k]) - ranks.get(k, 0) - ranks.get(k + 1, 0)
-        tors = torsion.get(k + 1, ())
-        if free or tors:
-            groups[k] = (free, tors)
-    return HomologyTable(groups)
-
-
 # -- homology with distinguished bases ------------------------------------------
 
 
@@ -406,11 +375,9 @@ class GradedHomologyBasis:
     keys: list
     free_reps: list[Chain]
     torsion: tuple
-    _kernel: list[list[int]] = field(repr=False, default_factory=list)
     _rinv: list[list[int]] = field(repr=False, default_factory=list)
     _rank: int = 0
-    _l2: list[list[int]] | None = field(repr=False, default=None)
-    _d2: list[int] = field(repr=False, default_factory=list)
+    _l2: list[list[int]] = field(repr=False, default_factory=list)
     _free_idx: list[int] = field(repr=False, default_factory=list)
 
     def express(self, chain: Chain) -> list[int]:
@@ -425,10 +392,7 @@ class GradedHomologyBasis:
             if coords[i]:
                 raise ValueError("chain is not a cycle")
         z = coords[self._rank :]
-        if self._l2 is None:
-            q = z
-        else:
-            q = [sum(self._l2[i][j] * z[j] for j in range(len(z))) for i in range(len(z))]
+        q = [sum(self._l2[i][j] * z[j] for j in range(len(z))) for i in range(len(z))]
         # entries with d2 == 1 are boundaries; entries with d2 > 1 are torsion
         return [q[i] for i in self._free_idx]
 
@@ -446,9 +410,8 @@ def homology_with_bases(cx: IntegerChainComplex) -> dict[int, GradedHomologyBasi
         above = cx.basis_at(k + 1)
         nk = len(keys)
         if nk == 0:
-            out[k] = GradedHomologyBasis([], [], ())
+            out[k] = GradedHomologyBasis(keys=[], free_reps=[], torsion=())
             continue
-        idx = {key: i for i, key in enumerate(keys)}
         if below:
             bidx = {key: i for i, key in enumerate(below)}
             A = [[0] * nk for _ in below]
@@ -457,8 +420,8 @@ def homology_with_bases(cx: IntegerChainComplex) -> dict[int, GradedHomologyBasi
                     A[bidx[key2]][j] = v
         else:
             A = [[0] * nk]  # zero map
-        diag, _, _, R, Rinv = smith_normal_form(A, transforms=True)
-        rank = sum(1 for d in diag if d)
+        diag, _, _, R, Rinv = smith_normal_form(A)
+        rank = len(diag)
         kernel_cols = [[R[r][c] for r in range(nk)] for c in range(rank, nk)]
         m = len(kernel_cols)
         if above:
@@ -472,11 +435,11 @@ def homology_with_bases(cx: IntegerChainComplex) -> dict[int, GradedHomologyBasi
         else:
             Y = [[0] for _ in range(m)] if m else []
         if m == 0:
-            out[k] = GradedHomologyBasis(keys, [], (), [], Rinv, rank, None, [], [])
+            out[k] = GradedHomologyBasis(keys=keys, free_reps=[], torsion=(), _rinv=Rinv, _rank=rank)
             continue
-        d2, L2, L2inv, _, _ = smith_normal_form(Y, transforms=True)
-        d2_full = list(d2) + [0] * (m - len(d2))
-        free_idx = [i for i in range(m) if d2_full[i] == 0]
+        d2, L2, L2inv, _, _ = smith_normal_form(Y)
+        # invariant factors are non-zero, so the free part is the tail
+        free_idx = list(range(len(d2), m))
         tors = tuple(d for d in d2 if d > 1)
         # representative of quotient basis element i: kernel * L2inv[:, i]
         free_reps = []
@@ -484,5 +447,7 @@ def homology_with_bases(cx: IntegerChainComplex) -> dict[int, GradedHomologyBasi
             vec = [sum(kernel_cols[c][r] * L2inv[c][i] for c in range(m)) for r in range(nk)]
             rep = {keys[r]: vec[r] for r in range(nk) if vec[r]}
             free_reps.append(rep)
-        out[k] = GradedHomologyBasis(keys, free_reps, tors, kernel_cols, Rinv, rank, L2, d2_full, free_idx)
+        out[k] = GradedHomologyBasis(
+            keys=keys, free_reps=free_reps, torsion=tors, _rinv=Rinv, _rank=rank, _l2=L2, _free_idx=free_idx
+        )
     return out

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from gridhom.gridcore import GridDiagram
 from gridhom.homalg import HomologyTable, IntegerChainComplex
-from gridhom.gridcomplex import FlavorSpec, build_complex, cached_slice, stable_homology, u_map
+from gridhom.gridcomplex import FlavorSpec, build_complex, cached_slice, u_map
 from gridhom.signs import SignAssignment
 
 
@@ -149,22 +149,17 @@ class SliceReport:
     u_maps: dict  # marking -> {"iso": bool, "matrices": {gr: matrix}}
 
 
-def spectrum_report(
-    g: GridDiagram,
-    s: SignAssignment,
-    alexander_range=None,
-    flavors=("hat", "plus"),
-    with_u_maps: bool = True,
-) -> dict:
-    """Per-Alexander wedge summary; knots only (one Alexander component).
+def spectrum_report(g: GridDiagram, s: SignAssignment, alexander_range=None) -> dict:
+    """Per-Alexander hat and plus wedge summaries and U_0; knots only (one
+    Alexander component).
 
     ``alexander_range`` is an iterable of doubled gradings; by default the
     range spanned by the generators.  The report keeps the caller's order.
 
     The slices are walked in ascending order and each plus slice is built
-    and Morse-reduced once: its ``ReducedSlice`` gives the plus table and,
-    with U maps, the source of U_0 on it and the target of U_0 from the
-    slice above.  At most two slices (2A and 2A - 2) are held at a time.
+    and Morse-reduced once: its ``ReducedSlice`` gives the plus table, the
+    source of U_0 on it and the target of U_0 from the slice above.  At most
+    two slices (2A and 2A - 2) are held at a time.
     """
     if g.num_components != 1:
         raise ValueError("spectrum reports are per-component; use a knot grid")
@@ -172,23 +167,19 @@ def spectrum_report(
         vals = [x.alexander2[0] for x in g.generators()]
         alexander_range = range(min(vals), max(vals) + 1, 2)
     order = list(alexander_range)
-    plus = FlavorSpec.make(g, "plus")
+    hat, plus = FlavorSpec.make(g, "hat"), FlavorSpec.make(g, "plus")
     slices: dict = {}
     out: dict[int, SliceReport] = {}
     for a2 in sorted(set(order)):
         # only the slice below can be reused
         slices = {k: v for k, v in slices.items() if k == ((a2 - 2,), None)}
-        tables = {}
-        wedges = {}
-        for flavor in flavors:
-            if flavor == "plus":
-                table = cached_slice(slices, g, s, plus, (a2,)).table
-            else:
-                table = stable_homology(g, s, FlavorSpec.make(g, flavor), (a2,))
-            tables[flavor] = table
-            wedges[flavor] = wedge_decomposition(table)
+        tables = {
+            "hat": build_complex(g, s, hat, (a2,)).homology(),
+            "plus": cached_slice(slices, g, s, plus, (a2,)).table,
+        }
+        wedges = {flavor: wedge_decomposition(table) for flavor, table in tables.items()}
         umaps = {}
-        if with_u_maps and "plus" in tables and tables["plus"].nonzero():
+        if tables["plus"].nonzero():
             res = u_map(g, s, plus, 0, (a2,), slices=slices)
             gradings = sorted(set(res.matrices) | {k for k in tables["plus"].groups})
             umaps[0] = {

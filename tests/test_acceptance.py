@@ -15,7 +15,7 @@ import pytest
 from gridhom import cdp, domainposet as dp, strata
 from gridhom.gridcore import GridDiagram
 from gridhom.signs import GaugeTwist, build_sign_assignment, verify_axioms
-from gridhom.gridcomplex import FlavorSpec, build_complex, stable_homology, u_map
+from gridhom.gridcomplex import FlavorSpec, build_complex, u_map
 from gridhom.spectra import spectrum_report, wedge_decomposition
 
 
@@ -27,12 +27,12 @@ def report(number, ok, detail, elapsed):
 
 def hat_tables(g, s, js):
     spec = FlavorSpec.make(g, "hat")
-    return {j: stable_homology(g, s, spec, (2 * j,)).nonzero() for j in js}
+    return {j: build_complex(g, s, spec, (2 * j,)).homology().nonzero() for j in js}
 
 
 def plus_tables(g, s, js):
     spec = FlavorSpec.make(g, "plus")
-    return {j: stable_homology(g, s, spec, (2 * j,)) for j in js}
+    return {j: build_complex(g, s, spec, (2 * j,)).homology() for j in js}
 
 
 def test_criterion_1_trefoil_hat(trefoil5, signs5):

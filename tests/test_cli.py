@@ -124,6 +124,7 @@ class TestVerifiers:
         ["permutohedron", "--n", "9"],
         ["poset-verify", "unknot2.grid", "--bound", "-1"],
         ["strata", "unknot2.grid", "--max-codim", "-1"],
+        ["homology", "hopf4.grid", "--flavor", "plus-prime", "--alexander=4"],
     ],
 )
 def test_bad_input_exits_2(argv, capsys):
@@ -131,6 +132,7 @@ def test_bad_input_exits_2(argv, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "maslov_cap" not in err, err
 
 
 class TestSpectrum:
