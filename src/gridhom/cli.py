@@ -17,7 +17,7 @@ import sys
 
 from gridhom import cdp, domainposet, spectra, strata
 from gridhom.gridcore import GridDiagram, GridError, canonicalize, load_grid
-from gridhom.gridcomplex import FlavorSpec, build_complex, capped_homology, u_map
+from gridhom.gridcomplex import FlavorSpec, ReducedSlice, alexander2_range, capped_homology, exact_below, u_map
 from gridhom.signs import build_sign_assignment, verify_axioms
 
 
@@ -103,8 +103,7 @@ def _alexander_values(args, g: GridDiagram, flavor: str):
         return [_parse_slice(spec, g.num_components) for spec in args.alexander]
     if g.num_components > 1:
         raise InputError("links need explicit --alexander slices")
-    vals = [x.alexander2[0] for x in g.generators()]
-    rng = range(min(vals), max(vals) + 1, 2)
+    rng = alexander2_range(g)
     return list(rng) if flavor == "plus_prime" else [(a2,) for a2 in rng]
 
 
@@ -116,16 +115,13 @@ def cmd_homology(args) -> int:
         raise InputError("plus-prime slices of a link are infinite; give --cap")
     s = build_sign_assignment(g)
     spec = FlavorSpec.make(g, flavor)
-    tables = {}
-    for a2 in values:
-        if args.cap is None:
-            tables[a2] = build_complex(g, s, spec, a2).homology()
-        else:
-            tables[a2] = capped_homology(g, s, spec, a2, args.cap)
+    tables = {a2: capped_homology(g, s, spec, a2, args.cap) for a2 in values}
     obj = {
         "flavor": args.flavor,
         "tables": {str(k): t.to_json_obj() for k, t in sorted(tables.items())},
     }
+    if args.cap is not None:
+        obj["exact_below"] = exact_below(args.cap)
     lines = [f"{args.flavor} homology of {args.grid}"]
     for a2, t in sorted(tables.items()):
         nz = t.nonzero()
@@ -143,14 +139,21 @@ def cmd_u_map(args) -> int:
     a2 = _parse_slice(args.alexander, g.num_components)
     s = build_sign_assignment(g)
     spec = FlavorSpec.make(g, "plus")
-    res = u_map(g, s, spec, args.marking, a2, args.cap)
+    comp = g.component_of_o[args.marking]
+    target = tuple(v - 2 if k == comp else v for k, v in enumerate(a2))
+    cap = args.cap
+    src = ReducedSlice.build(g, s, spec, a2, cap)
+    dst = ReducedSlice.build(g, s, spec, target, None if cap is None else cap - 2)
+    res = u_map(src, dst, args.marking)
     gradings = sorted(res.matrices)
     obj = {
         "marking": args.marking,
         "alexander2": list(a2),
         "matrices": {str(k): res.matrices[k] for k in gradings},
-        "isomorphism": all(res.is_isomorphism_at(k) for k in gradings) if gradings else True,
+        "isomorphism": res.is_isomorphism(),
     }
+    if cap is not None:
+        obj["exact_below"] = exact_below(cap)
     _emit(
         args,
         obj,
@@ -412,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("grid")
     sp.add_argument("--marking", type=int, default=0)
     sp.add_argument("--alexander", required=True, help="doubled source slice, comma separated")
-    sp.add_argument("--cap", type=int, default=None)
+    sp.add_argument("--cap", type=int, default=None, help="Maslov cap; reports source gradings up to cap - 2")
 
     sp = add("signs-verify", cmd_signs_verify, help="verify the sign axioms exhaustively")
     sp.add_argument("grid")

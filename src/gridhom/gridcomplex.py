@@ -6,8 +6,9 @@ its component's Alexander grading by one.  The full plus complex is
 infinitely generated, so every computation happens in a fixed Alexander
 (multi-)grading.  Such a slice is finite for plus, hat and tilde, and for
 plus_prime on a knot; plus_prime slices of links are infinite and are
-computed only under a Maslov cap, which gives homology exactly below
-``cap - 1`` (``capped_homology``).
+computed only under a Maslov cap.  A capped slice has exact homology only
+below ``cap - 1``, so capped results (``capped_homology``, ``ReducedSlice``
+and the U maps between two of them) keep the gradings ``k <= cap - 2``.
 
 Flavors:
 
@@ -22,6 +23,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from operator import sub
 
@@ -30,6 +33,7 @@ from gridhom.gridcore import GridDiagram, GridError
 from gridhom.homalg import (
     HomologyTable,
     IntegerChainComplex,
+    chain_add,
     homology_with_bases,
     reduce_complex,
     smith_normal_form,
@@ -72,9 +76,20 @@ def _x_constraint_mask(g: GridDiagram, flavor: str) -> tuple[int, ...]:
     if flavor in ("plus", "hat", "tilde"):
         return tuple(range(g.n))
     # plus_prime: only the X markings on the component of the top-right one
-    comp_of_x = [g.component_of_o[g.o_row.index(g.x_row[c])] for c in range(g.n)]
-    special = comp_of_x[g.n - 1]
-    return tuple(c for c in range(g.n) if comp_of_x[c] == special)
+    comp_of_x = g.component_of_x
+    return tuple(c for c in range(g.n) if comp_of_x[c] == comp_of_x[g.n - 1])
+
+
+def alexander2_range(g: GridDiagram) -> range:
+    """The doubled Alexander gradings of a knot's generators, ascending."""
+    vals = [x.alexander2[0] for x in g.generators()]
+    return range(min(vals), max(vals) + 1, 2)
+
+
+def exact_below(maslov_cap: int | None) -> float:
+    """A slice truncated at ``maslov_cap`` has exact homology in the gradings
+    below this one (all of them without a cap)."""
+    return math.inf if maslov_cap is None else maslov_cap - 1
 
 
 def build_complex(
@@ -102,8 +117,8 @@ def build_complex(
     markings from j and looks the result up; a negative entry, such as one
     in a frozen column, matches no cell.  Every diff entry
     stores the key object that ``grading`` holds for its cell, so all
-    columns that mention a cell share one key.  Signs are asked only for
-    arrows that land in the slice.
+    columns that mention a cell share one key.  Each arrow asks for its
+    sign once, the first time it lands in the slice.
     """
     g._require_canonical()
     n = g.n
@@ -122,7 +137,7 @@ def build_complex(
 
     special_comp = None
     if flavor == "plus_prime":
-        special_comp = comp_of_o[g.o_row.index(g.x_row[n - 1])]
+        special_comp = g.component_of_x[n - 1]
         alexander2 = (int(alexander2),) if isinstance(alexander2, int) else tuple(alexander2)
         if len(alexander2) != 1:
             raise ValueError("plus_prime slices by the distinguished component only")
@@ -183,20 +198,24 @@ def build_complex(
     diff: dict = {}
     for sigma, by_j in cells.items():
         # the rectangles leaving sigma that can give an arrow in this slice:
-        # no avoided X and a target generator with cells
+        # no avoided X and a target generator with cells; the last entry is
+        # the arrow's sign, 0 until it first lands
         arrows = []
         for info in g.rectangle_infos(sigma):
             targets = cells.get(info.to_sigma)
             if targets is None or any(info.x_vec[c] for c in avoid):
                 continue
-            arrows.append((info, targets, info.o_vec if any(info.o_vec) else None))
+            arrows.append([targets, info.o_vec if any(info.o_vec) else None, info, 0])
         for j, key in by_j.items():
             col: dict = {}
-            for info, targets, o_vec in arrows:
+            for arrow in arrows:
+                targets, o_vec, info, sign = arrow
                 key2 = targets.get(j if o_vec is None else tuple(map(sub, j, o_vec)))
                 if key2 is None:
                     continue
-                coeff = col.get(key2, 0) + s.of(info)
+                if not sign:
+                    sign = arrow[3] = s.of(info)
+                coeff = col.get(key2, 0) + sign
                 if coeff:
                     col[key2] = coeff
                 else:
@@ -207,12 +226,13 @@ def build_complex(
 
 
 def capped_homology(
-    g: GridDiagram, s: SignAssignment, spec: FlavorSpec, alexander2, maslov_cap: int
+    g: GridDiagram, s: SignAssignment, spec: FlavorSpec, alexander2, maslov_cap: int | None
 ) -> HomologyTable:
-    """Homology of the slice truncated at ``maslov_cap``, keeping only the
-    gradings ``k <= maslov_cap - 2``, where the truncation is exact."""
+    """Homology of the slice truncated at ``maslov_cap`` (if any), in the
+    gradings below ``exact_below(maslov_cap)`` only."""
     table = build_complex(g, s, spec, alexander2, maslov_cap).homology()
-    return HomologyTable({k: v for k, v in table.groups.items() if k <= maslov_cap - 2})
+    top = exact_below(maslov_cap)
+    return HomologyTable({k: v for k, v in table.groups.items() if k < top})
 
 
 @dataclass
@@ -236,105 +256,89 @@ class UMapResult:
         diag, *_ = smith_normal_form(m)
         return len(diag) == rs and all(d == 1 for d in diag)
 
+    def is_isomorphism(self) -> bool:
+        """U is an isomorphism at every grading of the source table and at
+        every grading of the target table shifted up by two."""
+        gradings = set(self.source_table.groups) | {k + 2 for k in self.target_table.groups}
+        return all(self.is_isomorphism_at(gr) for gr in gradings)
+
 
 @dataclass
 class ReducedSlice:
     """One slice, built once and Morse-reduced once with both homotopy
-    equivalences tracked, so it can be the source or the target of a U map."""
+    equivalences tracked, so it can be the source or the target of a U map.
 
+    A slice truncated at ``maslov_cap`` keeps homology bases (and so its
+    ``table``) only in the gradings ``k <= maslov_cap - 2``, where the
+    truncation is exact."""
+
+    spec: FlavorSpec
+    alexander2: tuple
+    maslov_cap: int | None
     complex: IntegerChainComplex
     iota: dict  # key of the reduced complex -> chain in ``complex``
-    pi: dict  # key of ``complex`` -> chain in the reduced complex
+    pi: Callable  # chain in ``complex`` -> chain in the reduced complex
     bases: dict  # grading -> GradedHomologyBasis of the reduced complex
 
     @staticmethod
     def build(g, s, spec, alexander2, maslov_cap=None) -> "ReducedSlice":
         cx = build_complex(g, s, spec, alexander2, maslov_cap)
         reduced, iota, pi = reduce_complex(cx, track_iota=True, track_pi=True)
-        return ReducedSlice(cx, iota, pi, homology_with_bases(reduced))
+        top = exact_below(maslov_cap)
+        bases = {k: b for k, b in homology_with_bases(reduced).items() if k < top}
+        return ReducedSlice(spec, alexander2, maslov_cap, cx, iota, pi, bases)
 
     @property
     def table(self) -> HomologyTable:
         return HomologyTable.from_bases(self.bases)
 
 
-def cached_slice(slices: dict, g, s, spec, alexander2, maslov_cap=None) -> ReducedSlice:
-    """The slice ``alexander2`` under ``maslov_cap`` from ``slices`` (keyed
-    by ``(alexander2, maslov_cap)``), built on a miss."""
-    key = (alexander2, maslov_cap)
-    found = slices.get(key)
-    if found is None:
-        found = slices[key] = ReducedSlice.build(g, s, spec, alexander2, maslov_cap)
-    return found
+def u_map(src: ReducedSlice, dst: ReducedSlice, marking: int) -> UMapResult:
+    """The degree -2 map U_marking from the plus slice ``src`` to ``dst``,
+    on homology in the gradings of ``src.bases``.
 
-
-def u_map(
-    g: GridDiagram,
-    s: SignAssignment,
-    spec: FlavorSpec,
-    marking: int,
-    alexander2,
-    maslov_cap: int | None = None,
-    *,
-    slices: dict | None = None,
-) -> UMapResult:
-    """The degree -2 map U_marking from slice ``alexander2`` downward.
-
-    ``slices`` is a caller-owned cache of ``ReducedSlice`` of this grid,
-    sign table and plus flavor, keyed by ``(alexander2 tuple, maslov_cap)``:
-    both slices are taken from it when present and added to it otherwise, so
-    a caller walking down a tower builds and reduces each slice once.  With
-    ``None`` both slices are built here.
-    """
-    if spec.flavor != "plus":
+    ``dst`` is the slice one step lower on the marking's component, capped
+    two gradings lower than ``src``: U of a cell of ``src`` that is not zero
+    or a cell of ``dst`` raises ``GridError``, as does a capped ``src`` with
+    no cell in its exact window."""
+    if src.spec.flavor != "plus" or dst.spec.flavor != "plus":
         raise ValueError("U maps are computed on the plus flavor")
-    comp = g.component_of_o[marking]
-    a2 = tuple(alexander2)
-    target_a2 = tuple(v - 2 if k == comp else v for k, v in enumerate(a2))
-    slices = {} if slices is None else slices
-    src = cached_slice(slices, g, s, spec, a2, maslov_cap)
-    dst = cached_slice(slices, g, s, spec, target_a2, None if maslov_cap is None else maslov_cap - 2)
+    top = exact_below(src.maslov_cap)
+    if src.maslov_cap is not None and not any(gr < top for gr in src.complex.grading.values()):
+        raise GridError(f"a cap of {src.maslov_cap} is exact below grading {top}, where the source slice has no cell")
 
-    def u_of(key):
-        sigma, j = key
-        if j[marking] == 0:
-            return {}
-        j2 = tuple(v - 1 if c == marking else v for c, v in enumerate(j))
-        return {(sigma, j2): 1}
+    def u_chain(chain):
+        """U_marking of a chain of ``src.complex``, as a chain of ``dst.complex``."""
+        out = {}
+        for (sigma, j), v in chain.items():
+            if j[marking]:
+                key = (sigma, j[:marking] + (j[marking] - 1,) + j[marking + 1 :])
+                if key not in dst.complex.grading:
+                    raise GridError(f"U_{marking} of {(sigma, j)} is not a cell of the target slice")
+                out[key] = v
+        return out
 
-    # chain map check: d(U x) == U(d x) within the truncation
+    # U lands in dst, and is a chain map: d(U x) == U(d x)
     for key in src.complex.grading:
-        left = dst.complex.apply(u_of(key))
-        right: dict = {}
-        for key2, v in src.complex.diff.get(key, {}).items():
-            for key3, v3 in u_of(key2).items():
-                right[key3] = right.get(key3, 0) + v * v3
-        right = {k: v for k, v in right.items() if v}
-        if left != right:
+        if dst.complex.apply(u_chain({key: 1})) != u_chain(src.complex.diff.get(key, {})):
             raise GridError(f"U map is not a chain map at {key}")
 
-    iota, pi, hb_dst = src.iota, dst.pi, dst.bases
     matrices: dict = {}
     for gr, basis in src.bases.items():
         if not basis.free_reps:
             continue
-        cols = []
+        images = []
         for rep in basis.free_reps:
-            chain: dict = {}
+            lifted: dict = {}
             for rkey, rv in rep.items():
-                for okey, ov in iota[rkey].items():
-                    for ukey, uv in u_of(okey).items():
-                        for pkey, pv in pi[ukey].items():
-                            chain[pkey] = chain.get(pkey, 0) + rv * ov * uv * pv
-            chain = {k: v for k, v in chain.items() if v}
-            target_basis = hb_dst.get(gr - 2)
-            if target_basis is None:
-                if chain:
-                    raise GridError("U image escapes the truncation window")
-                cols.append([])
-                continue
-            cols.append(target_basis.express(chain))
-        rows = max((len(c) for c in cols), default=0)
-        matrices[gr] = [[c[r] if r < len(c) else 0 for c in cols] for r in range(rows)]
+                lifted = chain_add(lifted, src.iota[rkey], rv)
+            images.append(dst.pi(u_chain(lifted)))
+        target_basis = dst.bases.get(gr - 2)
+        if target_basis is None:
+            if any(images):
+                raise GridError("U image escapes the truncation window")
+            matrices[gr] = []
+        else:
+            matrices[gr] = [list(row) for row in zip(*(target_basis.express(c) for c in images))]
 
     return UMapResult(src.table, dst.table, matrices)

@@ -145,6 +145,11 @@ class GridDiagram:
             next_id += 1
         return tuple(comp)
 
+    @cached_property
+    def component_of_x(self) -> tuple[int, ...]:
+        """Component id of each X marking: that of the O in its row."""
+        return tuple(self.component_of_o[self.o_row.index(self.x_row[c])] for c in range(self.n))
+
     @property
     def num_components(self) -> int:
         return max(self.component_of_o) + 1
@@ -158,9 +163,6 @@ class GridDiagram:
     @cached_property
     def _x_points2(self) -> list[tuple[int, int]]:
         return [(2 * c + 1, 2 * self.x_row[c] + 1) for c in range(self.n)]
-
-    def _o_column_in_row(self, row: int) -> int:
-        return self.o_row.index(row)
 
     # -- generators and gradings --------------------------------------------
 
@@ -206,11 +208,7 @@ class GridDiagram:
         out = []
         for comp in range(self.num_components):
             os = [p for c, p in enumerate(self._o_points2) if self.component_of_o[c] == comp]
-            xs = [
-                p
-                for c, p in enumerate(self._x_points2)
-                if self.component_of_o[self._o_column_in_row(self.x_row[c])] == comp
-            ]
+            xs = [p for c, p in enumerate(self._x_points2) if self.component_of_x[c] == comp]
             nk = len(os)
             out.append(_point_count(pts, os) - _point_count(pts, xs) + (nk - 1))
         return tuple(out)

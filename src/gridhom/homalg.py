@@ -6,14 +6,16 @@ first cancelling unit-coefficient pairs (algebraic Morse reduction, which
 keeps integer homology on the nose and shrinks the grid complexes by orders
 of magnitude) and then running Smith normal form on what is left.
 
-The reduction can optionally track the homotopy equivalence (``iota`` into the
-original complex, ``pi`` back onto the reduced one) so chain maps can be
-pushed down to homology.
+The reduction can optionally track the homotopy equivalence, so chain maps
+can be pushed down to homology: ``iota`` maps each reduced cell into the
+original complex, and ``pi`` is a function that projects an original chain
+onto the reduced complex by replaying the cancellations in order.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 Chain = dict  # key -> int coefficient
@@ -146,12 +148,15 @@ class HomologyTable:
 
 def reduce_complex(
     cx: IntegerChainComplex, track_iota: bool = False, track_pi: bool = False
-) -> tuple[IntegerChainComplex, dict | None, dict | None]:
+) -> tuple[IntegerChainComplex, dict | None, Callable[[Chain], Chain] | None]:
     """Cancel unit pivots; returns (reduced, iota, pi).
 
-    ``iota`` maps reduced basis keys to chains in the original complex,
-    ``pi`` maps original basis keys to chains in the reduced one; both are
-    chain homotopy equivalences.  They are None unless requested.
+    ``iota`` maps reduced basis keys to chains in the original complex.
+    ``pi`` is a function from chains of the original complex to chains of
+    the reduced one: each cancellation of ``d(b) = u*a + rest`` is logged as
+    ``(a, b, -u*rest)``, and ``pi`` replays the log in order, sending ``a``
+    to ``-u*rest`` and ``b`` to zero.  Both are chain homotopy equivalences;
+    they are None unless requested.
     """
     cols: dict = {k: dict(v) for k, v in cx.diff.items() if v}
     rows: dict = {}
@@ -161,8 +166,7 @@ def reduce_complex(
     alive = set(cx.grading)
 
     iota = {k: {k: 1} for k in cx.grading} if track_iota else None
-    pi = {k: {k: 1} for k in cx.grading} if track_pi else None
-    pi_rows: dict = {k: {k} for k in cx.grading} if track_pi else None
+    cancelled: list = []  # (a, b, pi(a)) per cancellation, in order
 
     heap: list = []
     tick = 0
@@ -172,18 +176,14 @@ def reduce_complex(
                 tick += 1
                 heapq.heappush(heap, (len(col) * len(rows.get(r, ())), tick, c, r))
 
-    def col_entry(c, r):
-        col = cols.get(c)
-        return col.get(r, 0) if col else 0
-
     while heap:
         _, _, b, a = heapq.heappop(heap)
         if b not in alive or a not in alive:
             continue
-        u = col_entry(b, a)
+        db = cols.get(b, {})
+        u = db.get(a, 0)
         if u not in (1, -1):
             continue
-        db = cols.get(b, {})
         # cancel the pair (a, b): d(b) = u*a + ...
         affected = [c for c in rows.get(a, set()) if c != b and c in alive]
         for c in affected:
@@ -209,26 +209,7 @@ def reduce_complex(
             if not col:
                 del cols[c]
         if track_pi:
-            # pi(a) = -u * (d b without the a term), pi(b) = 0
-            sub: Chain = {}
-            for r, v in db.items():
-                if r != a and r in alive:
-                    sub[r] = -u * v
-            for orig in list(pi_rows.get(a, ())):
-                mu = pi[orig].pop(a, 0)
-                if mu:
-                    for r, v in sub.items():
-                        w = pi[orig].get(r, 0) + mu * v
-                        if w:
-                            pi[orig][r] = w
-                            pi_rows.setdefault(r, set()).add(orig)
-                        else:
-                            pi[orig].pop(r, None)
-                            pi_rows.get(r, set()).discard(orig)
-            pi_rows.pop(a, None)
-            for orig in list(pi_rows.get(b, ())):
-                pi[orig].pop(b, None)
-            pi_rows.pop(b, None)
+            cancelled.append((a, b, {r: -u * v for r, v in db.items() if r != a and r in alive}))
         # remove a and b
         alive.discard(a)
         alive.discard(b)
@@ -249,6 +230,23 @@ def reduce_complex(
         if col:
             diff[c] = col
     reduced = IntegerChainComplex(grading, diff)
+    if not track_pi:
+        return reduced, iota, None
+
+    def pi(chain: Chain) -> Chain:
+        out = dict(chain)
+        for a, b, pi_a in cancelled:
+            mu = out.pop(a, 0)
+            if mu:
+                for r, v in pi_a.items():
+                    w = out.get(r, 0) + mu * v
+                    if w:
+                        out[r] = w
+                    else:
+                        out.pop(r, None)
+            out.pop(b, None)
+        return out
+
     return reduced, iota, pi
 
 

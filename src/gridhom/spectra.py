@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from gridhom.gridcore import GridDiagram
 from gridhom.homalg import HomologyTable, IntegerChainComplex
-from gridhom.gridcomplex import FlavorSpec, build_complex, cached_slice, u_map
+from gridhom.gridcomplex import FlavorSpec, ReducedSlice, alexander2_range, build_complex, u_map
 from gridhom.signs import SignAssignment
 
 
@@ -159,33 +159,28 @@ def spectrum_report(g: GridDiagram, s: SignAssignment, alexander_range=None) -> 
     The slices are walked in ascending order and each plus slice is built
     and Morse-reduced once: its ``ReducedSlice`` gives the plus table, the
     source of U_0 on it and the target of U_0 from the slice above.  At most
-    two slices (2A and 2A - 2) are held at a time.
+    two slices are held at a time, ``here`` (2A) and ``below`` (2A - 2).
     """
     if g.num_components != 1:
         raise ValueError("spectrum reports are per-component; use a knot grid")
-    if alexander_range is None:
-        vals = [x.alexander2[0] for x in g.generators()]
-        alexander_range = range(min(vals), max(vals) + 1, 2)
-    order = list(alexander_range)
+    order = list(alexander2_range(g) if alexander_range is None else alexander_range)
     hat, plus = FlavorSpec.make(g, "hat"), FlavorSpec.make(g, "plus")
-    slices: dict = {}
+    here = None
     out: dict[int, SliceReport] = {}
     for a2 in sorted(set(order)):
-        # only the slice below can be reused
-        slices = {k: v for k, v in slices.items() if k == ((a2 - 2,), None)}
-        tables = {
-            "hat": build_complex(g, s, hat, (a2,)).homology(),
-            "plus": cached_slice(slices, g, s, plus, (a2,)).table,
-        }
+        below = here if here is not None and here.alexander2 == (a2 - 2,) else None
+        tables = {"hat": build_complex(g, s, hat, (a2,)).homology()}
+        here = ReducedSlice.build(g, s, plus, (a2,))
+        tables["plus"] = here.table
         wedges = {flavor: wedge_decomposition(table) for flavor, table in tables.items()}
         umaps = {}
         if tables["plus"].nonzero():
-            res = u_map(g, s, plus, 0, (a2,), slices=slices)
-            gradings = sorted(set(res.matrices) | {k for k in tables["plus"].groups})
+            if below is None:
+                below = ReducedSlice.build(g, s, plus, (a2 - 2,))
+            res = u_map(here, below, 0)
             umaps[0] = {
-                "iso": bool(gradings)
-                and all(res.is_isomorphism_at(gr) for gr in gradings),
-                "matrices": {gr: res.matrices.get(gr, []) for gr in gradings},
+                "iso": res.is_isomorphism(),
+                "matrices": {gr: res.matrices.get(gr, []) for gr in sorted(tables["plus"].groups)},
             }
         out[a2] = SliceReport(a2, tables, wedges, umaps)
     return {a2: out[a2] for a2 in order}

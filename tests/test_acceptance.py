@@ -15,8 +15,9 @@ import pytest
 from gridhom import cdp, domainposet as dp, strata
 from gridhom.gridcore import GridDiagram
 from gridhom.signs import GaugeTwist, build_sign_assignment, verify_axioms
-from gridhom.gridcomplex import FlavorSpec, build_complex, u_map
+from gridhom.gridcomplex import FlavorSpec, build_complex
 from gridhom.spectra import spectrum_report, wedge_decomposition
+from conftest import plus_u_map
 
 
 def report(number, ok, detail, elapsed):
@@ -96,9 +97,8 @@ def test_criterion_4_unknot(unknot2, signs2):
     for j in range(-1, 7):
         want = {2 * j: (1, ())} if j >= 0 else {}
         ok = ok and plus[j].nonzero() == want
-    spec = FlavorSpec.make(unknot2, "plus")
     for j in range(1, 7):
-        res = u_map(unknot2, signs2, spec, 0, (2 * j,))
+        res = plus_u_map(unknot2, signs2, 0, (2 * j,))
         grs = sorted(res.matrices)
         ok = ok and grs and all(res.is_isomorphism_at(gr) for gr in grs)
     report(

@@ -125,6 +125,7 @@ class TestVerifiers:
         ["poset-verify", "unknot2.grid", "--bound", "-1"],
         ["strata", "unknot2.grid", "--max-codim", "-1"],
         ["homology", "hopf4.grid", "--flavor", "plus-prime", "--alexander=4"],
+        ["u-map", "trefoil5.grid", "--alexander", "6", "--cap", "1"],
     ],
 )
 def test_bad_input_exits_2(argv, capsys):
@@ -133,6 +134,30 @@ def test_bad_input_exits_2(argv, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "maslov_cap" not in err, err
+
+
+class TestCapWindow:
+    """A capped result reports only the gradings k <= cap - 2, where the
+    truncation is exact, and says so in ``exact_below``."""
+
+    def test_u_map(self, capsys):
+        argv = ["--json", "u-map", fixture_path("trefoil5.grid"), "--alexander", "6"]
+        for cap, want in ((None, {"6": [[1]]}), (4, {}), (8, {"6": [[1]]})):
+            code, out = run(capsys, *argv, *([] if cap is None else ["--cap", str(cap)]))
+            assert code == 0
+            data = json.loads(out)
+            assert data["matrices"] == want and data["isomorphism"] is True
+            assert data.get("exact_below") == (None if cap is None else cap - 1)
+
+    def test_plus_prime_link_table(self, capsys):
+        want = {"0": {"-1": {"rank": 1, "torsion": []}}, "2": {"1": {"rank": 1, "torsion": []}}}
+        for cap in (4, 6, 8):
+            code, out = run(
+                capsys, "--json", "homology", fixture_path("hopf4.grid"), "--flavor", "plus-prime",
+                "--alexander=0", "--alexander=2", "--cap", str(cap),
+            )
+            assert code == 0
+            assert json.loads(out) == {"exact_below": cap - 1, "flavor": "plus-prime", "tables": want}
 
 
 class TestSpectrum:

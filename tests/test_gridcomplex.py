@@ -2,16 +2,18 @@ import itertools
 
 import pytest
 
-from gridhom.gridcore import GridDiagram, canonicalize
+from gridhom.gridcore import GridDiagram, GridError, canonicalize
 from gridhom.homalg import IntegerChainComplex
 from gridhom.signs import build_sign_assignment
 from gridhom.gridcomplex import (
     FlavorSpec,
+    ReducedSlice,
     UnboundedSlice,
     build_complex,
     capped_homology,
     u_map,
 )
+from conftest import plus_u_map
 
 
 def nonzero_tables(g, s, flavor, a2_values):
@@ -61,17 +63,52 @@ class TestUnknot:
             assert len(cx.grading) == expected
 
     def test_u_map_isomorphisms(self, unknot2, signs2):
-        spec = FlavorSpec.make(unknot2, "plus")
         for j in (1, 2, 3):
-            res = u_map(unknot2, signs2, spec, 0, (2 * j,))
+            res = plus_u_map(unknot2, signs2, 0, (2 * j,))
             grs = [gr for gr, basis in res.matrices.items()]
             assert grs and all(res.is_isomorphism_at(gr) for gr in grs)
+            assert res.is_isomorphism()
 
     def test_same_component_markings_agree_on_homology(self, unknot2, signs2):
-        spec = FlavorSpec.make(unknot2, "plus")
-        r0 = u_map(unknot2, signs2, spec, 0, (4,))
-        r1 = u_map(unknot2, signs2, spec, 1, (4,))
+        r0 = plus_u_map(unknot2, signs2, 0, (4,))
+        r1 = plus_u_map(unknot2, signs2, 1, (4,))
         assert r0.matrices == r1.matrices
+
+
+class TestUMap:
+    def test_isomorphism_verdict_reads_both_tables(self, trefoil5, signs5):
+        # H+(A=0) has rank 2 and H+(A=1) rank 1: the target class at Maslov
+        # -1 is hit by nothing, although U is onto from every source grading
+        low = plus_u_map(trefoil5, signs5, 0, (2,))
+        assert low.source_table.total_rank() == 1 and low.target_table.total_rank() == 2
+        assert all(low.is_isomorphism_at(gr) for gr in low.source_table.groups)
+        assert not low.is_isomorphism()
+        assert plus_u_map(trefoil5, signs5, 0, (4,)).is_isomorphism()
+
+    def test_u_map_rejects_wrong_target(self, trefoil5, signs5):
+        spec = FlavorSpec.make(trefoil5, "plus")
+        src = ReducedSlice.build(trefoil5, signs5, spec, (6,))
+        wrong = ReducedSlice.build(trefoil5, signs5, spec, (2,))
+        with pytest.raises(GridError, match="not a cell of the target slice"):
+            u_map(src, wrong, 0)
+        capped = ReducedSlice.build(trefoil5, signs5, spec, (6,), maslov_cap=6)
+        too_low = ReducedSlice.build(trefoil5, signs5, spec, (4,), maslov_cap=2)
+        with pytest.raises(GridError, match="not a cell of the target slice"):
+            u_map(capped, too_low, 0)
+
+    @pytest.mark.parametrize("cap", [4, 5, 6, 8])
+    def test_capped_u_map_is_the_uncapped_map_in_its_window(self, cap, trefoil5, signs5):
+        full = plus_u_map(trefoil5, signs5, 0, (6,))
+        capped = plus_u_map(trefoil5, signs5, 0, (6,), maslov_cap=cap)
+        assert capped.matrices == {k: m for k, m in full.matrices.items() if k <= cap - 2}
+        assert capped.source_table.groups == {k: v for k, v in full.source_table.groups.items() if k <= cap - 2}
+        assert capped.matrices == ({6: [[1]]} if cap == 8 else {})
+
+    def test_capped_u_map_needs_a_cell_in_its_window(self, trefoil5, signs5):
+        # the slice 2A=6 has gradings 0..6; a cap of 1 is exact below 0
+        with pytest.raises(GridError):
+            plus_u_map(trefoil5, signs5, 0, (6,), maslov_cap=1)
+        assert plus_u_map(trefoil5, signs5, 0, (6,), maslov_cap=2).matrices == {}
 
 
 class TestFlavors:

@@ -184,11 +184,10 @@ class TestReduction:
                         right[k3] = right.get(k3, 0) + v * v3
                 assert left == {k3: v for k3, v in right.items() if v}
             for k in red.grading:
-                comp = {}
-                for k2, v in iota[k].items():
-                    for k3, v3 in pi[k2].items():
-                        comp[k3] = comp.get(k3, 0) + v * v3
-                assert {k3: v for k3, v in comp.items() if v} == {k: 1}
+                assert pi(iota[k]) == {k: 1}
+            # pi is a chain map: pi(d x) == d'(pi(x)) on every original cell
+            for k in cx.grading:
+                assert pi(cx.apply({k: 1})) == red.apply(pi({k: 1}))
 
     def test_reduction_preserves_homology(self):
         # the unreduced complex keeps multi-cell Smith forms under test

@@ -1,7 +1,8 @@
 import pytest
 
+from gridhom import gridcomplex, spectra
 from gridhom.homalg import HomologyTable, reduce_complex
-from gridhom.gridcomplex import FlavorSpec, build_complex, u_map
+from gridhom.gridcomplex import FlavorSpec, build_complex
 from gridhom.spectra import (
     CellStructure,
     cell_census,
@@ -9,6 +10,7 @@ from gridhom.spectra import (
     spectrum_report,
     wedge_decomposition,
 )
+from conftest import plus_u_map
 
 
 def table(entries, torsion=None):
@@ -137,6 +139,13 @@ class TestSharedSlices:
     """spectrum_report builds and reduces each plus slice once and hands it
     to u_map as source and as target; the answers must not change."""
 
+    def test_iso_verdict(self, trefoil5, signs5, unknot2, signs2):
+        rep = spectrum_report(trefoil5, signs5, [2, 4])
+        assert rep[2].u_maps[0]["iso"] is False  # rank H+(A=0) = 2, rank H+(A=1) = 1
+        assert rep[4].u_maps[0]["iso"] is True
+        tower = spectrum_report(unknot2, signs2, range(2, 9, 2))
+        assert all(slice_rep.u_maps[0]["iso"] for slice_rep in tower.values())
+
     def test_report_matches_standalone(self, trefoil5, signs5):
         order = [8, 2, 4]  # unsorted, with a gap at 6
         rep = spectrum_report(trefoil5, signs5, order)
@@ -145,25 +154,27 @@ class TestSharedSlices:
             for flavor in ("hat", "plus"):
                 spec = FlavorSpec.make(trefoil5, flavor)
                 assert rep[a2].tables[flavor] == build_complex(trefoil5, signs5, spec, (a2,)).homology()
-            res = u_map(trefoil5, signs5, FlavorSpec.make(trefoil5, "plus"), 0, (a2,))
+            res = plus_u_map(trefoil5, signs5, 0, (a2,))
             gradings = sorted(set(res.matrices) | set(rep[a2].tables["plus"].groups))
             assert rep[a2].u_maps[0] == {
-                "iso": bool(gradings) and all(res.is_isomorphism_at(gr) for gr in gradings),
+                "iso": res.is_isomorphism(),
                 "matrices": {gr: res.matrices.get(gr, []) for gr in gradings},
             }
 
-    def test_u_map_cache(self, trefoil5, signs5):
-        spec = FlavorSpec.make(trefoil5, "plus")
-        slices = {}
-        shared = u_map(trefoil5, signs5, spec, 0, (6,), slices=slices)
-        assert set(slices) == {((6,), None), ((4,), None)}
-        alone = u_map(trefoil5, signs5, spec, 0, (6,))
-        assert shared.matrices == alone.matrices
-        assert shared.source_table == alone.source_table
-        assert shared.target_table == alone.target_table
-        capped = u_map(trefoil5, signs5, spec, 0, (6,), maslov_cap=8, slices=slices)
-        assert set(slices) == {((6,), None), ((4,), None), ((6,), 8), ((4,), 6)}
-        assert capped.matrices == u_map(trefoil5, signs5, spec, 0, (6,), maslov_cap=8).matrices
+    def test_each_slice_built_once(self, trefoil5, signs5, monkeypatch):
+        built = []
+
+        def counting(g, s, spec, alexander2, maslov_cap=None):
+            built.append((spec.flavor, alexander2))
+            return build_complex(g, s, spec, alexander2, maslov_cap)
+
+        monkeypatch.setattr(gridcomplex, "build_complex", counting)
+        monkeypatch.setattr(spectra, "build_complex", counting)
+        spectrum_report(trefoil5, signs5, [8, 2, 4])
+        # hat on 2, 4, 8; plus on 2, 4, 8 and on 0 and 6, the targets of U_0
+        assert sorted(built) == sorted(
+            [("hat", (a2,)) for a2 in (2, 4, 8)] + [("plus", (a2,)) for a2 in (0, 2, 4, 6, 8)]
+        )
 
     @pytest.mark.parametrize("a2", [4, 6, 8, 10])
     def test_tracking_leaves_reduction_unchanged(self, a2, trefoil5, signs5):
@@ -174,4 +185,6 @@ class TestSharedSlices:
         assert list(tracked.diff) == list(plain.diff)
         for key, col in plain.diff.items():
             assert list(tracked.diff[key].items()) == list(col.items())
-        assert set(iota) == set(plain.grading) and set(pi) == set(cx.grading)
+        assert set(iota) == set(plain.grading)
+        for key in tracked.grading:
+            assert pi(iota[key]) == {key: 1}
