@@ -2,7 +2,9 @@
 
 Exit codes: 0 on success, 1 when a verification fails, 2 on input errors
 (a bad grid file, slice, marking, seed or size), reported as one line on
-stderr.  On links every homology flavor, plus-prime included, needs explicit
+stderr, and 141 (128 + SIGPIPE, as a shell reports a pipe writer killed by
+the signal) when stdout is closed before all output is written, with nothing
+on stderr.  On links every homology flavor, plus-prime included, needs explicit
 ``--alexander`` slices, and plus-prime also needs ``--cap``: its slices of a
 link are infinite, and a capped table is exact up to grading cap - 2.
 """
@@ -449,12 +451,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        args = build_parser().parse_args(argv)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
     except GridError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader went away: point stdout at devnull, so that the flush at
+        # interpreter exit does not fail on the buffered rest
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -6,15 +6,25 @@ first cancelling unit-coefficient pairs (algebraic Morse reduction, which
 keeps integer homology on the nose and shrinks the grid complexes by orders
 of magnitude) and then running Smith normal form on what is left.
 
+The reduction runs on integer cell ids numbered in insertion order.  Its
+pivot rule is Markowitz's: each unit entry is queued with the product of its
+column and row lengths at the time it is queued, the least product is
+cancelled first, and equal products go first in, first out.  Rows keep their
+columns in insertion order, so the order of cancellations, and with it every
+basis and U-map matrix, follows the insertion order of the complex and never
+the hashes of its keys.
+
 The reduction can optionally track the homotopy equivalence, so chain maps
-can be pushed down to homology: ``iota`` maps each reduced cell into the
-original complex, and ``pi`` is a function that projects an original chain
-onto the reduced complex by replaying the cancellations in order.
+can be pushed down to homology: ``iota`` maps each surviving cell into the
+original complex (it is evaluated for the survivors only), and ``pi`` is a
+function that projects an original chain onto the reduced complex by
+replaying the cancellations in order.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -151,90 +161,122 @@ def reduce_complex(
 ) -> tuple[IntegerChainComplex, dict | None, Callable[[Chain], Chain] | None]:
     """Cancel unit pivots; returns (reduced, iota, pi).
 
-    ``iota`` maps reduced basis keys to chains in the original complex.
-    ``pi`` is a function from chains of the original complex to chains of
-    the reduced one: each cancellation of ``d(b) = u*a + rest`` is logged as
-    ``(a, b, -u*rest)``, and ``pi`` replays the log in order, sending ``a``
-    to ``-u*rest`` and ``b`` to zero.  Both are chain homotopy equivalences;
-    they are None unless requested.
-    """
-    cols: dict = {k: dict(v) for k, v in cx.diff.items() if v}
-    rows: dict = {}
-    for c, col in cols.items():
-        for r in col:
-            rows.setdefault(r, set()).add(c)
-    alive = set(cx.grading)
+    The cells are numbered in ``cx.grading`` order and the reduction runs on
+    those numbers, with each row an insertion-ordered dict of the columns
+    that met it.  A unit entry ``d(b) = u*a + ...`` is queued when its column
+    is read and whenever an update leaves it a unit, with the Markowitz
+    priority |column of b| * |row of a| at that moment (a row still counts
+    the columns that died after meeting it).  The least priority leaves
+    first, ties first in, first out; an entry whose cells died or whose
+    coefficient is no longer a unit is dropped when it leaves.  So the
+    cancellation order depends only on the insertion order of ``cx.grading``
+    and ``cx.diff``, never on hashes.
 
-    iota = {k: {k: 1} for k in cx.grading} if track_iota else None
+    ``iota`` maps each surviving key to a chain in the original complex; the
+    cancelled cells get no entry.  ``pi`` is a function from chains of the
+    original complex to chains of the reduced one: each cancellation of
+    ``d(b) = u*a + rest`` is logged as ``(a, b, -u*rest)``, and ``pi`` replays
+    the log in order, sending ``a`` to ``-u*rest`` and ``b`` to zero.  Both
+    are chain homotopy equivalences; they are None unless requested.
+    """
+    keys = list(cx.grading)
+    index = {k: i for i, k in enumerate(keys)}
+    n = len(keys)
+    cols: list = [None] * n  # cell -> {row cell: coefficient}
+    rows: list = [None] * n  # cell -> {column cell: None}, in insertion order
+    read = []  # the columns in ``cx.diff`` order
+    for k, col in cx.diff.items():
+        if col:
+            c = index[k]
+            read.append(c)
+            cols[c] = col = {index[r]: v for r, v in col.items()}
+            for r in col:
+                if rows[r] is None:
+                    rows[r] = {c: None}
+                else:
+                    rows[r][c] = None
+    # the queue: priority -> deque of unit entries as flat column, row pairs,
+    # and a heap of the priorities that have a deque
+    buckets: dict = {}
+    for c in read:
+        col = cols[c]
+        for r, v in col.items():
+            if v == 1 or v == -1:
+                p = len(col) * len(rows[r])
+                bucket = buckets.get(p)
+                if bucket is None:
+                    buckets[p] = bucket = deque()
+                bucket.extend((c, r))
+    prios = list(buckets)
+    heapq.heapify(prios)
+
+    alive = [True] * n
+    steps: list | None = [None] * n if track_iota else None  # cell -> [(b, factor)] added to its iota
     cancelled: list = []  # (a, b, pi(a)) per cancellation, in order
 
-    heap: list = []
-    tick = 0
-    for c, col in cols.items():
-        for r, v in col.items():
-            if v in (1, -1):
-                tick += 1
-                heapq.heappush(heap, (len(col) * len(rows.get(r, ())), tick, c, r))
-
-    while heap:
-        _, _, b, a = heapq.heappop(heap)
-        if b not in alive or a not in alive:
+    while prios:
+        p = prios[0]
+        bucket = buckets[p]
+        b = bucket.popleft()
+        a = bucket.popleft()
+        if not bucket:
+            heapq.heappop(prios)
+            del buckets[p]
+        if not (alive[a] and alive[b]):
             continue
-        db = cols.get(b, {})
+        db = cols[b]
         u = db.get(a, 0)
-        if u not in (1, -1):
+        if u != 1 and u != -1:
             continue
-        # cancel the pair (a, b): d(b) = u*a + ...
-        affected = [c for c in rows.get(a, set()) if c != b and c in alive]
-        for c in affected:
-            lam = cols[c].pop(a)
-            rows[a].discard(c)
-            factor = -lam * u
+        # cancel the pair (a, b): d(b) = u*a + rest; live columns meet live rows only
+        rest = [(r, v) for r, v in db.items() if r != a]
+        for c in [c for c in rows[a] if c != b and alive[c]]:
             col = cols[c]
-            for r, v in db.items():
-                if r == a:
-                    continue
+            factor = -col.pop(a) * u
+            for r, v in rest:
                 w = col.get(r, 0) + factor * v
                 if w:
                     col[r] = w
-                    rows.setdefault(r, set()).add(c)
-                    if w in (1, -1) and r in alive:
-                        tick += 1
-                        heapq.heappush(heap, (len(col) * len(rows.get(r, ())), tick, c, r))
+                    row = rows[r]
+                    row[c] = None
+                    if w == 1 or w == -1:
+                        p = len(col) * len(row)
+                        bucket = buckets.get(p)
+                        if bucket is None:
+                            buckets[p] = deque((c, r))
+                            heapq.heappush(prios, p)
+                        else:
+                            bucket.extend((c, r))
                 else:
-                    col.pop(r, None)
-                    rows.get(r, set()).discard(c)
+                    del col[r]
+                    del rows[r][c]
             if track_iota:
-                iota[c] = chain_add(iota[c], iota[b], factor)
-            if not col:
-                del cols[c]
+                if steps[c] is None:
+                    steps[c] = [(b, factor)]
+                else:
+                    steps[c].append((b, factor))
         if track_pi:
-            cancelled.append((a, b, {r: -u * v for r, v in db.items() if r != a and r in alive}))
-        # remove a and b
-        alive.discard(a)
-        alive.discard(b)
-        cols.pop(b, None)
-        cols.pop(a, None)
-        for c in rows.pop(b, set()):
-            if c in cols:
+            cancelled.append((a, b, {r: -u * v for r, v in rest}))
+        alive[a] = alive[b] = False
+        cols[a] = cols[b] = rows[a] = None
+        for c in rows[b] or ():
+            if cols[c] is not None:
                 cols[c].pop(b, None)
-        rows.pop(a, None)
-        if track_iota:
-            iota.pop(a, None)
-            iota.pop(b, None)
+        rows[b] = None
 
-    grading = {k: cx.grading[k] for k in alive}
-    diff = {}
-    for c in alive:
-        col = {r: v for r, v in cols.get(c, {}).items() if r in alive}
-        if col:
-            diff[c] = col
-    reduced = IntegerChainComplex(grading, diff)
+    survivors = [i for i in range(n) if alive[i]]
+    reduced = IntegerChainComplex(
+        {keys[i]: cx.grading[keys[i]] for i in survivors},
+        {keys[i]: {keys[r]: v for r, v in cols[i].items()} for i in survivors if cols[i]},
+    )
+    iota = None
+    if track_iota:
+        iota = {keys[i]: {keys[r]: v for r, v in chain.items()} for i, chain in _iota_chains(survivors, steps).items()}
     if not track_pi:
         return reduced, iota, None
 
     def pi(chain: Chain) -> Chain:
-        out = dict(chain)
+        out = {index[k]: v for k, v in chain.items()}
         for a, b, pi_a in cancelled:
             mu = out.pop(a, 0)
             if mu:
@@ -245,9 +287,34 @@ def reduce_complex(
                     else:
                         out.pop(r, None)
             out.pop(b, None)
-        return out
+        return {keys[i]: v for i, v in out.items()}
 
     return reduced, iota, pi
+
+
+def _iota_chains(survivors: list, steps: list) -> dict:
+    """``iota`` of the surviving cells: cell ``c`` starts as ``c`` and adds
+    ``factor * iota(b)`` for each ``(b, factor)`` in ``steps[c]``, in order.
+    ``iota(b)`` is final once ``b`` is cancelled, which happens before it
+    enters any ``steps``, so a memoized post-order gives the same chains as
+    updating every affected cell at each cancellation."""
+    done: dict = {}
+    for s in survivors:
+        stack = [s]
+        while stack:
+            c = stack[-1]
+            todo = [b for b, _ in steps[c] or () if b not in done]
+            if todo:
+                stack.extend(todo)
+                continue
+            stack.pop()
+            if c in done:
+                continue
+            chain = {c: 1}
+            for b, factor in steps[c] or ():
+                chain = chain_add(chain, done[b], factor)
+            done[c] = chain
+    return {s: done[s] for s in survivors}
 
 
 # -- Smith normal form -----------------------------------------------------------

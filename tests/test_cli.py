@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import gridhom
 from gridhom.cli import main
 from conftest import fixture_path
 
@@ -208,3 +211,18 @@ class TestGoldenFiles:
                 got = list(data["tables"].values())[0]
                 want = {m: {"rank": rt[0], "torsion": rt[1]} for m, rt in table.items()}
                 assert got == want, (name, flavor, a2_key)
+
+
+def test_closed_stdout_ends_quietly():
+    """A reader that closes the pipe early gets no traceback on stderr."""
+    src = os.path.dirname(os.path.dirname(gridhom.__file__))
+    argv = ["--json", "homology", fixture_path("unknot2.grid"), "--flavor", "plus", "--alexander=2"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "gridhom.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src),
+    ) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert (proc.returncode, err) == (141, b"")
