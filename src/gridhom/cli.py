@@ -53,11 +53,16 @@ def _emit(args, obj, text_lines):
             print(line)
 
 
+def _slice_label(a2) -> str:
+    """A slice's name in JSON keys and CSV file names: ``2`` for the knot
+    slice 2A=2 (int or 1-tuple), ``2_0`` for the link slice (2, 0)."""
+    return str(a2) if isinstance(a2, int) else "_".join(str(v) for v in a2)
+
+
 def _write_csvs(outdir: str, name: str, tables: dict) -> None:
     os.makedirs(outdir, exist_ok=True)
     for a2, table in sorted(tables.items()):
-        label = a2 if isinstance(a2, int) else "_".join(str(v) for v in a2)
-        path = os.path.join(outdir, f"{name}_A2_{label}.csv")
+        path = os.path.join(outdir, f"{name}_A2_{_slice_label(a2)}.csv")
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["maslov", "rank", "torsion"])
@@ -120,7 +125,7 @@ def cmd_homology(args) -> int:
     tables = {a2: capped_homology(g, s, spec, a2, args.cap) for a2 in values}
     obj = {
         "flavor": args.flavor,
-        "tables": {str(k): t.to_json_obj() for k, t in sorted(tables.items())},
+        "tables": {_slice_label(k): t.to_json_obj() for k, t in sorted(tables.items())},
     }
     if args.cap is not None:
         obj["exact_below"] = exact_below(args.cap)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from gridhom.gridcore import Generator, GridDiagram, PeriodicDomain, RectInfo
+from gridhom.gridcore import Generator, GridDiagram, RectInfo
 
 Perm = tuple[int, ...]
 
@@ -154,15 +154,16 @@ def g_minimum(g: GridDiagram, a, b, y: Generator) -> Generator:
 
 
 def g_set(g: GridDiagram, a, b, y: Generator) -> set[Perm]:
-    """Brute-force G^{a,b,y}: all x admitting a positive domain with the
-    prescribed last-column/last-row data.
+    """G^{a,b,y}: all x admitting a positive domain to y with the prescribed
+    last-column/last-row data.
 
-    The domain with data (a, b) is the zero-data domain plus the periodic
-    domain with those coefficients, so membership is a direct positivity
-    test.
+    That domain is ``unique_domain(x, y, a, b)``, whose multiplicity on cell
+    (c, r) is ``Q_x(c, r) - Q_y(c, r) + a[r] + b[c]`` with ``Q_z(c, r)`` the
+    number of points of z strictly up and to the right of the cell, so
+    membership is ``Q_x >= Q_y - a[r] - b[c]`` on every cell; a pruned column
+    search finds the members without building any domain.
     """
-    periodic = PeriodicDomain(tuple(a), tuple(b)).to_domain(g, y)
-    return {x.sigma for x in g.generators() if g.base_domain(x, y).compose(periodic).is_positive()}
+    return g.positive_sources(y, a, b)
 
 
 def interval(g: GridDiagram, lo: Generator, hi: Generator) -> set[Perm]:

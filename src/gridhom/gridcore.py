@@ -67,6 +67,47 @@ def _point_count(points: list[tuple[int, int]], marks: list[tuple[int, int]]) ->
     )
 
 
+def _quadrant_counts(sigma: Perm) -> list[int]:
+    """``Q(c, r) = #{i > c : sigma[i] > r}`` at index ``c*n + r``."""
+    n = len(sigma)
+    out = [0] * (n * n)
+    for c in range(n - 2, -1, -1):
+        v = sigma[c + 1]
+        base = c * n
+        for r in range(n):
+            out[base + r] = out[base + n + r] + (v > r)
+    return out
+
+
+def _columns_within(n: int, lo: list[int], hi: list[int]):
+    """Each permutation w with ``lo[i] <= Q_w(c, r) <= hi[i]`` on every cell
+    ``i = c*n + r`` (``Q_w`` as in ``_quadrant_counts``).
+
+    Column c of ``Q_w`` depends only on the values ``w[c+1..n-1]``, so w is
+    placed from the last column down and a partial permutation is dropped as
+    soon as the column it fixes leaves its bounds.
+    """
+    w = [0] * n
+    free = set(range(n))
+
+    def place(c: int, q: list[int]):
+        base = c * n
+        for r in range(n):
+            if not lo[base + r] <= q[r] <= hi[base + r]:
+                return
+        if c == 0:
+            (w[0],) = free
+            yield tuple(w)
+            return
+        for v in sorted(free):
+            w[c] = v
+            free.remove(v)
+            yield from place(c - 1, [q[r] + (v > r) for r in range(n)])
+            free.add(v)
+
+    return place(n - 1, [0] * n)
+
+
 @dataclass(frozen=True)
 class Generator:
     """A generator x^sigma with its cached gradings.
@@ -335,6 +376,12 @@ class GridDiagram:
         ``b[c]`` the multiplicity in the topmost row at column ``c``
         (``r, c < n-1``; the top-right cell is pinned to 0).  Entries may come
         out negative; callers test positivity.
+
+        In closed form the multiplicity of cell ``(c, r)`` is
+        ``Q_x(c, r) - Q_y(c, r) + a[r] + b[c]``, with ``a[n-1] = b[n-1] = 0``
+        and ``Q_z(c, r) = #{i > c : z_i > r}`` the number of points of z in
+        the strict upper-right quadrant of the cell.  ``subdomain_data`` and
+        ``positive_sources`` search generators through this form.
         """
         n = self.n
         if len(a) != n - 1 or len(b) != n - 1:
@@ -361,6 +408,53 @@ class GridDiagram:
             zero = (0,) * (self.n - 1)
             dom = self._base_domain_cache[key] = self.unique_domain(x, y, zero, zero)
         return dom
+
+    def subdomain_data(self, rem: "GridDomain") -> list[tuple[Perm, tuple[int, ...], tuple[int, ...]]]:
+        """Every ``(w, a, b)`` with ``0 <= unique_domain(x, w, a, b) <= rem``
+        cell by cell, where x is ``rem``'s start; sorted, so in the order of
+        a scan over permutations w and then over a and b.
+
+        The quadrant form of ``unique_domain`` turns both inequalities into
+        bounds on ``Q_w`` with a and b at their extremes, which prune the
+        column search; for each w found and each a, every ``b[c]`` ranges over
+        an interval.
+        """
+        n, m = self.n, rem.mult
+        qx = _quadrant_counts(rem.from_sigma)
+        amax, bmax = rem.a_vec() + (0,), rem.b_vec() + (0,)
+        lo = [q - v for q, v in zip(qx, m)]
+        hi = [qx[c * n + r] + amax[r] + bmax[c] for c in range(n) for r in range(n)]
+        out = []
+        for w in _columns_within(n, lo, hi):
+            d = list(map(sub, qx, _quadrant_counts(w)))
+            for a in itertools.product(*(range(v + 1) for v in amax[:-1])):
+                b_ranges = []
+                for c in range(n - 1):
+                    # cell (c, r) holds fixed[r] + b[c], which must lie in [0, rem]
+                    fixed = [d[c * n + r] + a[r] for r in range(n - 1)]
+                    low = max(0, -min(fixed))
+                    high = min([bmax[c]] + [m[c * n + r] - v for r, v in enumerate(fixed)])
+                    if low > high:
+                        break
+                    b_ranges.append(range(low, high + 1))
+                else:
+                    out.extend((w, a, b) for b in itertools.product(*b_ranges))
+        out.sort()
+        return out
+
+    def positive_sources(self, y: Generator, a, b) -> set[Perm]:
+        """Every x with ``unique_domain(x, y, a, b)`` positive.
+
+        By the quadrant form that is ``Q_x(c, r) >= Q_y(c, r) - a[r] - b[c]``
+        on every cell (a and b padded with zeros to length n), which bounds a
+        column search from below only.
+        """
+        n = self.n
+        a = tuple(a) + (0,) * (n - len(a))
+        b = tuple(b) + (0,) * (n - len(b))
+        qy = _quadrant_counts(y.sigma)
+        lo = [qy[c * n + r] - a[r] - b[c] for c in range(n) for r in range(n)]
+        return set(_columns_within(n, lo, [n] * (n * n)))
 
 
 @dataclass(frozen=True)

@@ -75,19 +75,16 @@ class StratumDescriptor:
 
 
 def _positive_subdomains(g: GridDiagram, rem: GridDomain):
-    """All positive domains from rem.from_sigma contained in rem."""
+    """All positive domains from rem.from_sigma contained in rem, each with
+    the positive rest of rem after it."""
     x = g.generator(rem.from_sigma)
-    amax, bmax = rem.a_vec(), rem.b_vec()
-    for sigma in itertools.permutations(range(g.n)):
-        w = g.generator(sigma)
-        for a in itertools.product(*(range(v + 1) for v in amax)):
-            for b in itertools.product(*(range(v + 1) for v in bmax)):
-                cand = g.unique_domain(x, w, a, b)
-                if not cand.is_positive():
-                    continue
-                rest = rem.subtract(cand)
-                if rest.is_positive():
-                    yield cand, rest
+    for sigma, a, b in g.subdomain_data(rem):
+        cand = g.unique_domain(x, g.generator(sigma), a, b)
+        if not cand.is_positive():
+            continue
+        rest = rem.subtract(cand)
+        if rest.is_positive():
+            yield cand, rest
 
 
 def _strip_annuli(g: GridDiagram, dom: GridDomain, kind: str, counts) -> GridDomain:

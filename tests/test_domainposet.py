@@ -4,7 +4,7 @@ import random
 import pytest
 
 from gridhom import domainposet as dp
-from gridhom.gridcore import GridDiagram
+from gridhom.gridcore import GridDiagram, PeriodicDomain
 
 
 def subword_bruhat_oracle(sigma, tau):
@@ -185,3 +185,28 @@ class TestMinimum:
                 for z in gens:
                     if dp.generator_leq(unknot3, x, z):
                         assert z.sigma in members
+
+
+def brute_g_set(g, a, b, y):
+    """G^{a,b,y} by testing every x: the zero-data domain plus the periodic
+    domain with data (a, b) must be positive."""
+    periodic = PeriodicDomain(tuple(a), tuple(b)).to_domain(g, y)
+    return {x.sigma for x in g.generators() if g.base_domain(x, y).compose(periodic).is_positive()}
+
+
+class TestGSetOracle:
+    def test_unknot3_all_triples(self, unknot3):
+        vecs = list(itertools.product(range(2), repeat=2))
+        for y in unknot3.generators():
+            for a in vecs:
+                for b in vecs:
+                    assert dp.g_set(unknot3, a, b, y) == brute_g_set(unknot3, a, b, y)
+
+    def test_trefoil5_every_pair_and_generator(self, trefoil5):
+        # every (a, b) with entries at most 1, paired with the generators in
+        # turn so that each y occurs too (the full product takes too long)
+        vecs = list(itertools.product(range(2), repeat=4))
+        gens = list(trefoil5.generators())
+        for k, (a, b) in enumerate(itertools.product(vecs, vecs)):
+            y = gens[k % len(gens)]
+            assert dp.g_set(trefoil5, a, b, y) == brute_g_set(trefoil5, a, b, y)

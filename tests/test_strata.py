@@ -5,7 +5,7 @@ import pytest
 
 from gridhom import strata
 from gridhom.cdp import PartitionedDomain, differential_events, trivial_decoration
-from gridhom.gridcore import GridDiagram
+from gridhom.gridcore import GridDiagram, InvalidGrid
 from gridhom.signs import build_sign_assignment
 
 
@@ -139,6 +139,78 @@ class TestPermutohedron:
         assert strata.vertex_coordinates((1, 2, 3)) == (1, 2, 3)
         assert strata.vertex_coordinates((2, 1, 3)) == (2, 1, 3)
         assert strata.vertex_coordinates((2, 3, 1)) == (3, 1, 2)
+
+
+def brute_positive_subdomains(g, rem):
+    """The enumeration ``strata._positive_subdomains`` replaced: every
+    permutation w and every last-column/top-row data inside rem's."""
+    x = g.generator(rem.from_sigma)
+    amax, bmax = rem.a_vec(), rem.b_vec()
+    for sigma in itertools.permutations(range(g.n)):
+        w = g.generator(sigma)
+        for a in itertools.product(*(range(v + 1) for v in amax)):
+            for b in itertools.product(*(range(v + 1) for v in bmax)):
+                cand = g.unique_domain(x, w, a, b)
+                if not cand.is_positive():
+                    continue
+                rest = rem.subtract(cand)
+                if rest.is_positive():
+                    yield cand, rest
+
+
+def split_keys(pairs):
+    return {(cand.key, rest.key) for cand, rest in pairs}
+
+
+def assert_splits_match(g, domains):
+    for d in domains:
+        got = split_keys(strata._positive_subdomains(g, d))
+        assert got == split_keys(brute_positive_subdomains(g, d)), d.key
+        assert got, d.key  # the trivial split always exists
+        # no boundary datum is handed out only to be rejected
+        assert len(g.subdomain_data(d)) == len(got), d.key
+
+
+def allowable_annuli(g, x):
+    out = []
+    for kind in "HV":
+        for j in range(g.n):
+            try:
+                out.append(g.marking_annulus(kind, j, x))
+            except InvalidGrid:
+                pass
+    return out
+
+
+class TestPositiveSubdomains:
+    """The quadrant-count search yields exactly what a scan of every
+    permutation and every boundary datum yields."""
+
+    @pytest.mark.parametrize("name", ["unknot3", "grid4"])
+    def test_two_rectangle_compositions(self, name, request):
+        g = request.getfixturevalue(name)
+        domains = {}
+        for x in g.generators():
+            for r1, y in g.rectangles_from(x):
+                for r2, _ in g.rectangles_from(y):
+                    d = r1.compose(r2)
+                    domains[d.key] = d
+        assert_splits_match(g, domains.values())
+
+    @pytest.mark.parametrize("name", ["trefoil5", "hopf4"])
+    def test_annuli(self, name, request):
+        g = request.getfixturevalue(name)
+        annuli = allowable_annuli(g, g.generator(tuple(range(g.n))))
+        assert len(annuli) == 2 * (g.n - 1)
+        assert_splits_match(g, annuli)
+
+    def test_multiplicity_two(self, trefoil5):
+        x = trefoil5.generator(tuple(range(5)))
+        h = allowable_annuli(trefoil5, x)[0]
+        rect, _ = trefoil5.rectangles_from(x)[0]
+        d = h.compose(h).compose(rect)
+        assert d.max_multiplicity() >= 2
+        assert_splits_match(trefoil5, [d])
 
 
 def census_match(g, s, t):
