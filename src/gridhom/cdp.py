@@ -359,13 +359,14 @@ def graded_piece_complex(
 
     Generators are the x in G^{a,b,y} (each carrying its unique positive
     domain, the zero-data domain plus the periodic domain with data (a, b),
-    so its Maslov index is the sum of theirs); the differential splits off
+    so its Maslov index is the sum of theirs, the first read from quadrant
+    counts by ``GridDiagram.base_maslov_index``); the differential splits off
     front rectangles avoiding the last row and column.
     """
     a, b = tuple(a), tuple(b)
     members = g_set(g, a, b, y)
     mu_periodic = PeriodicDomain(a, b).to_domain(g, y).maslov_index()
-    grading = {x: g.base_domain(g.generator(x), y).maslov_index() + mu_periodic for x in members}
+    grading = {x: g.base_maslov_index(g.generator(x), y) + mu_periodic for x in members}
     diff: dict = {}
     for sigma in members:
         col: dict = {}

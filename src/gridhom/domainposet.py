@@ -117,7 +117,7 @@ def _witnesses(g: GridDiagram, a, b, y: Generator) -> list[WitnessRectangle]:
     n = g.n
     out = []
     for info in g.rectangle_infos_into(y.sigma):
-        av, bv = info.a_vec(), info.b_vec()
+        av, bv = info.a_vec, info.b_vec
         z = g.generator(info.from_sigma)
         if any(av) and all(x <= bound for x, bound in zip(av, a)):
             omega = (n - 1 - info.col0) % n
@@ -147,9 +147,9 @@ def g_minimum(g: GridDiagram, a, b, y: Generator) -> Generator:
     if w is None:
         return y
     if w.kind == "A":
-        a2 = tuple(x - r for x, r in zip(a, w.rect.a_vec()))
+        a2 = tuple(x - r for x, r in zip(a, w.rect.a_vec))
         return g_minimum(g, a2, b, w.from_gen)
-    b2 = tuple(x - r for x, r in zip(b, w.rect.b_vec()))
+    b2 = tuple(x - r for x, r in zip(b, w.rect.b_vec))
     return g_minimum(g, a, b2, w.from_gen)
 
 

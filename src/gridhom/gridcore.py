@@ -31,6 +31,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import add, sub
+from typing import NamedTuple
 
 Perm = tuple[int, ...]
 
@@ -129,9 +130,12 @@ class GridDiagram:
     o_row: Perm
     x_row: Perm
     # Unbounded per-diagram caches: graded generators, rectangles leaving a
-    # generator, and zero-data domains between two generators.
+    # generator, the marking data of a rectangle's box, one tuple per target
+    # permutation of a rectangle, and zero-data domains between two generators.
     _gen_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _rect_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _box_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _perm_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _base_domain_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -256,12 +260,6 @@ class GridDiagram:
 
     # -- rectangles -----------------------------------------------------------
 
-    @cached_property
-    def _forbidden_cell(self) -> tuple[int, int]:
-        """The cell holding the top-right X marking; no domain may cover it."""
-        self._require_canonical()
-        return (self.n - 1, self.n - 1)
-
     def rectangle_infos(self, sigma: Perm) -> list["RectInfo"]:
         """All rectangles leaving x^sigma, as lightweight records (cached)."""
         sigma = tuple(sigma)
@@ -272,51 +270,66 @@ class GridDiagram:
         return infos
 
     def _build_rect_infos(self, sigma: Perm) -> list["RectInfo"]:
+        """The empty rectangles leaving x^sigma that avoid the top-right cell:
+        for each column pair i < j, the one with its bottom-left corner in
+        column i (role 0), then the one with it in column j (role 1).
+
+        With ``d[k] = (sigma[k] - sigma[i]) % n`` the role-0 rectangle spans
+        row offsets ``0..d[j]-1`` over the columns strictly between i and j,
+        so a point there blocks it iff ``d[k] < d[j]``; the role-1 rectangle
+        spans the complementary rows over the columns outside ``[i, j]``, so a
+        point there blocks it iff ``d[k] > d[j]``.  A sweep of j to the right
+        keeps the least offset between, and suffix maxima give the largest
+        outside.  Only role 1 covers the last column, so only it can cover the
+        top-right cell.  The records share their box data (``_box``) and
+        their target permutations (``_perm_cache``).
+        """
+        self._require_canonical()
         n = self.n
-        fc, fr = self._forbidden_cell
         infos = []
-        for i in range(n):
+        for i in range(n - 1):
+            si = sigma[i]
+            d = [(v - si) % n for v in sigma]
+            outside = [0] * (n + 1)  # outside[k]: the largest d over the columns < i or >= k
+            outside[n] = max(d[:i], default=0)
+            for k in range(n - 1, i, -1):
+                outside[k] = max(outside[k + 1], d[k])
+            between = n  # the least d over the columns strictly between i and j
             for j in range(i + 1, n):
-                for role in (0, 1):
-                    if role == 0:
-                        c0, w = i, j - i
-                        r0, h = sigma[i], (sigma[j] - sigma[i]) % n
-                    else:
-                        c0, w = j, n - (j - i)
-                        r0, h = sigma[j], (sigma[i] - sigma[j]) % n
-                    cols = [(c0 + dc) % n for dc in range(w)]
-                    rows = [(r0 + dr) % n for dr in range(h)]
-                    if fc in cols and fr in rows:
-                        continue
-                    # interior must avoid the other coordinates
-                    if any(
-                        0 < (k - c0) % n < w and 0 < (sigma[k] - r0) % n < h
-                        for k in range(n)
-                        if k != i and k != j
-                    ):
-                        continue
-                    rowset = set(rows)
-                    o_vec = tuple(1 if c in cols and self.o_row[c] in rowset else 0 for c in range(n))
-                    x_vec = tuple(1 if c in cols and self.x_row[c] in rowset else 0 for c in range(n))
-                    tau = list(sigma)
-                    tau[i], tau[j] = tau[j], tau[i]
-                    infos.append(
-                        RectInfo(
-                            from_sigma=sigma,
-                            to_sigma=tuple(tau),
-                            pair=(i, j),
-                            role=role,
-                            col0=c0,
-                            width=w,
-                            row0=r0,
-                            height=h,
-                            o_vec=o_vec,
-                            x_vec=x_vec,
-                            meets_last_column=n - 1 in cols,
-                            meets_top_row=n - 1 in rowset,
-                        )
-                    )
+                h = d[j]
+                sj = sigma[j]
+                role0 = h < between
+                role1 = outside[j + 1] < h and (n - 1 - sj) % n >= n - h  # rows miss n-1
+                if role0 or role1:
+                    pair = (i, j)
+                    tau = sigma[:i] + (sj,) + sigma[i + 1 : j] + (si,) + sigma[j + 1 :]
+                    tau = self._perm_cache.setdefault(tau, tau)
+                    if role0:
+                        box = self._box(i, j - i, si, h)
+                        infos.append(RectInfo(sigma, tau, pair, 0, i, j - i, si, h, *box))
+                    if role1:
+                        w = n - (j - i)
+                        box = self._box(j, w, sj, n - h)
+                        infos.append(RectInfo(sigma, tau, pair, 1, j, w, sj, n - h, *box))
+                if h < between:
+                    between = h
         return infos
+
+    def _box(self, col0: int, width: int, row0: int, height: int) -> tuple:
+        """The fields of ``RectInfo`` from ``o_vec`` on, for the box of cells
+        ``col0..col0+width-1 x row0..row0+height-1`` mod n (cached)."""
+        key = (col0, width, row0, height)
+        box = self._box_cache.get(key)
+        if box is None:
+            n = self.n
+            cols = [(c - col0) % n < width for c in range(n)]
+            rows = [(r - row0) % n < height for r in range(n)]
+            o_vec = tuple(int(inside and rows[r]) for inside, r in zip(cols, self.o_row))
+            x_vec = tuple(int(inside and rows[r]) for inside, r in zip(cols, self.x_row))
+            a_vec = tuple(int(cols[n - 1] and inside) for inside in rows[:-1])
+            b_vec = tuple(int(rows[n - 1] and inside) for inside in cols[:-1])
+            box = self._box_cache[key] = (o_vec, x_vec, cols[n - 1], rows[n - 1], a_vec, b_vec)
+        return box
 
     def rectangles_from(self, x: Generator) -> list[tuple["GridDomain", Generator]]:
         """All rectangles in R(x, y), over all y, as full domain objects."""
@@ -409,6 +422,25 @@ class GridDiagram:
             dom = self._base_domain_cache[key] = self.unique_domain(x, y, zero, zero)
         return dom
 
+    def base_maslov_index(self, x: Generator, y: Generator) -> int:
+        """``base_domain(x, y).maslov_index()`` without building the domain.
+
+        By the quadrant form the domain has ``Q_x(c, r) - Q_y(c, r)`` on cell
+        ``(c, r)``, so its O-count is ``sum_c Q_x(c, o_c) - Q_y(c, o_c)``.
+        """
+        return x.maslov - y.maslov + 2 * (self._o_quadrants(x.sigma) - self._o_quadrants(y.sigma))
+
+    def _o_quadrants(self, sigma: Perm) -> int:
+        """``sum_c Q_sigma(c, o_row[c])``: pairs of an O and a point of x^sigma
+        strictly up and to the right of it."""
+        return sum(below[v] for below, v in zip(self._o_below_left, sigma))
+
+    @cached_property
+    def _o_below_left(self) -> tuple[tuple[int, ...], ...]:
+        """``[i][v]``: the O markings in columns ``< i`` and rows ``< v``."""
+        n, o_row = self.n, self.o_row
+        return tuple(tuple(sum(o_row[c] < v for c in range(i)) for v in range(n)) for i in range(n))
+
     def subdomain_data(self, rem: "GridDomain") -> list[tuple[Perm, tuple[int, ...], tuple[int, ...]]]:
         """Every ``(w, a, b)`` with ``0 <= unique_domain(x, w, a, b) <= rem``
         cell by cell, where x is ``rem``'s start; sorted, so in the order of
@@ -457,13 +489,14 @@ class GridDiagram:
         return set(_columns_within(n, lo, [n] * (n * n)))
 
 
-@dataclass(frozen=True)
-class RectInfo:
+class RectInfo(NamedTuple):
     """A rectangle leaving a fixed generator, in compact form.
 
     ``pair = (i, j)`` are the two columns carrying the moving coordinates and
     ``role`` selects which of them is the bottom-left corner (0: column i).
     The cells covered are ``col0..col0+width-1 x row0..row0+height-1`` mod n.
+    A tuple record: one diagram holds one per (generator, rectangle), and
+    records of one box share its vectors.
     """
 
     from_sigma: Perm
@@ -478,21 +511,13 @@ class RectInfo:
     x_vec: tuple[int, ...]
     meets_last_column: bool  # covers a cell of column n-1
     meets_top_row: bool  # covers a cell of row n-1
+    a_vec: tuple[int, ...]  # the domain's multiplicities in the rightmost column, rows 0..n-2
+    b_vec: tuple[int, ...]  # the domain's multiplicities in the topmost row, columns 0..n-2
 
     @property
     def key(self) -> tuple:
         """Identifier used by sign assignments."""
         return (self.from_sigma, self.pair, self.role)
-
-    def a_vec(self) -> tuple[int, ...]:
-        """The domain's multiplicities in the rightmost column, rows 0..n-2."""
-        n, hit = len(self.from_sigma), self.meets_last_column
-        return tuple(int(hit and (r - self.row0) % n < self.height) for r in range(n - 1))
-
-    def b_vec(self) -> tuple[int, ...]:
-        """The domain's multiplicities in the topmost row, columns 0..n-2."""
-        n, hit = len(self.from_sigma), self.meets_top_row
-        return tuple(int(hit and (c - self.col0) % n < self.width) for c in range(n - 1))
 
     def domain(self, g: GridDiagram) -> "GridDomain":
         n = g.n

@@ -7,19 +7,39 @@ product -1.
 
 Construction.  A rectangle from x^sigma using columns {i, j} changes the
 generator by the transposition (i j).  We lift each permutation to the Pin
-group sitting inside the Clifford algebra Cl(R^n): the transposition (i j)
-lifts to the vector e_i - e_j, and a fixed choice of reduced word gives a
-lift L(sigma) for every generator.  The rectangle's sign is the comparison
+group sitting inside the Clifford algebra Cl(R^n) (e_k^2 = +1; MOST,
+arXiv:math/0610559): the transposition (i j) lifts to the vector e_i - e_j,
+and a fixed choice of reduced word (peel the smallest descent) gives a lift
+L(sigma) for every generator.  The rectangle's sign is the sign s0 in
 
-    L(sigma) * (e_bl - e_tr)  =  s0 * 2^k * L(sigma (i j)),   s0 in {+1, -1},
+    L(sigma) * (e_bl - e_tr)  =  lambda * L(sigma (i j)),   lambda = s0 * |lambda|,
 
 with the vector oriented from the column of the rectangle's bottom-left
 corner to that of its top-right corner, further corrected by the parity of
 the rectangle's cell counts in the top row and in the rightmost column.
 Distinct transpositions multiply compatibly in the Clifford algebra, which
 forces the two-decomposition axiom; the orientation and parity corrections
-pin down the annulus axioms.  ``verify_axioms`` re-checks everything
-exhaustively; nothing is trusted on faith.
+pin down the annulus axioms.
+
+Evaluation.  The lifts are never expanded in the 2^n blades of Cl(R^n).  A
+spinor representation rho on C^d, d = 2^(n // 2), sends each e_k to a
+Jordan-Wigner gamma (Pauli Z on the factors before k // 2, then X or Y; for
+odd n the last e_k is Z on every factor), a permutation of the basis with
+phases +-1 and +-i.  rho is injective on each parity, and both sides above
+have the parity of the length of sigma plus one, so the identity holds
+exactly when it holds in rho.  Reversion, the anti-automorphism that fixes
+vectors, turns it into
+
+    rho(e_bl - e_tr) u_sigma  =  lambda * u_{sigma (i j)},   u_sigma = rho(L(sigma)^rev) v0,
+
+for a fixed v0 != 0; each u_sigma is nonzero because rho(L(sigma)^rev) is
+invertible, so lambda is read off one entry.  Each u_sigma is d Gaussian
+integers, kept as 2d integers (real and imaginary parts), on which every
+gamma is a signed permutation; u_sigma follows from its parent's along the
+reduced word, since L(sigma)^rev = (e_p - e_{p+1}) L(parent)^rev.  A ratio
+that is not a nonzero real number raises ``Unsatisfiable``.
+``verify_axioms`` re-checks the axioms exhaustively; nothing is trusted on
+faith.
 """
 
 from __future__ import annotations
@@ -28,38 +48,54 @@ from dataclasses import dataclass, field
 
 from gridhom.gridcore import GridDiagram, GridDomain, GridError, RectInfo
 
-CliffordElt = dict  # bitmask of {0..n-1} -> int coefficient
-
 
 class Unsatisfiable(GridError):
     """The axiom system admits no solution (never expected)."""
 
 
-def _mul_vector(elt: CliffordElt, i: int, j: int) -> CliffordElt:
-    """Right-multiply by the unnormalized vector e_i - e_j."""
-    out: CliffordElt = {}
-    for mask, c in elt.items():
-        for k, sgn in ((i, 1), (j, -1)):
-            # e_S * e_k: move e_k past the elements of S greater than k
-            above = (mask >> (k + 1)).bit_count()
-            coeff = c * sgn * (1 - 2 * (above & 1))
-            new = mask ^ (1 << k)
-            w = out.get(new, 0) + coeff
-            if w:
-                out[new] = w
-            else:
-                del out[new]
+def _gammas(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """rho(e_k) for k < n as ``(src, sgn)``: on the 2d integer coordinates
+    (real part of basis vector b at 2b, imaginary part at 2b + 1) it sends u
+    to the vector whose coordinate t is ``sgn[t] * u[src[t]]``."""
+    m = n // 2
+    d = 1 << m
+    out = []
+    for k in range(n):
+        a, y = divmod(k, 2)
+        flip = 1 << a if a < m else 0  # X or Y on factor a; none for odd n's last gamma
+        src, sgn = [0] * (2 * d), [0] * (2 * d)
+        for b in range(d):
+            p = 2 * ((b & ((1 << a) - 1)).bit_count() & 1)  # Z on the factors before a
+            if y:  # Y: |0> -> i|1>, |1> -> -i|0>
+                p += 3 if b >> a & 1 else 1
+            # the image of basis vector b is i^p times basis vector b ^ flip
+            t = b ^ flip
+            src[2 * t], sgn[2 * t] = 2 * b + (p & 1), 1 if p % 4 in (0, 3) else -1
+            src[2 * t + 1], sgn[2 * t + 1] = 2 * b + 1 - (p & 1), 1 if p % 4 < 2 else -1
+        out.append((tuple(src), tuple(sgn)))
     return out
 
 
-class _PinLifts:
-    """Lazy table of Clifford lifts of permutations, one fixed lift each."""
+class _Spinors:
+    """Lazy table of u_sigma = rho(L(sigma)^rev) v0, one fixed Pin lift L."""
 
     def __init__(self, n: int):
-        self.n = n
-        self._table: dict[tuple, CliffordElt] = {tuple(range(n)): {0: 1}}
+        gammas = _gammas(n)
+        # rho(e_i - e_j) for every ordered pair, one (src_i, sgn_i, src_j, -sgn_j) per coordinate
+        self._act = {
+            (i, j): tuple(zip(gammas[i][0], gammas[i][1], gammas[j][0], [-v for v in gammas[j][1]]))
+            for i in range(n)
+            for j in range(n)
+            if i != j
+        }
+        d2 = 2 << n // 2
+        self._table: dict[tuple, tuple] = {tuple(range(n)): (1,) + (0,) * (d2 - 1)}
 
-    def lift(self, sigma: tuple) -> CliffordElt:
+    def _apply(self, i: int, j: int, u: tuple) -> tuple:
+        """rho(e_i - e_j) u."""
+        return tuple(s * u[p] + t * u[q] for p, s, q, t in self._act[i, j])
+
+    def spinor(self, sigma: tuple) -> tuple:
         found = self._table.get(sigma)
         if found is not None:
             return found
@@ -70,7 +106,7 @@ class _PinLifts:
             if top in self._table:
                 stack.pop()
                 continue
-            p = next(p for p in range(self.n - 1) if top[p] > top[p + 1])
+            p = next(p for p in range(len(top) - 1) if top[p] > top[p + 1])
             parent = list(top)
             parent[p], parent[p + 1] = parent[p + 1], parent[p]
             parent = tuple(parent)
@@ -78,27 +114,20 @@ class _PinLifts:
             if got is None:
                 stack.append(parent)
                 continue
-            self._table[top] = _mul_vector(got, p, p + 1)
+            self._table[top] = self._apply(p, p + 1, got)
             stack.pop()
         return self._table[sigma]
 
-    def edge_sign(self, sigma: tuple, pair: tuple[int, int]) -> int:
-        """Sign comparing L(sigma)*(e_i - e_j) with L(sigma (i j))."""
-        i, j = pair
-        tau = list(sigma)
-        tau[i], tau[j] = tau[j], tau[i]
-        prod = _mul_vector(self.lift(sigma), i, j)
-        target = self.lift(tuple(tau))
-        key = min(target)
-        num, den = prod[key], target[key]
-        if num % den:
-            raise Unsatisfiable("Pin lift comparison failed; lifts are inconsistent")
-        lam = num // den
-        if any(prod.get(mask, 0) != lam * c for mask, c in target.items()) or len(prod) != len(
-            target
-        ):
-            raise Unsatisfiable("Pin lift comparison failed; not proportional")
-        return 1 if lam > 0 else -1
+    def edge_sign(self, sigma: tuple, tau: tuple, i: int, j: int) -> int:
+        """Sign of lambda in L(sigma)*(e_i - e_j) = lambda * L(tau), tau = sigma (i j)."""
+        w = self._apply(i, j, self.spinor(sigma))
+        u = self.spinor(tau)
+        k = next(k for k, v in enumerate(u) if v)
+        num, den = w[k], u[k]
+        # a real lambda scales real and imaginary parts alike
+        if not num or [den * a for a in w] != [num * b for b in u]:
+            raise Unsatisfiable("Pin lift comparison failed; the ratio is not a nonzero real")
+        return 1 if (num > 0) == (den > 0) else -1
 
 
 @dataclass
@@ -106,12 +135,12 @@ class SignAssignment:
     """Total sign table on the rectangles of one grid diagram."""
 
     diagram: GridDiagram
-    _lifts: _PinLifts = field(repr=False, default=None)
+    _spinors: _Spinors = field(repr=False, default=None)
     _cache: dict = field(repr=False, default_factory=dict)
 
     def __post_init__(self):
-        if self._lifts is None:
-            self._lifts = _PinLifts(self.diagram.n)
+        if self._spinors is None:
+            self._spinors = _Spinors(self.diagram.n)
 
     def of(self, info: RectInfo) -> int:
         key = info.key
@@ -120,7 +149,7 @@ class SignAssignment:
             i, j = info.pair
             if info.role == 1:
                 i, j = j, i  # orient the reflection vector from the BL corner's column
-            s = self._lifts.edge_sign(info.from_sigma, (i, j))
+            s = self._spinors.edge_sign(info.from_sigma, info.to_sigma, i, j)
             # Correct by the cell-count parities in the top row and the
             # rightmost column; both are Z/2-linear in the 2-chain, so they
             # never disturb the two-decomposition axiom, and together with

@@ -143,7 +143,7 @@ class TestWitnesses:
             w = dp.minimal_witness(grid4, a, b, y)
             if w is None:
                 continue
-            vec = w.rect.a_vec() if w.kind == "A" else w.rect.b_vec()
+            vec = w.rect.a_vec if w.kind == "A" else w.rect.b_vec
             bound = a if w.kind == "A" else b
             assert any(vec)
             assert all(v <= m for v, m in zip(vec, bound))

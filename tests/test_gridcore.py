@@ -3,6 +3,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridhom.gridcore import (
     GridDiagram,
@@ -11,6 +12,7 @@ from gridhom.gridcore import (
     EndpointMismatch,
     NotPositive,
     PeriodicDomain,
+    RectInfo,
     canonicalize,
     parse_grid_json,
     parse_grid_text,
@@ -77,6 +79,67 @@ def brute_force_rectangles(g, sigma):
     return sorted(set(out))
 
 
+def reference_rect_infos(g, sigma):
+    """The rectangle records of x^sigma built candidate by candidate from
+    column and row lists: the enumeration ``_build_rect_infos`` replaced
+    (whose records computed ``a_vec``/``b_vec`` on each call)."""
+    n = g.n
+    fc, fr = n - 1, n - 1
+    infos = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for role in (0, 1):
+                if role == 0:
+                    c0, w = i, j - i
+                    r0, h = sigma[i], (sigma[j] - sigma[i]) % n
+                else:
+                    c0, w = j, n - (j - i)
+                    r0, h = sigma[j], (sigma[i] - sigma[j]) % n
+                cols = [(c0 + dc) % n for dc in range(w)]
+                rows = [(r0 + dr) % n for dr in range(h)]
+                if fc in cols and fr in rows:
+                    continue
+                # interior must avoid the other coordinates
+                if any(
+                    0 < (k - c0) % n < w and 0 < (sigma[k] - r0) % n < h
+                    for k in range(n)
+                    if k != i and k != j
+                ):
+                    continue
+                rowset = set(rows)
+                o_vec = tuple(1 if c in cols and g.o_row[c] in rowset else 0 for c in range(n))
+                x_vec = tuple(1 if c in cols and g.x_row[c] in rowset else 0 for c in range(n))
+                tau = list(sigma)
+                tau[i], tau[j] = tau[j], tau[i]
+                infos.append(
+                    RectInfo(
+                        from_sigma=sigma,
+                        to_sigma=tuple(tau),
+                        pair=(i, j),
+                        role=role,
+                        col0=c0,
+                        width=w,
+                        row0=r0,
+                        height=h,
+                        o_vec=o_vec,
+                        x_vec=x_vec,
+                        meets_last_column=n - 1 in cols,
+                        meets_top_row=n - 1 in rowset,
+                        a_vec=tuple(int(n - 1 in cols and r in rowset) for r in range(n - 1)),
+                        b_vec=tuple(int(n - 1 in rowset and c in cols) for c in range(n - 1)),
+                    )
+                )
+    return infos
+
+
+@st.composite
+def canonical_grids(draw, max_n=6):
+    n = draw(st.integers(1, max_n))
+    o = draw(st.permutations(range(n)))
+    x = draw(st.permutations(range(n)).filter(lambda x: n == 1 or all(a != b for a, b in zip(o, x))))
+    return canonicalize(GridDiagram(n, tuple(o), tuple(x)))
+
+
 class TestCanonicalize:
     def test_already_canonical(self):
         g = GridDiagram(2, (1, 0), (0, 1))
@@ -113,6 +176,18 @@ class TestRectangles:
         for sigma in itertools.permutations(range(n)):
             got = sorted((i.col0, i.width, i.row0, i.height) for i in g.rectangle_infos(sigma))
             assert got == brute_force_rectangles(g, sigma)
+
+    @pytest.mark.parametrize("name", ["unknot2", "hopf4", "trefoil5", "t25"])
+    def test_records_match_reference_on_fixtures(self, name, request):
+        g = request.getfixturevalue(name)
+        for sigma in itertools.permutations(range(g.n)):
+            assert g.rectangle_infos(sigma) == reference_rect_infos(g, sigma)
+
+    @settings(max_examples=10, deadline=None)
+    @given(canonical_grids())
+    def test_records_match_reference_on_random_grids(self, g):
+        for sigma in itertools.permutations(range(g.n)):
+            assert g.rectangle_infos(sigma) == reference_rect_infos(g, sigma)
 
     def test_unknot_counts(self, unknot2):
         counts = {s: len(unknot2.rectangle_infos(s)) for s in [(0, 1), (1, 0)]}
@@ -337,6 +412,15 @@ class TestUniqueDomain:
             assert d.satisfies_boundary_condition()
             assert d.x_vec()[2] == 0  # X_2 sits in the top-right cell
 
+    @pytest.mark.parametrize("name", ["trefoil5", "hopf4"])
+    def test_base_maslov_index_reads_quadrants(self, name, request):
+        g = request.getfixturevalue(name)
+        zero = (0,) * (g.n - 1)
+        gens = list(g.generators())
+        for x in gens:
+            for y in gens:
+                assert g.base_maslov_index(x, y) == g.unique_domain(x, y, zero, zero).maslov_index()
+
 
 class TestPeriodicDomains:
     def test_roundtrip(self, grid4):
@@ -361,7 +445,7 @@ class TestFlatQueries:
         for x in g.generators():
             for info in g.rectangle_infos(x.sigma):
                 d = info.domain(g)
-                assert info.a_vec() == d.a_vec() and info.b_vec() == d.b_vec()
+                assert info.a_vec == d.a_vec() and info.b_vec == d.b_vec()
                 assert info.meets_last_column == any(cell(d, n - 1, r) for r in range(n))
                 assert info.meets_top_row == any(cell(d, c, n - 1) for c in range(n))
 

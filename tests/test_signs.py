@@ -1,11 +1,136 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridhom.gridcore import GridDiagram
-from gridhom.signs import GaugeTwist, SignAssignment, build_sign_assignment, verify_axioms
+from gridhom.signs import (
+    GaugeTwist,
+    SignAssignment,
+    _gammas,
+    _Spinors,
+    build_sign_assignment,
+    verify_axioms,
+)
 from gridhom.gridcomplex import FlavorSpec, build_complex
+
+# -- the Clifford oracle -------------------------------------------------------
+# The Pin lifts expanded blade by blade in Cl(R^n), as the package evaluated
+# them before it moved to the spinor representation.  The comparison
+# cross-multiplies instead of dividing: lambda is +-2^k, and k < 0 occurs for
+# transpositions that no rectangle realizes (at n = 3,
+# L(id) * (e_0 - e_2) = -1/2 * L((2, 1, 0))).
+
+CliffordElt = dict  # bitmask of {0..n-1} -> int coefficient
+
+
+def _mul_vector(elt: CliffordElt, i: int, j: int) -> CliffordElt:
+    """Right-multiply by the unnormalized vector e_i - e_j."""
+    out: CliffordElt = {}
+    for mask, c in elt.items():
+        for k, sgn in ((i, 1), (j, -1)):
+            # e_S * e_k: move e_k past the elements of S greater than k
+            above = (mask >> (k + 1)).bit_count()
+            coeff = c * sgn * (1 - 2 * (above & 1))
+            new = mask ^ (1 << k)
+            w = out.get(new, 0) + coeff
+            if w:
+                out[new] = w
+            else:
+                del out[new]
+    return out
+
+
+class _PinLifts:
+    """Lazy table of Clifford lifts of permutations, one fixed lift each."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self._table: dict[tuple, CliffordElt] = {tuple(range(n)): {0: 1}}
+
+    def lift(self, sigma: tuple) -> CliffordElt:
+        found = self._table.get(sigma)
+        if found is not None:
+            return found
+        # peel the smallest descent
+        parent = list(sigma)
+        p = next(p for p in range(self.n - 1) if sigma[p] > sigma[p + 1])
+        parent[p], parent[p + 1] = parent[p + 1], parent[p]
+        self._table[sigma] = got = _mul_vector(self.lift(tuple(parent)), p, p + 1)
+        return got
+
+    def edge_sign(self, sigma: tuple, pair: tuple[int, int]) -> int:
+        """Sign of lambda in L(sigma)*(e_i - e_j) = lambda * L(sigma (i j))."""
+        i, j = pair
+        tau = list(sigma)
+        tau[i], tau[j] = tau[j], tau[i]
+        prod = _mul_vector(self.lift(sigma), i, j)
+        target = self.lift(tuple(tau))
+        key = min(target)
+        num, den = prod.get(key, 0), target[key]
+        assert num and prod.keys() == target.keys()
+        assert all(prod[mask] * den == num * c for mask, c in target.items())
+        return 1 if (num > 0) == (den > 0) else -1
+
+
+def clifford_table(g: GridDiagram) -> dict:
+    """The sign of every rectangle of g from the Clifford oracle, with the
+    orientation and parity corrections of ``SignAssignment.of``."""
+    lifts = _PinLifts(g.n)
+    out = {}
+    for x in g.generators():
+        for info in g.rectangle_infos(x.sigma):
+            i, j = info.pair
+            if info.role == 1:
+                i, j = j, i
+            s = lifts.edge_sign(info.from_sigma, (i, j))
+            flip = 0
+            if info.meets_top_row:
+                flip ^= info.width & 1
+            if info.meets_last_column:
+                flip ^= info.height & 1
+            out[info.key] = -s if flip else s
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_spinor_edge_signs_equal_clifford(n):
+    lifts, spinors = _PinLifts(n), _Spinors(n)
+    for sigma in itertools.permutations(range(n)):
+        for i, j in itertools.permutations(range(n), 2):
+            tau = list(sigma)
+            tau[i], tau[j] = tau[j], tau[i]
+            assert spinors.edge_sign(sigma, tuple(tau), i, j) == lifts.edge_sign(sigma, (i, j))
+
+
+@pytest.mark.parametrize("name", ["unknot2", "trefoil5", "hopf4"])
+def test_sign_table_equals_clifford(name, request):
+    g = request.getfixturevalue(name)
+    assert build_sign_assignment(g).table() == clifford_table(g)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_gammas_satisfy_clifford_relations(n):
+    """rho(e_k) rho(e_l) + rho(e_l) rho(e_k) = 2 delta_kl on every basis
+    coordinate, and each rho(e_k) commutes with multiplication by i."""
+    gammas = _gammas(n)
+    size = len(gammas[0][0])
+
+    def act(k, u):
+        src, sgn = gammas[k]
+        return tuple(s * u[p] for p, s in zip(src, sgn))
+
+    def times_i(u):
+        return tuple(v for b in range(0, size, 2) for v in (-u[b + 1], u[b]))
+
+    for b in range(size):
+        e = tuple(int(a == b) for a in range(size))
+        for k, l in itertools.product(range(n), repeat=2):
+            anti = [p + q for p, q in zip(act(k, act(l, e)), act(l, act(k, e)))]
+            assert anti == [2 * v * (k == l) for v in e]
+        for k in range(n):
+            assert act(k, times_i(e)) == times_i(act(k, e))
 
 
 @pytest.mark.parametrize(
