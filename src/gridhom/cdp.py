@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from gridhom import partitions as pt
 from gridhom.domainposet import g_set
-from gridhom.gridcore import Generator, GridDiagram, GridDomain, PeriodicDomain
+from gridhom.gridcore import Generator, GridDiagram, GridDomain
 from gridhom.homalg import HomologyTable, IntegerChainComplex, chain_add
 from gridhom.signs import SignAssignment
 
@@ -291,13 +291,12 @@ class ClosureComplex:
 # -- distinguished subcomplexes ---------------------------------------------------
 
 
-def build_cdp_dagger(g: GridDiagram, s: SignAssignment | None = None) -> IntegerChainComplex:
+def build_cdp_dagger(g: GridDiagram, s: SignAssignment) -> IntegerChainComplex:
     """The subcomplex on (trivial domain at x^Id, N in {0,1}^n, unit parts).
 
     Its differential has only type IV terms, and the initial/final reductions
-    cancel in pairs, so it vanishes; the homology in degree k is free of rank
-    C(n, k).  When a sign assignment is supplied the vanishing is recomputed
-    from the full differential instead of assumed.
+    cancel in pairs, so it vanishes and the homology in degree k is free of
+    rank C(n, k); the differential is computed in full, not assumed zero.
     """
     import itertools
 
@@ -308,13 +307,12 @@ def build_cdp_dagger(g: GridDiagram, s: SignAssignment | None = None) -> Integer
         triples.append(PartitionedDomain(g.trivial_domain(x_id), n_vec, lambdas))
     grading = {t.key: t.gr for t in triples}
     diff: dict = {}
-    if s is not None:
-        for t in triples:
-            col = {u.key: c for c, u in cdp_differential(s, t)}
-            if not col.keys() <= grading.keys():
-                raise AssertionError("dagger subcomplex is not closed")
-            if col:
-                diff[t.key] = col
+    for t in triples:
+        col = {u.key: c for c, u in cdp_differential(s, t)}
+        if not col.keys() <= grading.keys():
+            raise AssertionError("dagger subcomplex is not closed")
+        if col:
+            diff[t.key] = col
     return IntegerChainComplex(grading, diff)
 
 
@@ -358,14 +356,15 @@ def graded_piece_complex(
     """The associated-graded piece CD^{a,b,y} on the interval [m^{a,b,y}, Id].
 
     Generators are the x in G^{a,b,y} (each carrying its unique positive
-    domain, the zero-data domain plus the periodic domain with data (a, b),
-    so its Maslov index is the sum of theirs, the first read from quadrant
-    counts by ``GridDiagram.base_maslov_index``); the differential splits off
-    front rectangles avoiding the last row and column.
+    domain, the zero-data domain plus the periodic domain
+    ``unique_domain(y, y, a, b)``, so its Maslov index is the sum of theirs,
+    the first read from the O table by ``GridDiagram.base_maslov_index``);
+    the differential splits off front rectangles avoiding the last row and
+    column.
     """
     a, b = tuple(a), tuple(b)
     members = g_set(g, a, b, y)
-    mu_periodic = PeriodicDomain(a, b).to_domain(g, y).maslov_index()
+    mu_periodic = g.unique_domain(y, y, a, b).maslov_index()
     grading = {x: g.base_maslov_index(g.generator(x), y) + mu_periodic for x in members}
     diff: dict = {}
     for sigma in members:

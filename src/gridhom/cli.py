@@ -384,7 +384,7 @@ def cmd_spectrum(args) -> int:
     obj = spectra.report_to_json_obj(report)
     lines = [f"spectrum report for {args.grid}"]
     for a2, rep in sorted(report.items()):
-        a_label = a2 // 2 if a2 % 2 == 0 else f"{a2}/2"
+        a_label = spectra.alexander_label(a2)
         for flavor in rep.wedges:
             lines.append(f"  A={a_label} {flavor}: {rep.wedges[flavor].describe()}")
         for m, data in rep.u_maps.items():

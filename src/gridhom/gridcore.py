@@ -18,6 +18,9 @@ annuli ``H_j`` / ``V_j`` are the row and column through ``O_j``.  The marking
 ``(n-1, n-1)`` after canonicalization, and every domain handled by this
 package has coefficient zero there.
 
+Gradings are point counts against marking sets, each a sum of one look-up per
+column in tables built once per diagram (``_MarkingTable``).
+
 A domain's multiplicities are one flat tuple of ``n*n`` ints, the cell
 ``(c, r)`` at index ``c*n + r``.  The order is column-major, so domain keys
 compare column by column.  Only this module reads or builds that tuple; the
@@ -30,7 +33,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import add, sub
+from operator import add, getitem, sub
 from typing import NamedTuple
 
 Perm = tuple[int, ...]
@@ -52,20 +55,32 @@ class NotPositive(GridError):
     """Operation requires a positive domain."""
 
 
-def _count_below_left(a: list[tuple[int, int]], b: list[tuple[int, int]]) -> int:
-    """Number of pairs (p, q) in a x b with p strictly below-left of q."""
-    return sum(1 for (px, py) in a for (qx, qy) in b if px < qx and py < qy)
+class _MarkingTable(NamedTuple):
+    """Point counts against one marking set P, by column.
 
+    ``I(A, B)`` counts the pairs (a, b) with a strictly below-left of b, for
+    generator points at lattice points and markings at cell centres, and
+    ``M_P(x) = I(x, x) - I(x, P) - I(P, x) + I(P, P) + 1``.  The point (i, v)
+    is below-left of the marking in cell (c, r) iff i <= c and v <= r, and
+    above-right of it iff i > c and v > r, so ``I(x, P) = sum_i above[i][x_i]``
+    and ``I(P, x) = sum_i below[i][x_i]``; ``I(x, x) = #{i < j : x_i < x_j}``.
+    """
 
-def _point_count(points: list[tuple[int, int]], marks: list[tuple[int, int]]) -> int:
-    """I(x,x) - I(x,P) - I(P,x) + I(P,P) + 1 in doubled coordinates."""
-    return (
-        _count_below_left(points, points)
-        - _count_below_left(points, marks)
-        - _count_below_left(marks, points)
-        + _count_below_left(marks, marks)
-        + 1
-    )
+    above: tuple[tuple[int, ...], ...]  # [i][v]: markings (c, r) with c >= i and r >= v
+    below: tuple[tuple[int, ...], ...]  # [i][v]: markings (c, r) with c < i and r < v
+    inner: int  # I(P, P)
+
+    @staticmethod
+    def of(n: int, cells: list[tuple[int, int]]) -> "_MarkingTable":
+        return _MarkingTable(
+            tuple(tuple(sum(c >= i and r >= v for c, r in cells) for v in range(n)) for i in range(n)),
+            tuple(tuple(sum(c < i and r < v for c, r in cells) for v in range(n)) for i in range(n)),
+            sum(c < d and r < s for c, r in cells for d, s in cells),
+        )
+
+    def crossings(self, sigma: Perm) -> int:
+        """``I(x, P) + I(P, x)`` for x = x^sigma."""
+        return sum(map(getitem, self.above, sigma)) + sum(map(getitem, self.below, sigma))
 
 
 def _quadrant_counts(sigma: Perm) -> list[int]:
@@ -199,15 +214,21 @@ class GridDiagram:
     def num_components(self) -> int:
         return max(self.component_of_o) + 1
 
-    # -- marking positions (doubled coordinates) -----------------------------
+    # -- marking tables ---------------------------------------------------------
 
     @cached_property
-    def _o_points2(self) -> list[tuple[int, int]]:
-        return [(2 * c + 1, 2 * self.o_row[c] + 1) for c in range(self.n)]
+    def _o_table(self) -> _MarkingTable:
+        return _MarkingTable.of(self.n, list(enumerate(self.o_row)))
 
     @cached_property
-    def _x_points2(self) -> list[tuple[int, int]]:
-        return [(2 * c + 1, 2 * self.x_row[c] + 1) for c in range(self.n)]
+    def _component_tables(self) -> tuple[tuple[_MarkingTable, _MarkingTable, int], ...]:
+        """Per component: the tables of its O and X markings, and its O count."""
+        out = []
+        for comp in range(self.num_components):
+            os = [(c, r) for c, r in enumerate(self.o_row) if self.component_of_o[c] == comp]
+            xs = [(c, r) for c, r in enumerate(self.x_row) if self.component_of_x[c] == comp]
+            out.append((_MarkingTable.of(self.n, os), _MarkingTable.of(self.n, xs), len(os)))
+        return tuple(out)
 
     # -- generators and gradings --------------------------------------------
 
@@ -224,39 +245,30 @@ class GridDiagram:
             self._gen_cache[sigma] = gen
         return gen
 
-    def _points2(self, sigma: Perm) -> list[tuple[int, int]]:
-        return [(2 * i, 2 * sigma[i]) for i in range(self.n)]
-
     def _maslov(self, sigma: Perm) -> int:
         """Maslov grading, normalized so grid homology is a link invariant.
 
-        The point-count formula is computed in the fundamental domain
-        ``[0,n)^2``; the extra ``n - l`` (markings minus components) corrects
-        for index 0/3 stabilizations, pinning the unknot's hat homology at
-        Maslov 0 on every grid presentation.
+        ``M_O(x)`` read from the O table (see ``_MarkingTable``); the extra
+        ``n - l`` (markings minus components) corrects for index 0/3
+        stabilizations, pinning the unknot's hat homology at Maslov 0 on every
+        grid presentation.
         """
-        pts = self._points2(sigma)
-        return _point_count(pts, self._o_points2) + (self.n - self.num_components)
-
-    def maslov_pointcount(self, sigma: Perm, marks2: list[tuple[int, int]]) -> int:
-        """Unnormalized point-count grading with respect to a marking set."""
-        return _point_count(self._points2(sigma), marks2)
+        o = self._o_table
+        pairs = sum(u < v for u, v in itertools.combinations(sigma, 2))
+        return pairs - o.crossings(sigma) + o.inner + 1 + (self.n - self.num_components)
 
     def _alexander2(self, sigma: Perm) -> tuple[int, ...]:
         """Doubled Alexander multi-grading.
 
         Per component k: 2*A_k = M_{O_k} - M_{X_k} + (n_k - 1), with M_P the
-        point count against the component's own markings.  The ``n_k - 1``
-        offset matches the Maslov normalization above.
+        point count against the component's own markings; ``I(x, x)`` and the
+        ``+ 1`` cancel in the difference.  The ``n_k - 1`` offset matches the
+        Maslov normalization above.
         """
-        pts = self._points2(sigma)
-        out = []
-        for comp in range(self.num_components):
-            os = [p for c, p in enumerate(self._o_points2) if self.component_of_o[c] == comp]
-            xs = [p for c, p in enumerate(self._x_points2) if self.component_of_x[c] == comp]
-            nk = len(os)
-            out.append(_point_count(pts, os) - _point_count(pts, xs) + (nk - 1))
-        return tuple(out)
+        return tuple(
+            xt.crossings(sigma) - ot.crossings(sigma) + ot.inner - xt.inner + nk - 1
+            for ot, xt, nk in self._component_tables
+        )
 
     # -- rectangles -----------------------------------------------------------
 
@@ -426,20 +438,12 @@ class GridDiagram:
         """``base_domain(x, y).maslov_index()`` without building the domain.
 
         By the quadrant form the domain has ``Q_x(c, r) - Q_y(c, r)`` on cell
-        ``(c, r)``, so its O-count is ``sum_c Q_x(c, o_c) - Q_y(c, o_c)``.
+        ``(c, r)``, so its O-count is ``sum_c Q_x(c, o_c) - Q_y(c, o_c)``,
+        which is ``I(O, x) - I(O, y)``: the O table's ``below`` part.
         """
-        return x.maslov - y.maslov + 2 * (self._o_quadrants(x.sigma) - self._o_quadrants(y.sigma))
-
-    def _o_quadrants(self, sigma: Perm) -> int:
-        """``sum_c Q_sigma(c, o_row[c])``: pairs of an O and a point of x^sigma
-        strictly up and to the right of it."""
-        return sum(below[v] for below, v in zip(self._o_below_left, sigma))
-
-    @cached_property
-    def _o_below_left(self) -> tuple[tuple[int, ...], ...]:
-        """``[i][v]``: the O markings in columns ``< i`` and rows ``< v``."""
-        n, o_row = self.n, self.o_row
-        return tuple(tuple(sum(o_row[c] < v for c in range(i)) for v in range(n)) for i in range(n))
+        below = self._o_table.below
+        o_count = sum(map(getitem, below, x.sigma)) - sum(map(getitem, below, y.sigma))
+        return x.maslov - y.maslov + 2 * o_count
 
     def subdomain_data(self, rem: "GridDomain") -> list[tuple[Perm, tuple[int, ...], tuple[int, ...]]]:
         """Every ``(w, a, b)`` with ``0 <= unique_domain(x, w, a, b) <= rem``
@@ -664,29 +668,6 @@ class GridDomain:
             _, rect, current = candidates[0]
             out.append(rect)
         return out
-
-
-@dataclass(frozen=True)
-class PeriodicDomain:
-    """A periodic 2-chain, recorded by its row/column annulus coefficients."""
-
-    h_coeffs: tuple[int, ...]
-    v_coeffs: tuple[int, ...]
-
-    @staticmethod
-    def from_domain(d: GridDomain) -> "PeriodicDomain":
-        if d.from_sigma != d.to_sigma:
-            raise EndpointMismatch("periodic domains have equal endpoints")
-        return PeriodicDomain(d.a_vec(), d.b_vec())
-
-    def to_domain(self, g: GridDiagram, x: Generator) -> GridDomain:
-        """The chain at x: ``h_coeffs[r]`` on each row r, plus ``v_coeffs[c]``
-        on each column c."""
-        n = g.n
-        h = tuple(self.h_coeffs) + (0,) * (n - len(self.h_coeffs))
-        v = tuple(self.v_coeffs) + (0,) * (n - len(self.v_coeffs))
-        mult = tuple(v[c] + h[r] for c in range(n) for r in range(n))
-        return GridDomain(g, x.sigma, x.sigma, mult)
 
 
 # -- canonicalization and parsing ---------------------------------------------

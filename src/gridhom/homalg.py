@@ -91,22 +91,20 @@ class IntegerChainComplex:
         reduced, _, _ = reduce_complex(self)
         return HomologyTable.from_bases(homology_with_bases(reduced))
 
-    def associated_graded(self, filtration, leq=None) -> list["IntegerChainComplex"]:
+    def associated_graded(self, filtration) -> list["IntegerChainComplex"]:
         """Split into filtration-level pieces.
 
         ``filtration`` maps basis keys to values; the differential must not
-        raise the value (``leq`` compares values, default scalar <=).  The
-        returned complexes keep only the level-preserving part of ``diff``.
+        raise the value (compared with ``<=``).  The returned complexes keep
+        only the level-preserving part of ``diff``.
         """
-        if leq is None:
-            leq = lambda a, b: a <= b
         levels: dict = {}
         for key in self.grading:
             levels.setdefault(filtration(key), []).append(key)
         for key, col in self.diff.items():
             fv = filtration(key)
             for key2 in col:
-                if not leq(filtration(key2), fv):
+                if not filtration(key2) <= fv:
                     raise NotAFiltration(f"differential raises filtration at {key!r} -> {key2!r}")
         out = []
         for value, keys in sorted(levels.items(), key=lambda kv: repr(kv[0])):

@@ -1,6 +1,6 @@
 """Ordered partitions (compositions) and the moves used by the partitioned
-domain complex: elementary coarsenings, unit enlargements, and initial/final
-reductions, each with its sign.
+domain complex: elementary coarsenings and unit enlargements, each with its
+sign.  The initial/final reductions are taken in ``cdp.delta_IV``.
 
 A composition is a plain tuple of positive integers; the empty tuple is the
 unique composition of 0.
@@ -96,16 +96,6 @@ def unit_enlargements(lam: Composition) -> list[tuple[Composition, int]]:
         enlarged = lam[: k - 1] + (1,) + lam[k - 1 :]
         out.append((enlarged, -1 if (k - 1) % 2 else 1))
     return out
-
-
-def reductions(lam: Composition) -> dict:
-    """Initial and final reductions; empty input reduces to nothing."""
-    if not lam:
-        return {"initial": None, "final": None}
-    return {
-        "initial": (lam[1:], lam[0]),
-        "final": (lam[:-1], lam[-1]),
-    }
 
 
 def refines(lam: Composition, coarser: Composition) -> bool:

@@ -186,6 +186,11 @@ def spectrum_report(g: GridDiagram, s: SignAssignment, alexander_range=None) -> 
     return {a2: out[a2] for a2 in order}
 
 
+def alexander_label(a2: int) -> str:
+    """The Alexander grading of doubled value ``a2``: ``"2"`` or ``"3/2"``."""
+    return f"{a2 // 2}" if a2 % 2 == 0 else f"{a2}/2"
+
+
 def report_to_json_obj(report: dict) -> dict:
     obj = {}
     for a2, rep in sorted(report.items()):
@@ -200,6 +205,5 @@ def report_to_json_obj(report: dict) -> dict:
                 str(m): {"iso": d["iso"], "matrices": {str(k): v for k, v in d["matrices"].items()}}
                 for m, d in rep.u_maps.items()
             }
-        key = f"{a2 // 2}" if a2 % 2 == 0 else f"{a2}/2"
-        obj[key] = entry
+        obj[alexander_label(a2)] = entry
     return obj

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from gridhom import domainposet as dp
-from gridhom.gridcore import GridDiagram, PeriodicDomain
+from gridhom.gridcore import GridDiagram
 
 
 def subword_bruhat_oracle(sigma, tau):
@@ -190,7 +190,7 @@ class TestMinimum:
 def brute_g_set(g, a, b, y):
     """G^{a,b,y} by testing every x: the zero-data domain plus the periodic
     domain with data (a, b) must be positive."""
-    periodic = PeriodicDomain(tuple(a), tuple(b)).to_domain(g, y)
+    periodic = g.unique_domain(y, y, tuple(a), tuple(b))
     return {x.sigma for x in g.generators() if g.base_domain(x, y).compose(periodic).is_positive()}
 
 

@@ -259,6 +259,57 @@ class TestTables:
             assert cut == {k: v for k, v in full.items() if k <= cap - 2}
 
 
+# -- Euler characteristic against the grid determinant ----------------------------
+
+
+def winding_number(g, i, j):
+    """Winding number of the grid's link around the lattice point (i, j): its
+    vertical segments in the columns c < i that span height j, +1 for one
+    running up from X to O and -1 for one running down."""
+    w = 0
+    for c in range(i):
+        lo, hi = sorted((g.x_row[c], g.o_row[c]))
+        if lo < j <= hi:
+            w += 1 if g.x_row[c] < g.o_row[c] else -1
+    return w
+
+
+def grid_determinant(g):
+    """det(t^(-w(i, j))) as {doubled exponent: coefficient}, by the Leibniz
+    sum: every entry is a monomial, so each permutation adds one term."""
+    n = g.n
+    exps = [[-2 * winding_number(g, i, j) for j in range(n)] for i in range(n)]
+    poly = {}
+    for p in itertools.permutations(range(n)):
+        sign = (-1) ** sum(p[a] > p[b] for a, b in itertools.combinations(range(n), 2))
+        k = sum(exps[i][p[i]] for i in range(n))
+        poly[k] = poly.get(k, 0) + sign
+    return {k: v for k, v in poly.items() if v}
+
+
+def up_to_unit(poly):
+    """The Laurent polynomial divided by +-t^k: lowest term at 0, positive."""
+    low = min(poly)
+    sign = 1 if poly[low] > 0 else -1
+    return {k - low: sign * v for k, v in poly.items()}
+
+
+class TestEulerCharacteristic:
+    @pytest.mark.parametrize(
+        "name,signs", [("unknot2", "signs2"), ("trefoil5", "signs5"), ("hopf4", "signs_hopf"), ("t25", "signs7")]
+    )
+    def test_tilde_euler_characteristic_is_grid_determinant(self, name, signs, request):
+        # tilde homology categorifies Delta(t) (1 - t^-1)^(n-1) up to +-t^k, which
+        # the grid determinant equals; for a link, A is the total grading
+        g, s = request.getfixturevalue(name), request.getfixturevalue(signs)
+        chi = {}
+        for a2, groups in nonzero_tables(g, s, "tilde", a2_range(g)).items():
+            for m, (rank, _) in groups.items():
+                chi[sum(a2)] = chi.get(sum(a2), 0) + (-1 if m % 2 else 1) * rank
+        chi = {k: v for k, v in chi.items() if v}
+        assert up_to_unit(chi) == up_to_unit(grid_determinant(g))
+
+
 # -- build_complex against a reference written from the definition -------------
 
 

@@ -11,7 +11,6 @@ from gridhom.gridcore import (
     InvalidGrid,
     EndpointMismatch,
     NotPositive,
-    PeriodicDomain,
     RectInfo,
     canonicalize,
     parse_grid_json,
@@ -133,11 +132,46 @@ def reference_rect_infos(g, sigma):
 
 
 @st.composite
-def canonical_grids(draw, max_n=6):
+def grids(draw, max_n=6):
     n = draw(st.integers(1, max_n))
     o = draw(st.permutations(range(n)))
     x = draw(st.permutations(range(n)).filter(lambda x: n == 1 or all(a != b for a, b in zip(o, x))))
-    return canonicalize(GridDiagram(n, tuple(o), tuple(x)))
+    return GridDiagram(n, tuple(o), tuple(x))
+
+
+def canonical_grids(max_n=6):
+    return grids(max_n).map(canonicalize)
+
+
+def count_below_left(a, b):
+    """Number of pairs (p, q) in a x b with p strictly below-left of q."""
+    return sum(1 for (px, py) in a for (qx, qy) in b if px < qx and py < qy)
+
+
+def point_count(points, marks):
+    """I(x,x) - I(x,P) - I(P,x) + I(P,P) + 1 in doubled coordinates."""
+    return (
+        count_below_left(points, points)
+        - count_below_left(points, marks)
+        - count_below_left(marks, points)
+        + count_below_left(marks, marks)
+        + 1
+    )
+
+
+def reference_gradings(g, sigma):
+    """``(maslov, alexander2)`` by pair counts in doubled coordinates: the
+    points of x^sigma at even, the markings at odd coordinates."""
+    points = [(2 * i, 2 * v) for i, v in enumerate(sigma)]
+    os = [(2 * c + 1, 2 * r + 1) for c, r in enumerate(g.o_row)]
+    xs = [(2 * c + 1, 2 * r + 1) for c, r in enumerate(g.x_row)]
+    maslov = point_count(points, os) + g.n - g.num_components
+    alexander2 = []
+    for comp in range(g.num_components):
+        ok = [p for c, p in enumerate(os) if g.component_of_o[c] == comp]
+        xk = [p for c, p in enumerate(xs) if g.component_of_x[c] == comp]
+        alexander2.append(point_count(points, ok) - point_count(points, xk) + len(ok) - 1)
+    return maslov, tuple(alexander2)
 
 
 class TestCanonicalize:
@@ -227,10 +261,25 @@ class TestGradings:
         assert unknot2.generator((0, 1)).maslov == 1
 
     def test_maslov_pointcount_diagonal_o(self):
-        # n=3 with O on the diagonal: hand count gives -2 for the identity
+        # n=3 with O on the diagonal, one component: the hand count M_O = -2
+        # for the identity, plus n - l = 2
         g = GridDiagram(3, (0, 1, 2), (1, 2, 0))
-        marks = [(2 * c + 1, 2 * c + 1) for c in range(3)]
-        assert g.maslov_pointcount((0, 1, 2), marks) == -2
+        assert g.generator((0, 1, 2)).maslov == 0
+
+    @pytest.mark.parametrize("name", ["unknot2", "hopf4", "trefoil5", "t25"])
+    def test_tables_match_pair_counts_on_fixtures(self, name, request):
+        g = request.getfixturevalue(name)
+        # the fixtures are canonical; shifting the rows moves the X off the corner
+        for h in (g, g.shifted(1, 0)):
+            for x in h.generators():
+                assert (x.maslov, x.alexander2) == reference_gradings(h, x.sigma)
+
+    @settings(max_examples=20, deadline=None)
+    @given(grids())
+    def test_tables_match_pair_counts_on_random_grids(self, g):
+        for h in (g, canonicalize(g)):
+            for x in h.generators():
+                assert (x.maslov, x.alexander2) == reference_gradings(h, x.sigma)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_relative_maslov_law(self, n):
@@ -429,10 +478,11 @@ class TestPeriodicDomains:
         for _ in range(20):
             h = tuple(rng.randint(0, 3) for _ in range(3))
             v = tuple(rng.randint(0, 3) for _ in range(3))
-            p = PeriodicDomain(h, v)
-            d = p.to_domain(grid4, x)
-            assert PeriodicDomain.from_domain(d) == p
+            d = grid4.unique_domain(x, x, h, v)
+            assert (d.a_vec(), d.b_vec()) == (h, v)
             assert d.satisfies_boundary_condition()
+            # h[r] on each row r plus v[c] on each column c
+            assert all(cell(d, c, r) == (h + (0,))[r] + (v + (0,))[c] for c in range(4) for r in range(4))
 
 
 class TestFlatQueries:

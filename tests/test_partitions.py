@@ -89,23 +89,7 @@ class TestUnitEnlargements:
         for lam in pt.all_compositions(5):
             enlarged, sign = pt.unit_enlargements(lam)[0]
             assert sign == 1
-            red, dropped = pt.reductions(enlarged)["initial"]
-            assert red == lam and dropped == 1
-
-
-class TestReductions:
-    def test_example(self):
-        r = pt.reductions((2, 3, 1))
-        assert r["initial"] == ((3, 1), 2)
-        assert r["final"] == ((2, 3), 1)
-
-    def test_whole(self):
-        r = pt.reductions((6,))
-        assert r["initial"] == ((), 6)
-        assert r["final"] == ((), 6)
-
-    def test_empty(self):
-        assert pt.reductions(()) == {"initial": None, "final": None}
+            assert enlarged == (1,) + lam
 
 
 class TestRefines:
