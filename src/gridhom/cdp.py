@@ -360,7 +360,7 @@ def graded_piece_complex(
     ``unique_domain(y, y, a, b)``, so its Maslov index is the sum of theirs,
     the first read from the O table by ``GridDiagram.base_maslov_index``);
     the differential splits off front rectangles avoiding the last row and
-    column.
+    column, read from the arrow table ``SignAssignment.inner_arrows``.
     """
     a, b = tuple(a), tuple(b)
     members = g_set(g, a, b, y)
@@ -368,12 +368,7 @@ def graded_piece_complex(
     grading = {x: g.base_maslov_index(g.generator(x), y) + mu_periodic for x in members}
     diff: dict = {}
     for sigma in members:
-        col: dict = {}
-        for info in g.rectangle_infos(sigma):
-            if info.to_sigma not in members or info.meets_last_column or info.meets_top_row:
-                continue
-            col[info.to_sigma] = col.get(info.to_sigma, 0) + s.of(info)
-        col = {k: v for k, v in col.items() if v}
+        col = {tau: v for tau, v in s.inner_arrows(sigma).items() if tau in members}
         if col:
             diff[sigma] = col
     return IntegerChainComplex(grading, diff)

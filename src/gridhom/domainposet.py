@@ -10,6 +10,7 @@ drive the acyclicity of the positive-domain complex.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import le, sub
 
 from gridhom.gridcore import Generator, GridDiagram, RectInfo
 
@@ -106,51 +107,60 @@ class WitnessRectangle:
     tau: int
 
 
-def _witnesses(g: GridDiagram, a, b, y: Generator) -> list[WitnessRectangle]:
-    """A- and B-witness rectangles into y.
+def _witness_records(g: GridDiagram, a, b, y_sigma: Perm):
+    """``(kind, omega, tau, record)`` for each A- and B-witness rectangle
+    into y, in the order of ``rectangle_infos_into``.
 
     ``omega`` counts the annuli the rectangle crosses between its left edge
     (bottom edge for B) and the last column (row); together with the width
     (height) ``tau`` this pins both corners, so the lexicographic minimizer
-    is unique.
+    is unique.  A rectangle avoids the top-right cell, so it meets the last
+    column (top row) off that cell iff it meets it at all:
+    ``meets_last_column`` stands for ``any(a_vec)`` and ``meets_top_row``
+    for ``any(b_vec)``.
     """
     n = g.n
-    out = []
-    for info in g.rectangle_infos_into(y.sigma):
-        av, bv = info.a_vec, info.b_vec
-        z = g.generator(info.from_sigma)
-        if any(av) and all(x <= bound for x, bound in zip(av, a)):
-            omega = (n - 1 - info.col0) % n
-            out.append(WitnessRectangle("A", z, info, omega, info.width))
-        if any(bv) and all(x <= bound for x, bound in zip(bv, b)):
-            omega = (n - 1 - info.row0) % n
-            out.append(WitnessRectangle("B", z, info, omega, info.height))
-    return out
+    for info in g.rectangle_infos_into(y_sigma):
+        if info.meets_last_column and all(map(le, info.a_vec, a)):
+            yield "A", (n - 1 - info.col0) % n, info.width, info
+        if info.meets_top_row and all(map(le, info.b_vec, b)):
+            yield "B", (n - 1 - info.row0) % n, info.height, info
+
+
+def _minimal_witness_record(g: GridDiagram, a, b, y_sigma: Perm):
+    """The ``_witness_records`` entry of ``minimal_witness``, found without
+    building a generator or a witness object for the rectangles passed over."""
+    best: dict = {}
+    for w in _witness_records(g, a, b, y_sigma):
+        if w[0] not in best or w[1:3] < best[w[0]][1:3]:
+            best[w[0]] = w
+    return best.get("A") or best.get("B")
 
 
 def minimal_witness(g: GridDiagram, a, b, y: Generator) -> WitnessRectangle | None:
     """The A-witness minimizing (omega, tau) lexicographically, else the
     minimal B-witness, else None."""
-    ws = _witnesses(g, a, b, y)
-    for kind in ("A", "B"):
-        pool = [w for w in ws if w.kind == kind]
-        if pool:
-            pool.sort(key=lambda w: (w.omega, w.tau))
-            return pool[0]
-    return None
+    found = _minimal_witness_record(g, a, b, y.sigma)
+    if found is None:
+        return None
+    kind, omega, tau, info = found
+    return WitnessRectangle(kind, g.generator(info.from_sigma), info, omega, tau)
 
 
 def g_minimum(g: GridDiagram, a, b, y: Generator) -> Generator:
-    """The minimum m^{a,b,y} of G^{a,b,y}, by the witness recursion."""
+    """The minimum m^{a,b,y} of G^{a,b,y}, by the witness recursion: step
+    back along the minimal witness into y, lowering a (A) or b (B) by its
+    last-column (top-row) data, until no witness is left."""
     a, b = tuple(a), tuple(b)
-    w = minimal_witness(g, a, b, y)
-    if w is None:
-        return y
-    if w.kind == "A":
-        a2 = tuple(x - r for x, r in zip(a, w.rect.a_vec))
-        return g_minimum(g, a2, b, w.from_gen)
-    b2 = tuple(x - r for x, r in zip(b, w.rect.b_vec))
-    return g_minimum(g, a, b2, w.from_gen)
+    sigma = y.sigma
+    while (found := _minimal_witness_record(g, a, b, sigma)) is not None:
+        kind, _, _, info = found
+        if kind == "A":
+            a = tuple(map(sub, a, info.a_vec))
+        else:
+            b = tuple(map(sub, b, info.b_vec))
+        sigma = info.from_sigma
+    return g.generator(sigma)
 
 
 def g_set(g: GridDiagram, a, b, y: Generator) -> set[Perm]:

@@ -111,14 +111,15 @@ def build_complex(
     links are infinite: without a cap this raises ``UnboundedSlice``.  A
     slice truncated at a cap has its homology exact below ``cap - 1``.
 
-    The differential is built per generator sigma: its rectangles are
-    filtered once (no avoided X, a target generator with cells in the
-    slice), and each cell (sigma, j) then only subtracts a rectangle's O
-    markings from j and looks the result up; a negative entry, such as one
-    in a frozen column, matches no cell.  Every diff entry
-    stores the key object that ``grading`` holds for its cell, so all
-    columns that mention a cell share one key.  Each arrow asks for its
-    sign once, the first time it lands in the slice.
+    The differential is built per generator sigma from one fresh
+    ``rectangle_infos`` call, kept only while sigma's cells are built.  Its
+    rectangles are filtered once: no avoided X, no O in a frozen column, a
+    target generator with cells in the slice.  Each cell (sigma, j) then
+    skips a rectangle with an O where j is zero, tested on bit masks, and
+    otherwise subtracts the rectangle's O markings from j and looks the
+    result up.  Every diff entry stores the key object that ``grading``
+    holds for its cell, so all columns that mention a cell share one key.
+    Each arrow asks for its sign once, the first time it lands in the slice.
     """
     g._require_canonical()
     n = g.n
@@ -195,26 +196,36 @@ def build_complex(
         cells.setdefault(key[0], {})[key[1]] = key
 
     avoid = _x_constraint_mask(g, flavor)
+    zero_cols: dict = {}  # j -> bit mask of the columns c with j[c] == 0
     diff: dict = {}
     for sigma, by_j in cells.items():
         # the rectangles leaving sigma that can give an arrow in this slice:
-        # no avoided X and a target generator with cells; the last entry is
-        # the arrow's sign, 0 until it first lands
+        # no avoided X, no O in a frozen column and a target generator with
+        # cells; the last entry is the arrow's sign, 0 until it first lands
         arrows = []
         for info in g.rectangle_infos(sigma):
             targets = cells.get(info.to_sigma)
             if targets is None or any(info.x_vec[c] for c in avoid):
                 continue
-            arrows.append([targets, info.o_vec if any(info.o_vec) else None, info, 0])
+            o_vec = info.o_vec
+            if any(o_vec[c] for c in frozen):
+                continue
+            o_mask = sum(1 << c for c, v in enumerate(o_vec) if v)
+            arrows.append([targets, o_vec if o_mask else None, o_mask, info, 0])
         for j, key in by_j.items():
+            zeros = zero_cols.get(j)
+            if zeros is None:
+                zeros = zero_cols[j] = sum(1 << c for c, v in enumerate(j) if not v)
             col: dict = {}
             for arrow in arrows:
-                targets, o_vec, info, sign = arrow
+                targets, o_vec, o_mask, info, sign = arrow
+                if o_mask & zeros:
+                    continue  # an O where j has no U power: the target key would go negative
                 key2 = targets.get(j if o_vec is None else tuple(map(sub, j, o_vec)))
                 if key2 is None:
                     continue
                 if not sign:
-                    sign = arrow[3] = s.of(info)
+                    sign = arrow[4] = s.of(info)
                 coeff = col.get(key2, 0) + sign
                 if coeff:
                     col[key2] = coeff

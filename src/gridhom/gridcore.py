@@ -21,6 +21,11 @@ package has coefficient zero there.
 Gradings are point counts against marking sets, each a sum of one look-up per
 column in tables built once per diagram (``_MarkingTable``).
 
+Empty rectangles are ``RectInfo`` records, found in O(n^2) per generator and
+built afresh on every ``rectangle_infos``/``rectangle_infos_into`` call: the
+diagram keeps their box data, not the records, so their memory lasts as long
+as the caller holds them.
+
 A domain's multiplicities are one flat tuple of ``n*n`` ints, the cell
 ``(c, r)`` at index ``c*n + r``.  The order is column-major, so domain keys
 compare column by column.  Only this module reads or builds that tuple; the
@@ -33,7 +38,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import add, getitem, sub
+from operator import add, getitem, le, sub
 from typing import NamedTuple
 
 Perm = tuple[int, ...]
@@ -95,33 +100,37 @@ def _quadrant_counts(sigma: Perm) -> list[int]:
     return out
 
 
-def _columns_within(n: int, lo: list[int], hi: list[int]):
+def _columns_within(n: int, lo: list[int], hi: list[int]) -> list[Perm]:
     """Each permutation w with ``lo[i] <= Q_w(c, r) <= hi[i]`` on every cell
-    ``i = c*n + r`` (``Q_w`` as in ``_quadrant_counts``).
+    ``i = c*n + r`` (``Q_w`` as in ``_quadrant_counts``), in lexicographic
+    order of ``w[n-1], w[n-2], ..., w[0]``.
 
     Column c of ``Q_w`` depends only on the values ``w[c+1..n-1]``, so w is
     placed from the last column down and a partial permutation is dropped as
     soon as the column it fixes leaves its bounds.
     """
+    lows = [lo[c * n : (c + 1) * n] for c in range(n)]
+    highs = [hi[c * n : (c + 1) * n] for c in range(n)]
+    steps = [[int(v > r) for r in range(n)] for v in range(n)]  # steps[v][r]: Q gains v > r
+    out: list[Perm] = []
     w = [0] * n
-    free = set(range(n))
+    free = list(range(n))  # ascending
 
-    def place(c: int, q: list[int]):
-        base = c * n
-        for r in range(n):
-            if not lo[base + r] <= q[r] <= hi[base + r]:
-                return
-        if c == 0:
-            (w[0],) = free
-            yield tuple(w)
+    def place(c: int, q: list[int]) -> None:
+        if not (all(map(le, lows[c], q)) and all(map(le, q, highs[c]))):
             return
-        for v in sorted(free):
+        if c == 0:
+            w[0] = free[0]
+            out.append(tuple(w))
+            return
+        for k, v in enumerate(free):
             w[c] = v
-            free.remove(v)
-            yield from place(c - 1, [q[r] + (v > r) for r in range(n)])
-            free.add(v)
+            del free[k]
+            place(c - 1, list(map(add, q, steps[v])))
+            free.insert(k, v)
 
-    return place(n - 1, [0] * n)
+    place(n - 1, [0] * n)
+    return out
 
 
 @dataclass(frozen=True)
@@ -144,13 +153,12 @@ class GridDiagram:
     n: int
     o_row: Perm
     x_row: Perm
-    # Unbounded per-diagram caches: graded generators, rectangles leaving a
-    # generator, the marking data of a rectangle's box, one tuple per target
-    # permutation of a rectangle, and zero-data domains between two generators.
+    # Per-diagram caches: graded generators (n! at most), the marking data of
+    # a rectangle's box (n^4 at most) and zero-data domains between two
+    # generators.  Rectangle records are rebuilt on every call and kept by
+    # no one here; a caller that revisits them keeps a table of its own.
     _gen_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _rect_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _box_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _perm_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _base_domain_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -273,18 +281,10 @@ class GridDiagram:
     # -- rectangles -----------------------------------------------------------
 
     def rectangle_infos(self, sigma: Perm) -> list["RectInfo"]:
-        """All rectangles leaving x^sigma, as lightweight records (cached)."""
-        sigma = tuple(sigma)
-        infos = self._rect_cache.get(sigma)
-        if infos is None:
-            infos = self._build_rect_infos(sigma)
-            self._rect_cache[sigma] = infos
-        return infos
-
-    def _build_rect_infos(self, sigma: Perm) -> list["RectInfo"]:
-        """The empty rectangles leaving x^sigma that avoid the top-right cell:
-        for each column pair i < j, the one with its bottom-left corner in
-        column i (role 0), then the one with it in column j (role 1).
+        """The empty rectangles leaving x^sigma that avoid the top-right cell,
+        as fresh records: for each column pair i < j, the one with its
+        bottom-left corner in column i (role 0), then the one with it in
+        column j (role 1).
 
         With ``d[k] = (sigma[k] - sigma[i]) % n`` the role-0 rectangle spans
         row offsets ``0..d[j]-1`` over the columns strictly between i and j,
@@ -293,11 +293,11 @@ class GridDiagram:
         point there blocks it iff ``d[k] > d[j]``.  A sweep of j to the right
         keeps the least offset between, and suffix maxima give the largest
         outside.  Only role 1 covers the last column, so only it can cover the
-        top-right cell.  The records share their box data (``_box``) and
-        their target permutations (``_perm_cache``).
+        top-right cell.  The records share their box data (``_box``).
         """
         self._require_canonical()
-        n = self.n
+        sigma = tuple(sigma)
+        n, boxes, new = self.n, self._box_cache, tuple.__new__  # new(RectInfo, fields) skips its Python-level __new__
         infos = []
         for i in range(n - 1):
             si = sigma[i]
@@ -315,24 +315,25 @@ class GridDiagram:
                 if role0 or role1:
                     pair = (i, j)
                     tau = sigma[:i] + (sj,) + sigma[i + 1 : j] + (si,) + sigma[j + 1 :]
-                    tau = self._perm_cache.setdefault(tau, tau)
                     if role0:
-                        box = self._box(i, j - i, si, h)
-                        infos.append(RectInfo(sigma, tau, pair, 0, i, j - i, si, h, *box))
+                        shape = (i, j - i, si, h)
+                        box = boxes.get(shape) or self._box(shape)
+                        infos.append(new(RectInfo, (sigma, tau, pair, 0) + shape + box))
                     if role1:
-                        w = n - (j - i)
-                        box = self._box(j, w, sj, n - h)
-                        infos.append(RectInfo(sigma, tau, pair, 1, j, w, sj, n - h, *box))
+                        shape = (j, n - (j - i), sj, n - h)
+                        box = boxes.get(shape) or self._box(shape)
+                        infos.append(new(RectInfo, (sigma, tau, pair, 1) + shape + box))
                 if h < between:
                     between = h
         return infos
 
-    def _box(self, col0: int, width: int, row0: int, height: int) -> tuple:
-        """The fields of ``RectInfo`` from ``o_vec`` on, for the box of cells
+    def _box(self, shape: tuple[int, int, int, int]) -> tuple:
+        """The fields of ``RectInfo`` from ``o_vec`` on, for the box
+        ``shape = (col0, width, row0, height)`` of cells
         ``col0..col0+width-1 x row0..row0+height-1`` mod n (cached)."""
-        key = (col0, width, row0, height)
-        box = self._box_cache.get(key)
+        box = self._box_cache.get(shape)
         if box is None:
+            col0, width, row0, height = shape
             n = self.n
             cols = [(c - col0) % n < width for c in range(n)]
             rows = [(r - row0) % n < height for r in range(n)]
@@ -340,7 +341,7 @@ class GridDiagram:
             x_vec = tuple(int(inside and rows[r]) for inside, r in zip(cols, self.x_row))
             a_vec = tuple(int(cols[n - 1] and inside) for inside in rows[:-1])
             b_vec = tuple(int(rows[n - 1] and inside) for inside in cols[:-1])
-            box = self._box_cache[key] = (o_vec, x_vec, cols[n - 1], rows[n - 1], a_vec, b_vec)
+            box = self._box_cache[shape] = (o_vec, x_vec, cols[n - 1], rows[n - 1], a_vec, b_vec)
         return box
 
     def rectangles_from(self, x: Generator) -> list[tuple["GridDomain", Generator]]:
@@ -351,16 +352,49 @@ class GridDiagram:
         return out
 
     def rectangle_infos_into(self, y_sigma: Perm) -> list["RectInfo"]:
-        """All rectangles in R(z, y), over all z, as records."""
-        out = []
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                tau = list(y_sigma)
-                tau[i], tau[j] = tau[j], tau[i]
-                for info in self.rectangle_infos(tuple(tau)):
-                    if info.pair == (i, j):
-                        out.append(info)
-        return out
+        """All rectangles in R(z, y), over all z, as fresh records: for each
+        column pair i < j, the records of ``rectangle_infos(z)`` with that
+        pair, z being y with columns i and j swapped, in the same order.
+
+        With ``e[k] = (y[k] - y[i]) % n`` the role-0 rectangle of z spans
+        row offsets ``e[j]..n-1`` over the columns strictly between i and j,
+        so a point there blocks it iff ``e[k] > e[j]``; the role-1 rectangle
+        spans offsets ``0..e[j]-1`` over the columns outside ``[i, j]``, so a
+        point there blocks it iff ``e[k] < e[j]``.  This is the sweep of
+        ``rectangle_infos`` with the inequalities reversed: the largest
+        offset between, and suffix minima for the least outside.
+        """
+        self._require_canonical()
+        y = tuple(y_sigma)
+        n, boxes, new = self.n, self._box_cache, tuple.__new__  # new(RectInfo, fields) skips its Python-level __new__
+        infos = []
+        for i in range(n - 1):
+            si = y[i]
+            e = [(v - si) % n for v in y]
+            outside = [n] * (n + 1)  # outside[k]: the least e over the columns < i or >= k
+            outside[n] = min(e[:i], default=n)
+            for k in range(n - 1, i, -1):
+                outside[k] = min(outside[k + 1], e[k])
+            between = 0  # the largest e over the columns strictly between i and j
+            for j in range(i + 1, n):
+                h = e[j]
+                sj = y[j]
+                role0 = h > between
+                role1 = outside[j + 1] > h and (n - 1 - si) % n >= h  # rows miss n-1
+                if role0 or role1:
+                    pair = (i, j)
+                    z = y[:i] + (sj,) + y[i + 1 : j] + (si,) + y[j + 1 :]
+                    if role0:
+                        shape = (i, j - i, sj, n - h)
+                        box = boxes.get(shape) or self._box(shape)
+                        infos.append(new(RectInfo, (z, y, pair, 0) + shape + box))
+                    if role1:
+                        shape = (j, n - (j - i), si, h)
+                        box = boxes.get(shape) or self._box(shape)
+                        infos.append(new(RectInfo, (z, y, pair, 1) + shape + box))
+                if h > between:
+                    between = h
+        return infos
 
     def rectangles_into(self, y: Generator) -> list[tuple["GridDomain", Generator]]:
         """All rectangles in R(z, y), over all z."""
@@ -499,7 +533,8 @@ class RectInfo(NamedTuple):
     ``pair = (i, j)`` are the two columns carrying the moving coordinates and
     ``role`` selects which of them is the bottom-left corner (0: column i).
     The cells covered are ``col0..col0+width-1 x row0..row0+height-1`` mod n.
-    A tuple record: one diagram holds one per (generator, rectangle), and
+    A tuple record, built afresh by every ``rectangle_infos`` and
+    ``rectangle_infos_into`` call and kept by no cache of the diagram;
     records of one box share its vectors.
     """
 

@@ -132,11 +132,19 @@ class _Spinors:
 
 @dataclass
 class SignAssignment:
-    """Total sign table on the rectangles of one grid diagram."""
+    """Total sign table on the rectangles of one grid diagram.
+
+    It owns two tables that live as long as it does: the sign of each
+    rectangle asked about (``_cache``, keyed by ``RectInfo.key``) and the
+    arrow table of ``inner_arrows`` (``_inner``, one entry per generator
+    asked about), which ``cdp.graded_piece_complex`` reads for every piece.
+    Drop the assignment to drop both.
+    """
 
     diagram: GridDiagram
     _spinors: _Spinors = field(repr=False, default=None)
     _cache: dict = field(repr=False, default_factory=dict)
+    _inner: dict = field(repr=False, default_factory=dict)
 
     def __post_init__(self):
         if self._spinors is None:
@@ -161,6 +169,23 @@ class SignAssignment:
                 flip ^= info.height & 1
             self._cache[key] = s = -s if flip else s
         return s
+
+    def inner_arrows(self, sigma) -> dict:
+        """``{tau: summed sign}`` over the rectangles from x^sigma to x^tau
+        that meet neither the last column nor the top row, zero sums dropped,
+        in the order of ``rectangle_infos``.
+
+        Built on the first call for sigma from one ``rectangle_infos`` call
+        and one ``of`` per rectangle, then kept in ``_inner``.
+        """
+        arrows = self._inner.get(sigma)
+        if arrows is None:
+            acc: dict = {}
+            for info in self.diagram.rectangle_infos(sigma):
+                if not (info.meets_last_column or info.meets_top_row):
+                    acc[info.to_sigma] = acc.get(info.to_sigma, 0) + self.of(info)
+            arrows = self._inner[sigma] = {tau: v for tau, v in acc.items() if v}
+        return arrows
 
     def table(self) -> dict:
         """Materialize signs of every rectangle in the grid."""
@@ -242,11 +267,13 @@ def _classify(d: GridDomain, decomps) -> str:
 
 def verify_axioms(g: GridDiagram, s: SignAssignment) -> AxiomReport:
     """Exhaustively check the sign axioms over all index-2 positive domains."""
+    # the records of every generator, built once for this check
+    infos = {x.sigma: g.rectangle_infos(x.sigma) for x in g.generators()}
     groups: dict = {}
-    for x in g.generators():
-        for r1 in g.rectangle_infos(x.sigma):
+    for rects in infos.values():
+        for r1 in rects:
             first = r1.domain(g)
-            for r2 in g.rectangle_infos(r1.to_sigma):
+            for r2 in infos[r1.to_sigma]:
                 d = first.compose(r2.domain(g))
                 groups.setdefault(d.key, (d, []))[1].append((r1, r2))
     shape_counts = {name: 0 for name in SHAPE_CLASSES}

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from gridhom import cdp
+from gridhom.domainposet import g_set
 from gridhom.gridcore import GridDiagram
 from gridhom.signs import build_sign_assignment
 
@@ -165,3 +166,53 @@ class TestGradedPieces:
                 for b in itertools.product(range(3), repeat=2):
                     rep = cdp.graded_piece_acyclicity(unknot3, signs3, a, b, y)
                     assert rep.ok, (a, b, y.sigma, rep.homology.nonzero())
+
+
+def reference_piece_complex(g, s, a, b, y):
+    """``graded_piece_complex`` as a loop over every rectangle of every
+    member, one ``s.of`` per rectangle: the form the arrow table replaced."""
+    members = g_set(g, a, b, y)
+    mu_periodic = g.unique_domain(y, y, a, b).maslov_index()
+    grading = {x: g.base_maslov_index(g.generator(x), y) + mu_periodic for x in members}
+    diff = {}
+    for sigma in members:
+        col = {}
+        for info in g.rectangle_infos(sigma):
+            if info.to_sigma not in members or info.meets_last_column or info.meets_top_row:
+                continue
+            col[info.to_sigma] = col.get(info.to_sigma, 0) + s.of(info)
+        col = {k: v for k, v in col.items() if v}
+        if col:
+            diff[sigma] = col
+    return grading, diff
+
+
+def assert_piece_matches_reference(g, s, a, b, y):
+    cx = cdp.graded_piece_complex(g, s, a, b, y)
+    grading, diff = reference_piece_complex(g, s, a, b, y)
+    assert cx.grading == grading
+    assert list(cx.diff) == list(diff)
+    for key, col in diff.items():
+        assert list(cx.diff[key].items()) == list(col.items()), key
+    return len(diff)
+
+
+class TestPieceArrowTable:
+    def test_every_unit_triple_n3(self, unknot3, signs3):
+        columns = 0
+        for y in unknot3.generators():
+            for a in itertools.product(range(2), repeat=2):
+                for b in itertools.product(range(2), repeat=2):
+                    columns += assert_piece_matches_reference(unknot3, signs3, a, b, y)
+        assert columns
+
+    def test_seeded_sample_trefoil5(self, trefoil5, signs5):
+        rng = random.Random(11)
+        gens = list(trefoil5.generators())
+        columns = 0
+        for _ in range(40):
+            y = rng.choice(gens)
+            a = tuple(rng.randint(0, 2) for _ in range(4))
+            b = tuple(rng.randint(0, 2) for _ in range(4))
+            columns += assert_piece_matches_reference(trefoil5, signs5, a, b, y)
+        assert columns

@@ -125,11 +125,9 @@ class TestWitnesses:
             y = rng.choice(gens)
             a = tuple(rng.randint(0, 2) for _ in range(3))
             b = tuple(rng.randint(0, 2) for _ in range(3))
-            ws = dp._witnesses(grid4, a, b, y)
+            ws = list(dp._witness_records(grid4, a, b, y.sigma))
             for kind in ("A", "B"):
-                pool = sorted(
-                    ((w.omega, w.tau) for w in ws if w.kind == kind)
-                )
+                pool = sorted((omega, tau) for k, omega, tau, _ in ws if k == kind)
                 if pool:
                     assert pool.count(pool[0]) == 1
 

@@ -80,8 +80,9 @@ def brute_force_rectangles(g, sigma):
 
 def reference_rect_infos(g, sigma):
     """The rectangle records of x^sigma built candidate by candidate from
-    column and row lists: the enumeration ``_build_rect_infos`` replaced
-    (whose records computed ``a_vec``/``b_vec`` on each call)."""
+    column and row lists: the enumeration that the sweep in
+    ``rectangle_infos`` replaced (whose records computed ``a_vec``/``b_vec``
+    on each call)."""
     n = g.n
     fc, fr = n - 1, n - 1
     infos = []
@@ -252,6 +253,30 @@ class TestRectangles:
             for rect, z in unknot3.rectangles_into(y):
                 seen_into.add((rect.from_sigma, rect.to_sigma, rect.mult))
         assert seen == seen_into
+
+    @pytest.mark.parametrize("name", ["unknot2", "hopf4", "trefoil5", "t25"])
+    def test_into_matches_transposed_records_on_fixtures(self, name, request):
+        assert_into_matches_transposed_records(request.getfixturevalue(name))
+
+    @settings(max_examples=10, deadline=None)
+    @given(canonical_grids())
+    def test_into_matches_transposed_records_on_random_grids(self, g):
+        assert_into_matches_transposed_records(g)
+
+
+def assert_into_matches_transposed_records(g):
+    """``rectangle_infos_into(y)`` is, for each pair i < j in turn, the
+    records of ``rectangle_infos(z)`` with that pair, z being y with columns
+    i and j swapped: the same records in the same order."""
+    into = {}
+    for z in itertools.permutations(range(g.n)):
+        for info in g.rectangle_infos(z):
+            # a record of z with pair (i, j) ends at y = z with i and j swapped
+            into.setdefault(info.to_sigma, []).append(info)
+    for y in itertools.permutations(range(g.n)):
+        # each pair's records come from one z, in its order, which the stable sort keeps
+        expected = sorted(into.get(y, []), key=lambda info: info.pair)
+        assert g.rectangle_infos_into(y) == expected, y
 
 
 class TestGradings:

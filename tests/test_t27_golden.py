@@ -1,0 +1,61 @@
+"""An oracle for the T(2,7) tilde golden file that shares no code with gridhom.
+
+``fixtures/expected/t27_tilde.json`` is the output of
+``gridhom --json homology fixtures/t27.grid --flavor tilde`` on a grid of
+index n = 9.  Tilde homology is hat homology tensored with
+V^{tensor (n-1)}, V = Z_{(0,0)} + Z_{(+1,+2)} in (Maslov, 2A); hat homology of
+T(2,7) is one Z in each Alexander grading A = -3..3, on a single diagonal.
+So the total rank of the slices, read upward in A, is the coefficient list
+of (1+q)^8 (1+q+...+q^6), and each slice lies in one Maslov grading, one
+above that of the slice before.  The check reads only the JSON file.
+"""
+
+import json
+import os
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "..", "fixtures", "expected", "t27_tilde.json")
+
+
+def poly_mul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def expected_ranks():
+    ranks = [1] * 7  # 1 + q + ... + q^6
+    for _ in range(8):
+        ranks = poly_mul(ranks, [1, 1])
+    return ranks
+
+
+def load_slices():
+    with open(GOLDEN) as fh:
+        data = json.load(fh)
+    assert data["flavor"] == "tilde"
+    return sorted((int(a2), groups) for a2, groups in data["tables"].items())
+
+
+def test_expected_ranks_are_the_quoted_coefficients():
+    ranks = expected_ranks()
+    assert ranks[:9] == [1, 9, 37, 93, 163, 219, 247, 254, 247]
+    assert ranks == ranks[::-1] and sum(ranks) == 1792
+
+
+def test_slice_ranks_are_the_convolution_coefficients():
+    slices = load_slices()
+    a2s = [a2 for a2, _ in slices]
+    assert a2s == list(range(a2s[0], a2s[0] + 2 * len(a2s), 2))
+    for _, groups in slices:
+        assert all(not g["torsion"] for g in groups.values())
+    assert [sum(g["rank"] for g in groups.values()) for _, groups in slices] == expected_ranks()
+
+
+def test_each_slice_is_one_maslov_grading_one_above_the_last():
+    maslovs = []
+    for _, groups in load_slices():
+        assert len(groups) == 1
+        maslovs.extend(int(m) for m in groups)
+    assert maslovs == list(range(maslovs[0], maslovs[0] + len(maslovs)))
