@@ -119,7 +119,9 @@ def build_complex(
     otherwise subtracts the rectangle's O markings from j and looks the
     result up.  Every diff entry stores the key object that ``grading``
     holds for its cell, so all columns that mention a cell share one key.
-    Each arrow asks for its sign once, the first time it lands in the slice.
+    Each arrow asks ``s.of`` for its sign once, the first time it lands in
+    the slice, and keeps it for the other cells of sigma; ``s`` itself
+    stores no signs.
     """
     g._require_canonical()
     n = g.n
@@ -329,10 +331,10 @@ def u_map(src: ReducedSlice, dst: ReducedSlice, marking: int) -> UMapResult:
                 out[key] = v
         return out
 
-    # U lands in dst, and is a chain map: d(U x) == U(d x)
+    # U of every cell lands in dst.  U commutes with d because the grid
+    # differential is Z[U]-linear; tests/test_gridcomplex.py checks that
     for key in src.complex.grading:
-        if dst.complex.apply(u_chain({key: 1})) != u_chain(src.complex.diff.get(key, {})):
-            raise GridError(f"U map is not a chain map at {key}")
+        u_chain({key: 1})
 
     matrices: dict = {}
     for gr, basis in src.bases.items():

@@ -37,7 +37,10 @@ invertible, so lambda is read off one entry.  Each u_sigma is d Gaussian
 integers, kept as 2d integers (real and imaginary parts), on which every
 gamma is a signed permutation; u_sigma follows from its parent's along the
 reduced word, since L(sigma)^rev = (e_p - e_{p+1}) L(parent)^rev.  A ratio
-that is not a nonzero real number raises ``Unsatisfiable``.
+that is not a nonzero real number raises ``Unsatisfiable``.  The u_sigma are
+kept, one per permutation reached; rectangle signs are not: each ``of`` call
+applies one gamma pair to u_sigma and compares the result with u_tau, so a
+caller that revisits a rectangle keeps the sign in a table of its own.
 ``verify_axioms`` re-checks the axioms exhaustively; nothing is trusted on
 faith.
 """
@@ -134,16 +137,18 @@ class _Spinors:
 class SignAssignment:
     """Total sign table on the rectangles of one grid diagram.
 
-    It owns two tables that live as long as it does: the sign of each
-    rectangle asked about (``_cache``, keyed by ``RectInfo.key``) and the
-    arrow table of ``inner_arrows`` (``_inner``, one entry per generator
-    asked about), which ``cdp.graded_piece_complex`` reads for every piece.
-    Drop the assignment to drop both.
+    ``of`` computes a rectangle's sign from the spinor table on every call
+    and keeps nothing per rectangle; a caller that asks for a sign more than
+    once keeps its own table for the length of its call.  The assignment
+    owns two tables that live as long as it does: the spinor table (one
+    entry per permutation reached) and the arrow table of ``inner_arrows``
+    (``_inner``, one entry per generator asked about), which
+    ``cdp.graded_piece_complex`` reads for every piece.  Drop the assignment
+    to drop both.
     """
 
     diagram: GridDiagram
     _spinors: _Spinors = field(repr=False, default=None)
-    _cache: dict = field(repr=False, default_factory=dict)
     _inner: dict = field(repr=False, default_factory=dict)
 
     def __post_init__(self):
@@ -151,24 +156,20 @@ class SignAssignment:
             self._spinors = _Spinors(self.diagram.n)
 
     def of(self, info: RectInfo) -> int:
-        key = info.key
-        s = self._cache.get(key)
-        if s is None:
-            i, j = info.pair
-            if info.role == 1:
-                i, j = j, i  # orient the reflection vector from the BL corner's column
-            s = self._spinors.edge_sign(info.from_sigma, info.to_sigma, i, j)
-            # Correct by the cell-count parities in the top row and the
-            # rightmost column; both are Z/2-linear in the 2-chain, so they
-            # never disturb the two-decomposition axiom, and together with
-            # the orientation above they pin the annulus axioms.
-            flip = 0
-            if info.meets_top_row:
-                flip ^= info.width & 1
-            if info.meets_last_column:
-                flip ^= info.height & 1
-            self._cache[key] = s = -s if flip else s
-        return s
+        i, j = info.pair
+        if info.role == 1:
+            i, j = j, i  # orient the reflection vector from the BL corner's column
+        s = self._spinors.edge_sign(info.from_sigma, info.to_sigma, i, j)
+        # Correct by the cell-count parities in the top row and the
+        # rightmost column; both are Z/2-linear in the 2-chain, so they
+        # never disturb the two-decomposition axiom, and together with
+        # the orientation above they pin the annulus axioms.
+        flip = 0
+        if info.meets_top_row:
+            flip ^= info.width & 1
+        if info.meets_last_column:
+            flip ^= info.height & 1
+        return -s if flip else s
 
     def inner_arrows(self, sigma) -> dict:
         """``{tau: summed sign}`` over the rectangles from x^sigma to x^tau
@@ -188,11 +189,12 @@ class SignAssignment:
         return arrows
 
     def table(self) -> dict:
-        """Materialize signs of every rectangle in the grid."""
-        for x in self.diagram.generators():
-            for info in self.diagram.rectangle_infos(x.sigma):
-                self.of(info)
-        return dict(self._cache)
+        """A fresh ``{RectInfo.key: sign}`` of every rectangle in the grid."""
+        return {
+            info.key: self.of(info)
+            for x in self.diagram.generators()
+            for info in self.diagram.rectangle_infos(x.sigma)
+        }
 
 
 def build_sign_assignment(g: GridDiagram) -> SignAssignment:
@@ -267,8 +269,10 @@ def _classify(d: GridDomain, decomps) -> str:
 
 def verify_axioms(g: GridDiagram, s: SignAssignment) -> AxiomReport:
     """Exhaustively check the sign axioms over all index-2 positive domains."""
-    # the records of every generator, built once for this check
+    # the records of every generator and the sign of each rectangle, built
+    # once for this check: a rectangle occurs in many domains
     infos = {x.sigma: g.rectangle_infos(x.sigma) for x in g.generators()}
+    signs = {info.key: s.of(info) for rects in infos.values() for info in rects}
     groups: dict = {}
     for rects in infos.values():
         for r1 in rects:
@@ -281,7 +285,7 @@ def verify_axioms(g: GridDiagram, s: SignAssignment) -> AxiomReport:
     for (from_sigma, _, mult), (d, decomps) in groups.items():
         shape = _classify(d, decomps)
         shape_counts[shape] += 1
-        prods = [s.of(r1) * s.of(r2) for r1, r2 in decomps]
+        prods = [signs[r1.key] * signs[r2.key] for r1, r2 in decomps]
         if shape == "annulus-horizontal":
             if len(decomps) != 1 or prods[0] != 1:
                 violations.append((from_sigma, mult, "horizontal annulus", prods))

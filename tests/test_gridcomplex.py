@@ -26,6 +26,22 @@ def nonzero_tables(g, s, flavor, a2_values):
     return out
 
 
+def elementary_divisors(torsion):
+    """The prime powers of a finite abelian group given by its invariant
+    factors; a direct sum's are the union of its summands'."""
+    out = []
+    for d in torsion:
+        p = 2
+        while d > 1:
+            q = 1
+            while d % p == 0:
+                d, q = d // p, q * p
+            if q > 1:
+                out.append(q)
+            p += 1
+    return out
+
+
 def a2_range(g):
     vals = [x.alexander2 for x in g.generators()]
     ncomp = g.num_components
@@ -104,11 +120,56 @@ class TestUMap:
         assert capped.source_table.groups == {k: v for k, v in full.source_table.groups.items() if k <= cap - 2}
         assert capped.matrices == ({6: [[1]]} if cap == 8 else {})
 
+    # source slices per fixture; every marking maps each one to the slice
+    # below it on the marking's component
+    U_SOURCES = {
+        "unknot2": [(2,), (4,), (6,)],
+        "trefoil5": [(0,), (2,), (4,), (6,), (8,)],
+        "hopf4": [(2, 2), (2, 4), (4, 2), (4, 4)],
+        "t25": [(0,)],
+    }
+
+    @pytest.mark.parametrize("name", list(U_SOURCES))
+    def test_u_is_a_chain_map(self, name, request):
+        g = request.getfixturevalue(name)
+        s = build_sign_assignment(g)
+        for marking in range(g.n):
+            for a2 in self.U_SOURCES[name]:
+                assert_u_is_a_chain_map(g, s, marking, a2)
+
+    def test_capped_u_is_a_chain_map(self, trefoil5, signs5):
+        for marking in range(trefoil5.n):
+            assert_u_is_a_chain_map(trefoil5, signs5, marking, (6,), cap=6)
+
     def test_capped_u_map_needs_a_cell_in_its_window(self, trefoil5, signs5):
         # the slice 2A=6 has gradings 0..6; a cap of 1 is exact below 0
         with pytest.raises(GridError):
             plus_u_map(trefoil5, signs5, 0, (6,), maslov_cap=1)
         assert plus_u_map(trefoil5, signs5, 0, (6,), maslov_cap=2).matrices == {}
+
+
+def assert_u_is_a_chain_map(g, s, marking, alexander2, cap=None):
+    """U_marking takes every cell of the plus slice ``alexander2`` (capped at
+    ``cap``) to a cell of the slice below it (capped at ``cap - 2``), and
+    d(U x) = U(d x) on every cell x."""
+    spec = FlavorSpec.make(g, "plus")
+    comp = g.component_of_o[marking]
+    lower = tuple(v - 2 if k == comp else v for k, v in enumerate(alexander2))
+    src = build_complex(g, s, spec, alexander2, cap)
+    dst = build_complex(g, s, spec, lower, None if cap is None else cap - 2)
+
+    def u(chain):
+        out = {}
+        for (sigma, j), v in chain.items():
+            if j[marking]:
+                key = (sigma, tuple(jc - (c == marking) for c, jc in enumerate(j)))
+                assert key in dst.grading, key
+                out[key] = v
+        return out
+
+    assert src.grading
+    for key in src.grading:
+        assert dst.apply(u({key: 1})) == u(src.diff.get(key, {})), key
 
 
 def assert_hat_choice_invariance(g, s):
@@ -128,6 +189,35 @@ def assert_hat_choice_invariance(g, s):
         cell_sets.add(frozenset(cells))
     assert len(cell_sets) == g.n
     assert all(t == tables[0] for t in tables)
+
+
+def assert_tilde_is_hat_convolved(g, s):
+    """tilde = hat (x) V^(n - l), torsion included: one factor
+    V = Z_(0,0) + Z_(1,+2) in (M, 2A) for each O marking beyond the first on
+    a component, shifting that component's grading alone.  V is free, so
+    torsion carries over unchanged."""
+    hat = nonzero_tables(g, s, "hat", a2_range(g))
+    tilde = nonzero_tables(g, s, "tilde", a2_range(g))
+    factor_comps = []
+    for k in range(g.num_components):
+        factor_comps += [k] * (g.component_of_o.count(k) - 1)
+    assert len(factor_comps) == g.n - g.num_components
+    convolved = {}
+    for a2, groups in hat.items():
+        for bits in itertools.product((0, 1), repeat=len(factor_comps)):
+            key = list(a2)
+            for k, b in zip(factor_comps, bits):
+                key[k] += 2 * b
+            tgt = convolved.setdefault(tuple(key), {})
+            for m, (r, torsion) in groups.items():
+                rank, divisors = tgt.get(m + sum(bits), (0, []))
+                tgt[m + sum(bits)] = (rank + r, divisors + elementary_divisors(torsion))
+    got = {
+        a2: {m: (r, sorted(elementary_divisors(t))) for m, (r, t) in groups.items()}
+        for a2, groups in tilde.items()
+    }
+    want = {a2: {m: (r, sorted(d)) for m, (r, d) in groups.items()} for a2, groups in convolved.items()}
+    assert got == want
 
 
 class TestFlavors:
@@ -173,25 +263,10 @@ class TestFlavors:
         )
         assert total == 2 ** (unknot3.n - 1)
 
-    def test_tilde_is_hat_convolved(self, unknot2, signs2, unknot3, signs3):
-        # tilde table = hat table convolved (n - l) times with {(0,0), (1,1)}
-        for g, s in ((unknot2, signs2), (unknot3, signs3)):
-            hat = nonzero_tables(g, s, "hat", a2_range(g))
-            tilde = nonzero_tables(g, s, "tilde", a2_range(g))
-            convolved = {}
-            factors = g.n - g.num_components
-            for a2, groups in hat.items():
-                for m, (r, _) in groups.items():
-                    for bits in itertools.product((0, 1), repeat=factors):
-                        shift = sum(bits)
-                        key = (a2[0] + 2 * shift,)
-                        tgt = convolved.setdefault(key, {})
-                        mm = m + shift
-                        tgt[mm] = tgt.get(mm, 0) + r
-            tilde_ranks = {
-                a2: {m: r for m, (r, _) in groups.items()} for a2, groups in tilde.items()
-            }
-            assert tilde_ranks == {k: v for k, v in convolved.items() if v}
+    def test_tilde_is_hat_convolved(self, request):
+        for name in ("unknot2", "unknot3", "trefoil5", "hopf4"):
+            g = request.getfixturevalue(name)
+            assert_tilde_is_hat_convolved(g, build_sign_assignment(g))
 
     def test_hat_choice_invariance(self, unknot3, signs3):
         assert_hat_choice_invariance(unknot3, signs3)
