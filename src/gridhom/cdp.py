@@ -19,6 +19,7 @@ acyclicity argument actually uses.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from gridhom import partitions as pt
@@ -52,7 +53,13 @@ class PartitionedDomain:
 
     @property
     def key(self):
-        return self.domain.key + (self.n_vec, self.lambdas)
+        return triple_key(self.domain, self.n_vec, self.lambdas)
+
+
+def triple_key(domain: GridDomain, n_vec: tuple, lambdas: tuple) -> tuple:
+    """The key of the triple (domain, N, lambda), as ``PartitionedDomain.key``
+    has it, for callers that hold the parts but not a triple."""
+    return domain.key + (n_vec, lambdas)
 
 
 def trivial_decoration(g: GridDiagram) -> tuple[tuple[int, ...], tuple]:
@@ -298,8 +305,6 @@ def build_cdp_dagger(g: GridDiagram, s: SignAssignment) -> IntegerChainComplex:
     cancel in pairs, so it vanishes and the homology in degree k is free of
     rank C(n, k); the differential is computed in full, not assumed zero.
     """
-    import itertools
-
     x_id = g.generator(tuple(range(g.n)))
     triples = []
     for n_vec in itertools.product((0, 1), repeat=g.n):

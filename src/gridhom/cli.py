@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import sys
@@ -198,14 +199,12 @@ def cmd_poset_verify(args) -> int:
         for y in gens:
             if domainposet.generator_leq(g, y, x) != domainposet.bruhat_leq(x.sigma, y.sigma):
                 mismatches += 1
-    import itertools as it
-
     bound = args.bound
     interval_failures = 0
     checks = 0
     for y in gens:
-        for a in it.product(range(bound + 1), repeat=g.n - 1):
-            for b in it.product(range(bound + 1), repeat=g.n - 1):
+        for a in itertools.product(range(bound + 1), repeat=g.n - 1):
+            for b in itertools.product(range(bound + 1), repeat=g.n - 1):
                 m = domainposet.g_minimum(g, a, b, y)
                 G = domainposet.g_set(g, a, b, y)
                 I = domainposet.interval(g, m, g.generator(tuple(range(g.n))))

@@ -2,17 +2,17 @@
 
 ``y <= x`` when some positive domain from x to y avoids both the rightmost
 column and the topmost row; on permutations this is the opposite of the
-strong Bruhat order.  The module also provides the witness rectangles and
-the minimum generator m^{a,b,y} of the upward-closed sets G^{a,b,y} that
-drive the acyclicity of the positive-domain complex.
+strong Bruhat order.  The module also finds the minimum generator
+m^{a,b,y} of the upward-closed sets G^{a,b,y} that drive the acyclicity of
+the positive-domain complex, by stepping back along minimal witness
+rectangles.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import le, sub
 
-from gridhom.gridcore import Generator, GridDiagram, RectInfo
+from gridhom.gridcore import Generator, GridDiagram
 
 Perm = tuple[int, ...]
 
@@ -65,48 +65,6 @@ def reduced_words(sigma: Perm) -> list[tuple[int, ...]]:
     return out
 
 
-def canonical_reduced_word(sigma: Perm) -> tuple[int, ...]:
-    """Lexicographically least reduced word, built front-first."""
-    word = []
-    current = tuple(sigma)
-    # peel letters from the front: any valid first letter extends to a full
-    # reduced word, so greedily taking the smallest is lexicographically least
-    while inversions(current):
-        for p in range(len(sigma) - 1):
-            rest = _front_unswap(current, p)
-            if inversions(rest) == inversions(current) - 1:
-                word.append(p)
-                current = rest
-                break
-    return tuple(word)
-
-
-def _front_unswap(sigma: Perm, p: int) -> Perm:
-    """Remove a front letter tau_p: sigma = tau_p . rest (values p, p+1 swap)."""
-    return tuple(p + 1 if v == p else p if v == p + 1 else v for v in sigma)
-
-
-def has_word_ending_in(sigma: Perm, p: int) -> bool:
-    """Whether some reduced word of sigma ends with the swap at position p."""
-    return sigma[p] > sigma[p + 1]
-
-
-@dataclass(frozen=True)
-class WitnessRectangle:
-    """A rectangle into y certifying plausibility of a triple (a, b, y).
-
-    ``omega`` counts the annuli left of the last column (A-kind) or below the
-    top row (B-kind) that the rectangle meets; ``tau`` is its width (A) or
-    height (B).
-    """
-
-    kind: str  # "A" or "B"
-    from_gen: Generator
-    rect: RectInfo
-    omega: int
-    tau: int
-
-
 def _witness_records(g: GridDiagram, a, b, y_sigma: Perm):
     """``(kind, omega, tau, record)`` for each A- and B-witness rectangle
     into y, in the order of ``rectangle_infos_into``.
@@ -128,23 +86,13 @@ def _witness_records(g: GridDiagram, a, b, y_sigma: Perm):
 
 
 def _minimal_witness_record(g: GridDiagram, a, b, y_sigma: Perm):
-    """The ``_witness_records`` entry of ``minimal_witness``, found without
-    building a generator or a witness object for the rectangles passed over."""
+    """The A-witness record minimizing (omega, tau) lexicographically, else
+    the minimal B-witness record, else None."""
     best: dict = {}
     for w in _witness_records(g, a, b, y_sigma):
         if w[0] not in best or w[1:3] < best[w[0]][1:3]:
             best[w[0]] = w
     return best.get("A") or best.get("B")
-
-
-def minimal_witness(g: GridDiagram, a, b, y: Generator) -> WitnessRectangle | None:
-    """The A-witness minimizing (omega, tau) lexicographically, else the
-    minimal B-witness, else None."""
-    found = _minimal_witness_record(g, a, b, y.sigma)
-    if found is None:
-        return None
-    kind, omega, tau, info = found
-    return WitnessRectangle(kind, g.generator(info.from_sigma), info, omega, tau)
 
 
 def g_minimum(g: GridDiagram, a, b, y: Generator) -> Generator:

@@ -330,18 +330,17 @@ class GridDiagram:
     def _box(self, shape: tuple[int, int, int, int]) -> tuple:
         """The fields of ``RectInfo`` from ``o_vec`` on, for the box
         ``shape = (col0, width, row0, height)`` of cells
-        ``col0..col0+width-1 x row0..row0+height-1`` mod n (cached)."""
-        box = self._box_cache.get(shape)
-        if box is None:
-            col0, width, row0, height = shape
-            n = self.n
-            cols = [(c - col0) % n < width for c in range(n)]
-            rows = [(r - row0) % n < height for r in range(n)]
-            o_vec = tuple(int(inside and rows[r]) for inside, r in zip(cols, self.o_row))
-            x_vec = tuple(int(inside and rows[r]) for inside, r in zip(cols, self.x_row))
-            a_vec = tuple(int(cols[n - 1] and inside) for inside in rows[:-1])
-            b_vec = tuple(int(rows[n - 1] and inside) for inside in cols[:-1])
-            box = self._box_cache[shape] = (o_vec, x_vec, cols[n - 1], rows[n - 1], a_vec, b_vec)
+        ``col0..col0+width-1 x row0..row0+height-1`` mod n, built and stored
+        in ``_box_cache``; the sweeps call it only after a cache miss."""
+        col0, width, row0, height = shape
+        n = self.n
+        cols = [(c - col0) % n < width for c in range(n)]
+        rows = [(r - row0) % n < height for r in range(n)]
+        o_vec = tuple(int(inside and rows[r]) for inside, r in zip(cols, self.o_row))
+        x_vec = tuple(int(inside and rows[r]) for inside, r in zip(cols, self.x_row))
+        a_vec = tuple(int(cols[n - 1] and inside) for inside in rows[:-1])
+        b_vec = tuple(int(rows[n - 1] and inside) for inside in cols[:-1])
+        box = self._box_cache[shape] = (o_vec, x_vec, cols[n - 1], rows[n - 1], a_vec, b_vec)
         return box
 
     def rectangles_from(self, x: Generator) -> list[tuple["GridDomain", Generator]]:

@@ -1,6 +1,9 @@
 """Ordered partitions (compositions) and the moves used by the partitioned
 domain complex: elementary coarsenings and unit enlargements, each with its
 sign.  The initial/final reductions are taken in ``cdp.delta_IV``.
+``split_concatenation`` cuts a composition into consecutive blocks of given
+totals; refinement and the splitting of bubble partitions across the pieces
+of a stratum both read it.
 
 A composition is a plain tuple of positive integers; the empty tuple is the
 unique composition of 0.
@@ -98,6 +101,27 @@ def unit_enlargements(lam: Composition) -> list[tuple[Composition, int]]:
     return out
 
 
+def split_concatenation(lam: Composition, totals) -> list[Composition] | None:
+    """Split a composition into consecutive blocks of the given totals;
+    None when impossible (the split is unique when it exists)."""
+    blocks = []
+    pos = 0
+    for t in totals:
+        acc = 0
+        start = pos
+        while acc < t:
+            if pos >= len(lam):
+                return None
+            acc += lam[pos]
+            pos += 1
+        if acc != t:
+            return None
+        blocks.append(lam[start:pos])
+    if pos != len(lam):
+        return None
+    return blocks
+
+
 def refines(lam: Composition, coarser: Composition) -> bool:
     """Whether ``lam`` refines ``coarser``.
 
@@ -108,29 +132,11 @@ def refines(lam: Composition, coarser: Composition) -> bool:
     """
     n, m = total(lam), total(coarser)
     if n == m:
-        if not coarser:
-            return not lam
-        pos = 0
-        for part in coarser:
-            acc = 0
-            while acc < part:
-                if pos >= len(lam):
-                    return False
-                acc += lam[pos]
-                pos += 1
-            if acc != part:
-                return False
-        return pos == len(lam)
-    if n > m:
-        return False
-    if not coarser:
-        return False
+        return split_concatenation(lam, coarser) is not None
     # choose eta <= coarser entrywise with |eta| = n, parts >= 1, and recurse
-    k = len(coarser)
-    for eta in _bounded_compositions(n, [min(p, n) for p in coarser]):
-        if all(e >= 1 for e in eta) and refines(lam, eta):
-            return True
-    return False
+    return n < m and any(
+        refines(lam, eta) for eta in _bounded_compositions(n, [min(p, n) for p in coarser])
+    )
 
 
 def _bounded_compositions(n: int, bounds: list[int]):

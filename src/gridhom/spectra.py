@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from gridhom.gridcore import GridDiagram
 from gridhom.homalg import HomologyTable, IntegerChainComplex
-from gridhom.gridcomplex import FlavorSpec, ReducedSlice, alexander2_range, build_complex, u_map
+from gridhom.gridcomplex import FlavorSpec, ReducedSlice, alexander2_range, build_complex, capped_homology, u_map
 from gridhom.signs import SignAssignment
 
 
@@ -169,7 +169,7 @@ def spectrum_report(g: GridDiagram, s: SignAssignment, alexander_range=None) -> 
     out: dict[int, SliceReport] = {}
     for a2 in sorted(set(order)):
         below = here if here is not None and here.alexander2 == (a2 - 2,) else None
-        tables = {"hat": build_complex(g, s, hat, (a2,)).homology()}
+        tables = {"hat": capped_homology(g, s, hat, (a2,), None)}
         here = ReducedSlice.build(g, s, plus, (a2,))
         tables["plus"] = here.table
         wedges = {flavor: wedge_decomposition(table) for flavor, table in tables.items()}

@@ -12,6 +12,7 @@ import itertools
 from dataclasses import dataclass
 
 from gridhom import partitions as pt
+from gridhom.cdp import triple_key
 from gridhom.gridcore import GridDiagram, GridDomain, GridError
 from gridhom.signs import SignAssignment
 
@@ -76,15 +77,12 @@ class StratumDescriptor:
 
 def _positive_subdomains(g: GridDiagram, rem: GridDomain):
     """All positive domains from rem.from_sigma contained in rem, each with
-    the positive rest of rem after it."""
+    the rest of rem after it (positive too: ``subdomain_data`` keeps
+    exactly the data with ``0 <= cand <= rem``)."""
     x = g.generator(rem.from_sigma)
     for sigma, a, b in g.subdomain_data(rem):
         cand = g.unique_domain(x, g.generator(sigma), a, b)
-        if not cand.is_positive():
-            continue
-        rest = rem.subtract(cand)
-        if rest.is_positive():
-            yield cand, rest
+        yield cand, rem.subtract(cand)
 
 
 def _strip_annuli(g: GridDiagram, dom: GridDomain, kind: str, counts) -> GridDomain:
@@ -132,27 +130,6 @@ def _lambda_refinements(eta, extras, max_extra_codim):
     return out
 
 
-def _split_concatenation(lam, totals):
-    """Split a composition into consecutive blocks of the given totals;
-    None when impossible (the split is unique when it exists)."""
-    blocks = []
-    pos = 0
-    for t in totals:
-        acc = 0
-        start = pos
-        while acc < t:
-            if pos >= len(lam):
-                return None
-            acc += lam[pos]
-            pos += 1
-        if acc != t:
-            return None
-        blocks.append(lam[start:pos])
-    if pos != len(lam):
-        return None
-    return blocks
-
-
 def enumerate_strata(
     s: SignAssignment,
     D: GridDomain,
@@ -177,8 +154,6 @@ def enumerate_strata(
         """Collect geometric splittings (domain, E, F) piece lists."""
         if r_left == 1:
             for e_rows, f_cols, core in _extractions(g, rem):
-                if core.to_sigma != rem.to_sigma:
-                    continue
                 yield pieces_geo + [(core, e_rows, f_cols)]
             return
         for e_rows, f_cols, after_ex in _extractions(g, rem):
@@ -187,8 +162,6 @@ def enumerate_strata(
 
     for r in range(1, max_codim + 2):
         base_codim = r - 1
-        if base_codim > max_codim:
-            break
         for geo in recurse(D, [], r):
             # split bubble counts and partitions per marking
             per_j_options = []
@@ -196,7 +169,7 @@ def enumerate_strata(
             for j in range(n):
                 options = []
                 for counts in pt.weak_compositions(n_vec[j], r):
-                    blocks = _split_concatenation(lambdas[j], counts)
+                    blocks = pt.split_concatenation(lambdas[j], counts)
                     if blocks is None:
                         continue
                     extras = [geo[i][1][j] + geo[i][2][j] for i in range(r)]
@@ -264,7 +237,7 @@ def codim1_boundary_events(desc: StratumDescriptor) -> list[tuple[str, tuple]]:
         ):
             if piece.dim != 0:
                 continue
-            survivor = other.domain.key + (other.n_vec, other.lambdas)
+            survivor = triple_key(other.domain, other.n_vec, other.lambdas)
             if piece.domain.maslov_index() == 1:
                 events.append((rect_label, survivor))
             else:
@@ -272,7 +245,7 @@ def codim1_boundary_events(desc: StratumDescriptor) -> list[tuple[str, tuple]]:
         return events
     piece = desc.pieces[0]
     n_vec = tuple(n + e for n, e in zip(piece.n_vec, piece.extras))
-    survivor = piece.domain.key + (n_vec, piece.lambdas)
+    survivor = triple_key(piece.domain, n_vec, piece.lambdas)
     if label == "TypeII":
         events.append(("row" if any(piece.e_rows) else "col", survivor))
     else:

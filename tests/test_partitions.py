@@ -92,6 +92,25 @@ class TestUnitEnlargements:
             assert enlarged == (1,) + lam
 
 
+class TestSplitConcatenation:
+    def test_impossible(self):
+        assert pt.split_concatenation((2, 2), (1, 3)) is None  # a part straddles a cut
+        assert pt.split_concatenation((1, 1), (1,)) is None  # parts left over
+        assert pt.split_concatenation((1,), (1, 1)) is None  # runs out
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_concatenations_split_back(self, n):
+        # every concatenation of compositions of the parts of a weak
+        # composition of n, and nothing else, splits into those blocks
+        for totals in pt.weak_compositions(n, 3):
+            expected = {
+                sum(blocks, ()): list(blocks)
+                for blocks in itertools.product(*(pt.all_compositions(t) for t in totals))
+            }
+            for lam in pt.all_compositions(n):
+                assert pt.split_concatenation(lam, totals) == expected.get(lam)
+
+
 class TestRefines:
     @given(compositions)
     def test_reflexive(self, lam):
