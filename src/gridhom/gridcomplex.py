@@ -281,6 +281,10 @@ class ReducedSlice:
     """One slice, built once and Morse-reduced once with both homotopy
     equivalences tracked, so it can be the source or the target of a U map.
 
+    It keeps what U maps read: the gradings of its cells, ``iota``, ``pi``
+    and the homology bases.  The differential of the built complex is
+    dropped once the reduction returns.
+
     A slice truncated at ``maslov_cap`` keeps homology bases (and so its
     ``table``) only in the gradings ``k <= maslov_cap - 2``, where the
     truncation is exact."""
@@ -288,9 +292,9 @@ class ReducedSlice:
     spec: FlavorSpec
     alexander2: tuple
     maslov_cap: int | None
-    complex: IntegerChainComplex
-    iota: dict  # key of the reduced complex -> chain in ``complex``
-    pi: Callable  # chain in ``complex`` -> chain in the reduced complex
+    grading: dict  # cell of the built complex -> Maslov grading
+    iota: dict  # key of the reduced complex -> chain of cells
+    pi: Callable  # chain of cells -> chain in the reduced complex
     bases: dict  # grading -> GradedHomologyBasis of the reduced complex
 
     @staticmethod
@@ -299,7 +303,7 @@ class ReducedSlice:
         reduced, iota, pi = reduce_complex(cx, track_iota=True, track_pi=True)
         top = exact_below(maslov_cap)
         bases = {k: b for k, b in homology_with_bases(reduced).items() if k < top}
-        return ReducedSlice(spec, alexander2, maslov_cap, cx, iota, pi, bases)
+        return ReducedSlice(spec, alexander2, maslov_cap, cx.grading, iota, pi, bases)
 
     @property
     def table(self) -> HomologyTable:
@@ -317,24 +321,20 @@ def u_map(src: ReducedSlice, dst: ReducedSlice, marking: int) -> UMapResult:
     if src.spec.flavor != "plus" or dst.spec.flavor != "plus":
         raise ValueError("U maps are computed on the plus flavor")
     top = exact_below(src.maslov_cap)
-    if src.maslov_cap is not None and not any(gr < top for gr in src.complex.grading.values()):
+    if src.maslov_cap is not None and not any(gr < top for gr in src.grading.values()):
         raise GridError(f"a cap of {src.maslov_cap} is exact below grading {top}, where the source slice has no cell")
-
-    def u_chain(chain):
-        """U_marking of a chain of ``src.complex``, as a chain of ``dst.complex``."""
-        out = {}
-        for (sigma, j), v in chain.items():
-            if j[marking]:
-                key = (sigma, j[:marking] + (j[marking] - 1,) + j[marking + 1 :])
-                if key not in dst.complex.grading:
-                    raise GridError(f"U_{marking} of {(sigma, j)} is not a cell of the target slice")
-                out[key] = v
-        return out
 
     # U of every cell lands in dst.  U commutes with d because the grid
     # differential is Z[U]-linear; tests/test_gridcomplex.py checks that
-    for key in src.complex.grading:
-        u_chain({key: 1})
+    for sigma, j in src.grading:
+        if j[marking] and (sigma, j[:marking] + (j[marking] - 1,) + j[marking + 1 :]) not in dst.grading:
+            raise GridError(f"U_{marking} of {(sigma, j)} is not a cell of the target slice")
+
+    def u_chain(chain):
+        """U_marking of a chain of cells of ``src``, as a chain of cells of ``dst``."""
+        return {
+            (sigma, j[:marking] + (j[marking] - 1,) + j[marking + 1 :]): v for (sigma, j), v in chain.items() if j[marking]
+        }
 
     matrices: dict = {}
     for gr, basis in src.bases.items():

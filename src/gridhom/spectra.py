@@ -156,27 +156,30 @@ def spectrum_report(g: GridDiagram, s: SignAssignment, alexander_range=None) -> 
     ``alexander_range`` is an iterable of doubled gradings; by default the
     range spanned by the generators.  The report keeps the caller's order.
 
-    The slices are walked in ascending order and each plus slice is built
+    The slices are walked from the top down and each plus slice is built
     and Morse-reduced once: its ``ReducedSlice`` gives the plus table, the
-    source of U_0 on it and the target of U_0 from the slice above.  At most
-    two slices are held at a time, ``here`` (2A) and ``below`` (2A - 2).
+    source of U_0 on it and the target of U_0 from the slice above.  So the
+    largest slice is built and reduced while nothing else is held, and every
+    later one beside at most one ``ReducedSlice``, which keeps its cells'
+    gradings but not its differential.
     """
     if g.num_components != 1:
         raise ValueError("spectrum reports are per-component; use a knot grid")
     order = list(alexander2_range(g) if alexander_range is None else alexander_range)
     hat, plus = FlavorSpec.make(g, "hat"), FlavorSpec.make(g, "plus")
-    here = None
+    below = None
     out: dict[int, SliceReport] = {}
-    for a2 in sorted(set(order)):
-        below = here if here is not None and here.alexander2 == (a2 - 2,) else None
+    for a2 in sorted(set(order), reverse=True):
+        here = below if below is not None and below.alexander2 == (a2,) else None
+        below = None
         tables = {"hat": capped_homology(g, s, hat, (a2,), None)}
-        here = ReducedSlice.build(g, s, plus, (a2,))
+        if here is None:
+            here = ReducedSlice.build(g, s, plus, (a2,))
         tables["plus"] = here.table
         wedges = {flavor: wedge_decomposition(table) for flavor, table in tables.items()}
         umaps = {}
         if tables["plus"].nonzero():
-            if below is None:
-                below = ReducedSlice.build(g, s, plus, (a2 - 2,))
+            below = ReducedSlice.build(g, s, plus, (a2 - 2,))
             res = u_map(here, below, 0)
             umaps[0] = {
                 "iso": res.is_isomorphism(),

@@ -107,6 +107,16 @@ class TestUMap:
         assert not low.is_isomorphism()
         assert plus_u_map(trefoil5, signs5, 0, (4,)).is_isomorphism()
 
+    @pytest.mark.parametrize("cap", [None, 6])
+    def test_reduced_slice_holds_no_differential(self, cap, trefoil5, signs5):
+        spec = FlavorSpec.make(trefoil5, "plus")
+        sl = ReducedSlice.build(trefoil5, signs5, spec, (6,), cap)
+        assert set(vars(sl)) == {"spec", "alexander2", "maslov_cap", "grading", "iota", "pi", "bases"}
+        held = list(vars(sl).values()) + [cell.cell_contents for cell in sl.pi.__closure__]
+        assert not any(isinstance(v, IntegerChainComplex) for v in held)
+        cx = build_complex(trefoil5, signs5, spec, (6,), cap)
+        assert cx.diff and list(sl.grading.items()) == list(cx.grading.items())
+
     def test_u_map_rejects_wrong_target(self, trefoil5, signs5):
         spec = FlavorSpec.make(trefoil5, "plus")
         src = ReducedSlice.build(trefoil5, signs5, spec, (6,))

@@ -7,6 +7,7 @@ from gridhom.spectra import (
     CellStructure,
     cell_census,
     dimension_offset,
+    report_to_json_obj,
     spectrum_report,
     wedge_decomposition,
 )
@@ -160,6 +161,19 @@ class TestSharedSlices:
                 "iso": res.is_isomorphism(),
                 "matrices": {gr: res.matrices.get(gr, []) for gr in gradings},
             }
+
+    @pytest.mark.parametrize(
+        "grid, signs, order",
+        [("trefoil5", "signs5", [8, 2, 6]), ("t25", "signs7", [4, 0])],  # unsorted, with gaps
+    )
+    def test_report_does_not_depend_on_walk_order(self, grid, signs, order, request):
+        g, s = request.getfixturevalue(grid), request.getfixturevalue(signs)
+        rep = spectrum_report(g, s, order)
+        assert list(rep) == order
+        alone: dict = {}
+        for a2 in order:
+            alone.update(report_to_json_obj(spectrum_report(g, s, [a2])))
+        assert report_to_json_obj(rep) == alone
 
     def test_each_slice_built_once(self, trefoil5, signs5, monkeypatch):
         built = []
