@@ -61,14 +61,14 @@ def _slice_label(a2) -> str:
 
 
 def _write_csvs(outdir: str, name: str, tables: dict) -> None:
+    """One CSV per slice of ``tables``, ``{label: HomologyTable.to_json_obj()}``."""
     os.makedirs(outdir, exist_ok=True)
-    for a2, table in sorted(tables.items()):
-        path = os.path.join(outdir, f"{name}_A2_{_slice_label(a2)}.csv")
-        with open(path, "w", newline="") as fh:
+    for label, groups in tables.items():
+        with open(os.path.join(outdir, f"{name}_A2_{label}.csv"), "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["maslov", "rank", "torsion"])
-            for k, (r, t) in sorted(table.groups.items()):
-                writer.writerow([k, r, ";".join(map(str, t))])
+            for k, group in groups.items():
+                writer.writerow([k, group["rank"], ";".join(map(str, group["torsion"]))])
 
 
 def cmd_validate(args) -> int:
@@ -136,7 +136,7 @@ def cmd_homology(args) -> int:
         lines.append(f"  2A={a2}: " + (str(nz) if nz else "0"))
     _emit(args, obj, lines)
     if args.out:
-        _write_csvs(args.out, args.flavor, tables)
+        _write_csvs(args.out, args.flavor, obj["tables"])
     return 0
 
 

@@ -2,10 +2,11 @@
 
 ``y <= x`` when some positive domain from x to y avoids both the rightmost
 column and the topmost row; on permutations this is the opposite of the
-strong Bruhat order.  The module also finds the minimum generator
-m^{a,b,y} of the upward-closed sets G^{a,b,y} that drive the acyclicity of
-the positive-domain complex, by stepping back along minimal witness
-rectangles.
+strong Bruhat order.  By the quadrant form of that domain (see ``g_set``),
+``y <= x`` iff ``Q_y <= Q_x`` on every cell.  The module also finds
+the minimum generator m^{a,b,y} of the upward-closed sets G^{a,b,y} that
+drive the acyclicity of the positive-domain complex, by stepping back along
+minimal witness rectangles.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ Perm = tuple[int, ...]
 
 def generator_leq(g: GridDiagram, y: Generator, x: Generator) -> bool:
     """y <= x iff the unique (x -> y) domain with A = B = 0 is positive."""
-    return g.base_domain(x, y).is_positive()
+    return g.base_is_positive(x, y)
 
 
 def inversions(sigma: Perm) -> int:
@@ -125,8 +126,5 @@ def g_set(g: GridDiagram, a, b, y: Generator) -> set[Perm]:
 
 
 def interval(g: GridDiagram, lo: Generator, hi: Generator) -> set[Perm]:
-    out = set()
-    for z in g.generators():
-        if generator_leq(g, lo, z) and generator_leq(g, z, hi):
-            out.add(z.sigma)
-    return out
+    """Every z with lo <= z <= hi."""
+    return g.base_interval(lo, hi)

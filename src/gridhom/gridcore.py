@@ -153,13 +153,12 @@ class GridDiagram:
     n: int
     o_row: Perm
     x_row: Perm
-    # Per-diagram caches: graded generators (n! at most), the marking data of
-    # a rectangle's box (n^4 at most) and zero-data domains between two
-    # generators.  Rectangle records are rebuilt on every call and kept by
-    # no one here; a caller that revisits them keeps a table of its own.
+    # Per-diagram caches: graded generators (n! at most) and the marking data
+    # of a rectangle's box (n^4 at most).  Rectangle records and domains are
+    # rebuilt on every call and kept by no one here; a caller that revisits
+    # them keeps a table of its own.
     _gen_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _box_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _base_domain_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = self.n
@@ -458,17 +457,13 @@ class GridDiagram:
             raise GridError("inconsistent boundary data in unique_domain")
         return dom
 
-    def base_domain(self, x: Generator, y: Generator) -> "GridDomain":
-        """``unique_domain(x, y)`` with zero last-column/top-row data (cached)."""
-        key = (x.sigma, y.sigma)
-        dom = self._base_domain_cache.get(key)
-        if dom is None:
-            zero = (0,) * (self.n - 1)
-            dom = self._base_domain_cache[key] = self.unique_domain(x, y, zero, zero)
-        return dom
+    def base_is_positive(self, x: Generator, y: Generator) -> bool:
+        """Whether the zero-data ``unique_domain(x, y)`` is positive, unbuilt:
+        by the quadrant form, iff ``Q_y <= Q_x`` on every cell."""
+        return all(map(le, _quadrant_counts(y.sigma), _quadrant_counts(x.sigma)))
 
     def base_maslov_index(self, x: Generator, y: Generator) -> int:
-        """``base_domain(x, y).maslov_index()`` without building the domain.
+        """The Maslov index of the zero-data ``unique_domain(x, y)``, unbuilt.
 
         By the quadrant form the domain has ``Q_x(c, r) - Q_y(c, r)`` on cell
         ``(c, r)``, so its O-count is ``sum_c Q_x(c, o_c) - Q_y(c, o_c)``,
@@ -524,6 +519,10 @@ class GridDiagram:
         qy = _quadrant_counts(y.sigma)
         lo = [qy[c * n + r] - a[r] - b[c] for c in range(n) for r in range(n)]
         return set(_columns_within(n, lo, [n] * (n * n)))
+
+    def base_interval(self, lo: Generator, hi: Generator) -> set[Perm]:
+        """Every z with ``Q_lo <= Q_z <= Q_hi`` on every cell, one column search."""
+        return set(_columns_within(self.n, _quadrant_counts(lo.sigma), _quadrant_counts(hi.sigma)))
 
 
 class RectInfo(NamedTuple):

@@ -48,6 +48,7 @@ faith.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add
 
 from gridhom.gridcore import GridDiagram, GridDomain, GridError, RectInfo
 
@@ -148,12 +149,11 @@ class SignAssignment:
     """
 
     diagram: GridDiagram
-    _spinors: _Spinors = field(repr=False, default=None)
-    _inner: dict = field(repr=False, default_factory=dict)
+    _spinors: _Spinors = field(init=False, repr=False)
+    _inner: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
-        if self._spinors is None:
-            self._spinors = _Spinors(self.diagram.n)
+        self._spinors = _Spinors(self.diagram.n)
 
     def of(self, info: RectInfo) -> int:
         i, j = info.pair
@@ -251,14 +251,11 @@ def _classify(d: GridDomain, decomps) -> str:
     kind = d.annulus_kind()
     if kind:
         return "annulus-horizontal" if kind == "H" else "annulus-vertical"
-    pairs = {info.pair for info, _ in decomps} | {info.pair for _, info in decomps}
-    cols = set()
-    for p in pairs:
-        cols.update(p)
+    cols = {c for r1, r2, _ in decomps for c in r1.pair + r2.pair}
     if len(cols) == 4:
         return "disjoint"
     # hexagon: orient by where the narrow rectangle sits relative to the wide one
-    r1, r2 = decomps[0]
+    r1, r2, _ = decomps[0]
     wide, narrow = (r1, r2) if r1.width >= r2.width else (r2, r1)
     above = (narrow.row0 - wide.row0) % d.diagram.n >= wide.height
     left_aligned = narrow.col0 == wide.col0
@@ -269,30 +266,34 @@ def _classify(d: GridDomain, decomps) -> str:
 
 def verify_axioms(g: GridDiagram, s: SignAssignment) -> AxiomReport:
     """Exhaustively check the sign axioms over all index-2 positive domains."""
-    # the records of every generator and the sign of each rectangle, built
+    # the records of every generator with the sign of each rectangle, built
     # once for this check: a rectangle occurs in many domains
-    infos = {x.sigma: g.rectangle_infos(x.sigma) for x in g.generators()}
-    signs = {info.key: s.of(info) for rects in infos.values() for info in rects}
-    groups: dict = {}
-    for rects in infos.values():
-        for r1 in rects:
-            first = r1.domain(g)
-            for r2 in infos[r1.to_sigma]:
-                d = first.compose(r2.domain(g))
-                groups.setdefault(d.key, (d, []))[1].append((r1, r2))
+    infos = {x.sigma: [(r, s.of(r)) for r in g.rectangle_infos(x.sigma)] for x in g.generators()}
+    checked = 0
     shape_counts = {name: 0 for name in SHAPE_CLASSES}
     violations = []
-    for (from_sigma, _, mult), (d, decomps) in groups.items():
-        shape = _classify(d, decomps)
-        shape_counts[shape] += 1
-        prods = [signs[r1.key] * signs[r2.key] for r1, r2 in decomps]
-        if shape == "annulus-horizontal":
-            if len(decomps) != 1 or prods[0] != 1:
-                violations.append((from_sigma, mult, "horizontal annulus", prods))
-        elif shape == "annulus-vertical":
-            if len(decomps) != 1 or prods[0] != -1:
-                violations.append((from_sigma, mult, "vertical annulus", prods))
-        else:
-            if len(decomps) != 2 or prods[0] != -prods[1]:
-                violations.append((from_sigma, mult, shape, prods))
-    return AxiomReport(checked=len(groups), shape_counts=shape_counts, violations=violations)
+    for from_sigma, rects in infos.items():
+        # The composites r1*r2 from one x, kept until the next x.  A domain
+        # from x is pinned by its end and its data in the last column and the
+        # top row (the top-right cell is 0), so that key names it completely.
+        groups: dict = {}
+        for r1, s1 in rects:
+            for r2, s2 in infos[r1.to_sigma]:
+                key = (r2.to_sigma, tuple(map(add, r1.a_vec, r2.a_vec)), tuple(map(add, r1.b_vec, r2.b_vec)))
+                groups.setdefault(key, []).append((r1, r2, s1 * s2))
+        checked += len(groups)
+        for decomps in groups.values():
+            r1, r2, _ = decomps[0]
+            d = r1.domain(g).compose(r2.domain(g))
+            shape = _classify(d, decomps)
+            shape_counts[shape] += 1
+            prods = [p for _, _, p in decomps]
+            if shape == "annulus-horizontal":
+                label, ok = "horizontal annulus", prods == [1]
+            elif shape == "annulus-vertical":
+                label, ok = "vertical annulus", prods == [-1]
+            else:
+                label, ok = shape, len(prods) == 2 and prods[0] == -prods[1]
+            if not ok:
+                violations.append((from_sigma, d.mult, label, prods))
+    return AxiomReport(checked=checked, shape_counts=shape_counts, violations=violations)

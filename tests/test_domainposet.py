@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -183,11 +184,56 @@ class TestMinimum:
                         assert z.sigma in members
 
 
+@functools.cache
+def zero_data_domain(g, x, y):
+    """``unique_domain(x, y)`` with zero data, by its recurrence; memoized
+    here only, so that the oracles below build each pair's domain once."""
+    zero = (0,) * (g.n - 1)
+    return g.unique_domain(x, y, zero, zero)
+
+
 def brute_g_set(g, a, b, y):
     """G^{a,b,y} by testing every x: the zero-data domain plus the periodic
     domain with data (a, b) must be positive."""
     periodic = g.unique_domain(y, y, tuple(a), tuple(b))
-    return {x.sigma for x in g.generators() if g.base_domain(x, y).compose(periodic).is_positive()}
+    return {x.sigma for x in g.generators() if zero_data_domain(g, x, y).compose(periodic).is_positive()}
+
+
+def walked_interval(g, lo, hi):
+    """[lo, hi] by walking all n! generators, with the order read from the
+    positivity of zero-data domains built by the recurrence."""
+    return {
+        z.sigma
+        for z in g.generators()
+        if zero_data_domain(g, z, lo).is_positive() and zero_data_domain(g, hi, z).is_positive()
+    }
+
+
+class TestQuadrantOrderOracle:
+    @pytest.mark.parametrize("name", ["hopf4", "trefoil5"])
+    def test_leq_is_zero_data_positivity(self, name, request):
+        g = request.getfixturevalue(name)
+        gens = list(g.generators())
+        for x in gens:
+            for y in gens:
+                assert dp.generator_leq(g, y, x) == zero_data_domain(g, x, y).is_positive()
+
+    def test_trefoil5_interval_against_walk(self, trefoil5):
+        g = trefoil5
+        gens = list(g.generators())
+        x_id = g.generator(tuple(range(g.n)))
+        # every (a, b) with entries at most 1, paired with the generators in
+        # turn, as in TestGSetOracle; then a seeded sample of (lo, hi)
+        vecs = list(itertools.product(range(2), repeat=4))
+        minima = {
+            dp.g_minimum(g, a, b, gens[k % len(gens)]).sigma
+            for k, (a, b) in enumerate(itertools.product(vecs, vecs))
+        }
+        pairs = [(g.generator(m), x_id) for m in sorted(minima)]
+        rng = random.Random(15)
+        pairs += [(rng.choice(gens), rng.choice(gens)) for _ in range(200)]
+        for lo, hi in pairs:
+            assert dp.interval(g, lo, hi) == walked_interval(g, lo, hi)
 
 
 class TestGSetOracle:

@@ -6,7 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from gridhom.gridcore import GridDiagram
 from gridhom.signs import (
+    SHAPE_CLASSES,
+    AxiomReport,
     GaugeTwist,
+    _classify,
     _gammas,
     _Spinors,
     build_sign_assignment,
@@ -199,6 +202,52 @@ def test_flipped_rectangle_violates(unknot3, signs3):
         if not rep.ok:
             return
     pytest.fail("no single flip produced a violation")
+
+
+def grouped_by_whole_domain(g, s) -> AxiomReport:
+    """``verify_axioms`` as it was first written: every composite r1*r2 of
+    the grid built as a whole domain and grouped by ``GridDomain.key`` in one
+    table, shape classes by ``_classify``."""
+    infos = {x.sigma: g.rectangle_infos(x.sigma) for x in g.generators()}
+    groups: dict = {}
+    for rects in infos.values():
+        for r1 in rects:
+            for r2 in infos[r1.to_sigma]:
+                d = r1.domain(g).compose(r2.domain(g))
+                groups.setdefault(d.key, (d, []))[1].append((r1, r2, s.of(r1) * s.of(r2)))
+    shape_counts = {name: 0 for name in SHAPE_CLASSES}
+    violations = []
+    for (from_sigma, _, mult), (d, decomps) in groups.items():
+        shape = _classify(d, decomps)
+        shape_counts[shape] += 1
+        prods = [p for _, _, p in decomps]
+        if shape == "annulus-horizontal":
+            if len(decomps) != 1 or prods[0] != 1:
+                violations.append((from_sigma, mult, "horizontal annulus", prods))
+        elif shape == "annulus-vertical":
+            if len(decomps) != 1 or prods[0] != -1:
+                violations.append((from_sigma, mult, "vertical annulus", prods))
+        elif len(decomps) != 2 or prods[0] != -prods[1]:
+            violations.append((from_sigma, mult, shape, prods))
+    return AxiomReport(checked=len(groups), shape_counts=shape_counts, violations=violations)
+
+
+@pytest.mark.parametrize("name", ["hopf4", "trefoil5"])
+def test_axioms_match_whole_domain_grouping(name, request):
+    g = request.getfixturevalue(name)
+    s = build_sign_assignment(g)
+    assert verify_axioms(g, s) == grouped_by_whole_domain(g, s)
+
+
+def test_flipped_violations_match_whole_domain_grouping(unknot3, signs3):
+    base = signs3.table()
+    broken = 0
+    for key in sorted(base):
+        s = FlippedSigns(base, key)
+        rep = verify_axioms(unknot3, s)
+        assert rep == grouped_by_whole_domain(unknot3, s)
+        broken += not rep.ok
+    assert broken
 
 
 @settings(max_examples=20, deadline=None)
