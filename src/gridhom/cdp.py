@@ -360,12 +360,14 @@ def graded_piece_complex(
 ) -> IntegerChainComplex:
     """The associated-graded piece CD^{a,b,y} on the interval [m^{a,b,y}, Id].
 
-    Generators are the x in G^{a,b,y} (each carrying its unique positive
-    domain, the zero-data domain plus the periodic domain
-    ``unique_domain(y, y, a, b)``, so its Maslov index is the sum of theirs,
-    the first read from the O table by ``GridDiagram.base_maslov_index``);
-    the differential splits off front rectangles avoiding the last row and
-    column, read from the arrow table ``SignAssignment.inner_arrows``.
+    Generators are the x in G^{a,b,y}, each carrying its unique positive
+    domain (x, y, a, b).  That is the zero-data domain (x, y, 0, 0) followed
+    by the periodic domain (y, y, a, b), so its Maslov index is the sum of
+    theirs: the first read from the O table by
+    ``GridDiagram.base_maslov_index``, the second the data's share of the O
+    cells, the same for every x.  The differential splits off front
+    rectangles avoiding the last row and column, read from the arrow table
+    ``SignAssignment.inner_arrows``.
     """
     a, b = tuple(a), tuple(b)
     members = g_set(g, a, b, y)

@@ -1,12 +1,13 @@
 """Command line front end.
 
 Exit codes: 0 on success, 1 when a verification fails, 2 on input errors
-(a bad grid file, slice, marking, seed or size), reported as one line on
-stderr, and 141 (128 + SIGPIPE, as a shell reports a pipe writer killed by
-the signal) when stdout is closed before all output is written, with nothing
-on stderr.  On links every homology flavor, plus-prime included, needs explicit
-``--alexander`` slices, and plus-prime also needs ``--cap``: its slices of a
-link are infinite, and a capped table is exact up to grading cap - 2.
+(a bad grid file, slice, marking, seed or size, or an output path that cannot
+be written), reported as one line on stderr, and 141 (128 + SIGPIPE, as a
+shell reports a pipe writer killed by the signal) when stdout is closed
+before all output is written, with nothing on stderr.  On links every
+homology flavor, plus-prime included, needs explicit ``--alexander`` slices,
+and plus-prime also needs ``--cap``: its slices of a link are infinite, and a
+capped table is exact up to grading cap - 2.
 """
 
 from __future__ import annotations
@@ -62,13 +63,16 @@ def _slice_label(a2) -> str:
 
 def _write_csvs(outdir: str, name: str, tables: dict) -> None:
     """One CSV per slice of ``tables``, ``{label: HomologyTable.to_json_obj()}``."""
-    os.makedirs(outdir, exist_ok=True)
-    for label, groups in tables.items():
-        with open(os.path.join(outdir, f"{name}_A2_{label}.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["maslov", "rank", "torsion"])
-            for k, group in groups.items():
-                writer.writerow([k, group["rank"], ";".join(map(str, group["torsion"]))])
+    try:
+        os.makedirs(outdir, exist_ok=True)
+        for label, groups in tables.items():
+            with open(os.path.join(outdir, f"{name}_A2_{label}.csv"), "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["maslov", "rank", "torsion"])
+                for k, group in groups.items():
+                    writer.writerow([k, group["rank"], ";".join(map(str, group["torsion"]))])
+    except OSError as exc:
+        raise InputError(f"cannot write --out: {exc}") from None
 
 
 def cmd_validate(args) -> int:
@@ -134,9 +138,9 @@ def cmd_homology(args) -> int:
     for a2, t in sorted(tables.items()):
         nz = t.nonzero()
         lines.append(f"  2A={a2}: " + (str(nz) if nz else "0"))
-    _emit(args, obj, lines)
     if args.out:
         _write_csvs(args.out, args.flavor, obj["tables"])
+    _emit(args, obj, lines)
     return 0
 
 
@@ -338,8 +342,11 @@ def cmd_zn(args) -> int:
         for a, b in edges:
             dot.append(f'  "{a.p_minus},{a.p_zero},{a.p_plus};{a.lam}" -> "{b.p_minus},{b.p_zero},{b.p_plus};{b.lam}";')
         dot.append("}")
-        with open(args.dot, "w") as fh:
-            fh.write("\n".join(dot))
+        try:
+            with open(args.dot, "w") as fh:
+                fh.write("\n".join(dot))
+        except OSError as exc:
+            raise InputError(f"cannot write --dot: {exc}") from None
         lines.append(f"wrote {args.dot}")
     _emit(args, obj, lines)
     return 0

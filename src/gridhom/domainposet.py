@@ -116,9 +116,9 @@ def g_set(g: GridDiagram, a, b, y: Generator) -> set[Perm]:
     """G^{a,b,y}: all x admitting a positive domain to y with the prescribed
     last-column/last-row data.
 
-    That domain is ``unique_domain(x, y, a, b)``, whose multiplicity on cell
-    (c, r) is ``Q_x(c, r) - Q_y(c, r) + a[r] + b[c]`` with ``Q_z(c, r)`` the
-    number of points of z strictly up and to the right of the cell, so
+    That domain is the ``GridDomain`` (x, y, a, b), whose multiplicity on
+    cell (c, r) is ``Q_x(c, r) - Q_y(c, r) + a[r] + b[c]`` with ``Q_z(c, r)``
+    the number of points of z strictly up and to the right of the cell, so
     membership is ``Q_x >= Q_y - a[r] - b[c]`` on every cell; a pruned column
     search finds the members without building any domain.
     """

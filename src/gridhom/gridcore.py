@@ -26,10 +26,13 @@ built afresh on every ``rectangle_infos``/``rectangle_infos_into`` call: the
 diagram keeps their box data, not the records, so their memory lasts as long
 as the caller holds them.
 
-A domain's multiplicities are one flat tuple of ``n*n`` ints, the cell
-``(c, r)`` at index ``c*n + r``.  The order is column-major, so domain keys
-compare column by column.  Only this module reads or builds that tuple; the
-other modules ask ``GridDomain`` and ``RectInfo`` for what they need.
+A domain from x to y is pinned by its ends and its data in the last column
+and the top row (``GridDomain``): with ``Q_z(c, r) = #{i > c : z_i > r}``,
+the points of z strictly up and to the right of the cell, its multiplicity on
+cell ``(c, r)`` is ``Q_x(c, r) - Q_y(c, r) + a[r] + b[c]`` (Manolescu,
+Ozsvath and Sarkar, arXiv:math/0607691).  Composing and splitting domains adds
+and subtracts data; the ``n*n`` cells (``GridDomain.mult``, column-major, the
+cell ``(c, r)`` at index ``c*n + r``) are worked out only where they are read.
 """
 
 from __future__ import annotations
@@ -404,58 +407,43 @@ class GridDiagram:
     # -- domains ---------------------------------------------------------------
 
     def trivial_domain(self, x: Generator) -> "GridDomain":
-        return GridDomain(self, x.sigma, x.sigma, (0,) * (self.n * self.n))
+        zero = (0,) * (self.n - 1)
+        return GridDomain(self, x.sigma, x.sigma, zero, zero)
 
     def marking_annulus(self, kind: str, j: int, x: Generator) -> "GridDomain":
-        """H_j (row through O_j) or V_j (column through O_j) as a domain x -> x.
+        """H_j (row through O_j) or V_j (column through O_j) as a domain x -> x:
+        H_j has ``a = e_{o_row[j]}``, V_j has ``b = e_j``.
 
         The last row and column are not allowable (they cover the top-right
         X marking) and are rejected.
         """
         n = self.n
+        zero = (0,) * (n - 1)
         if kind == "H":
             row = self.o_row[j]
             if row == n - 1:
                 raise InvalidGrid(f"row through O_{j} is the top row; not allowable")
-            mult = tuple(int(i % n == row) for i in range(n * n))
-        elif kind == "V":
+            return GridDomain(self, x.sigma, x.sigma, tuple(int(r == row) for r in range(n - 1)), zero)
+        if kind == "V":
             if j == n - 1:
                 raise InvalidGrid(f"column through O_{j} is the last column; not allowable")
-            mult = tuple(int(i // n == j) for i in range(n * n))
-        else:
-            raise ValueError(f"kind must be 'H' or 'V', got {kind!r}")
-        return GridDomain(self, x.sigma, x.sigma, mult)
+            return GridDomain(self, x.sigma, x.sigma, zero, tuple(int(c == j) for c in range(n - 1)))
+        raise ValueError(f"kind must be 'H' or 'V', got {kind!r}")
 
     def unique_domain(self, x: Generator, y: Generator, a: tuple[int, ...], b: tuple[int, ...]) -> "GridDomain":
         """The unique 2-chain from x to y with last-column/last-row data (a, b).
 
         ``a[r]`` is the multiplicity in the rightmost column at row ``r`` and
         ``b[c]`` the multiplicity in the topmost row at column ``c``
-        (``r, c < n-1``; the top-right cell is pinned to 0).  Entries may come
-        out negative; callers test positivity.
-
-        In closed form the multiplicity of cell ``(c, r)`` is
-        ``Q_x(c, r) - Q_y(c, r) + a[r] + b[c]``, with ``a[n-1] = b[n-1] = 0``
-        and ``Q_z(c, r) = #{i > c : z_i > r}`` the number of points of z in
-        the strict upper-right quadrant of the cell.  ``subdomain_data`` and
-        ``positive_sources`` search generators through this form.
+        (``r, c < n-1``; the top-right cell is pinned to 0).  That is a
+        ``GridDomain`` as it is stored, so this only checks the lengths; its
+        cells follow the quadrant form, which meets the boundary condition by
+        construction.  Entries may come out negative; callers test positivity.
         """
         n = self.n
         if len(a) != n - 1 or len(b) != n - 1:
             raise ValueError("a and b must have length n-1")
-        xs, ys = set(enumerate(x.sigma)), set(enumerate(y.sigma))
-        m = [0] * (n * n)
-        m[(n - 1) * n : n * n - 1] = a
-        m[n - 1 : n * n - 1 : n] = b
-        for c in range(n - 2, -1, -1):
-            for r in range(n - 2, -1, -1):
-                i = c * n + r
-                corner = ((c + 1, r + 1) in xs) - ((c + 1, r + 1) in ys)
-                m[i] = corner - m[i + n + 1] + m[i + 1] + m[i + n]
-        dom = GridDomain(self, x.sigma, y.sigma, tuple(m))
-        if not dom.satisfies_boundary_condition():
-            raise GridError("inconsistent boundary data in unique_domain")
-        return dom
+        return GridDomain(self, x.sigma, y.sigma, tuple(a), tuple(b))
 
     def base_is_positive(self, x: Generator, y: Generator) -> bool:
         """Whether the zero-data ``unique_domain(x, y)`` is positive, unbuilt:
@@ -478,15 +466,16 @@ class GridDiagram:
         cell by cell, where x is ``rem``'s start; sorted, so in the order of
         a scan over permutations w and then over a and b.
 
-        The quadrant form of ``unique_domain`` turns both inequalities into
-        bounds on ``Q_w`` with a and b at their extremes, which prune the
-        column search; for each w found and each a, every ``b[c]`` ranges over
-        an interval.
+        With rem from x to y and data (A, B), the quadrant form turns both
+        inequalities into bounds on ``Q_w``, from ``Q_y - A - B`` up to
+        ``Q_x + A + B`` (a and b at their extremes), which prune the column
+        search; for each w found and each a, every ``b[c]`` ranges over an
+        interval read from rem's cells.
         """
         n, m = self.n, rem.mult
-        qx = _quadrant_counts(rem.from_sigma)
-        amax, bmax = rem.a_vec() + (0,), rem.b_vec() + (0,)
-        lo = [q - v for q, v in zip(qx, m)]
+        qx, qy = _quadrant_counts(rem.from_sigma), _quadrant_counts(rem.to_sigma)
+        amax, bmax = rem.a_vec + (0,), rem.b_vec + (0,)
+        lo = [qy[c * n + r] - amax[r] - bmax[c] for c in range(n) for r in range(n)]
         hi = [qx[c * n + r] + amax[r] + bmax[c] for c in range(n) for r in range(n)]
         out = []
         for w in _columns_within(n, lo, hi):
@@ -533,7 +522,9 @@ class RectInfo(NamedTuple):
     The cells covered are ``col0..col0+width-1 x row0..row0+height-1`` mod n.
     A tuple record, built afresh by every ``rectangle_infos`` and
     ``rectangle_infos_into`` call and kept by no cache of the diagram;
-    records of one box share its vectors.
+    records of one box share its vectors.  ``a_vec``/``b_vec`` are the
+    rectangle's data as a ``GridDomain`` stores it, so ``domain`` passes them
+    on and paints no cell.
     """
 
     from_sigma: Perm
@@ -557,42 +548,64 @@ class RectInfo(NamedTuple):
         return (self.from_sigma, self.pair, self.role)
 
     def domain(self, g: GridDiagram) -> "GridDomain":
-        n = g.n
-        mult = [0] * (n * n)
-        for dc in range(self.width):
-            col = (self.col0 + dc) % n * n
-            for dr in range(self.height):
-                mult[col + (self.row0 + dr) % n] = 1
-        return GridDomain(g, self.from_sigma, self.to_sigma, tuple(mult))
+        return GridDomain(g, self.from_sigma, self.to_sigma, self.a_vec, self.b_vec)
 
 
 @dataclass(frozen=True)
 class GridDomain:
-    """An integer 2-chain between two generators; ``mult[c*n + r]`` per cell."""
+    """An integer 2-chain between two generators, stored as its ends and its
+    data in the last column and the top row.
+
+    ``a_vec[r]`` is the multiplicity in the rightmost column at row ``r`` and
+    ``b_vec[c]`` the multiplicity in the topmost row at column ``c``
+    (``r, c < n-1``); the top-right cell is 0.  Those pin the 2-chain: cell
+    ``(c, r)`` holds ``Q_x(c, r) - Q_y(c, r) + a[r] + b[c]`` (``mult``, with
+    ``a[n-1] = b[n-1] = 0`` and ``Q`` as in ``_quadrant_counts``), so
+    composing and splitting add and subtract the data.
+    """
 
     diagram: GridDiagram
     from_sigma: Perm
     to_sigma: Perm
-    mult: tuple[int, ...]
+    a_vec: tuple[int, ...]
+    b_vec: tuple[int, ...]
 
     @property
     def key(self) -> tuple:
-        """``(from_sigma, to_sigma, mult)``; equal on one diagram iff the domains are."""
-        return (self.from_sigma, self.to_sigma, self.mult)
+        """``(from_sigma, to_sigma, a_vec, b_vec)``; equal on one diagram iff the domains are."""
+        return (self.from_sigma, self.to_sigma, self.a_vec, self.b_vec)
 
-    @property
-    def from_gen(self) -> Generator:
-        return self.diagram.generator(self.from_sigma)
+    @cached_property
+    def mult(self) -> tuple[int, ...]:
+        """The multiplicity of every cell, ``(c, r)`` at index ``c*n + r``.
 
-    @property
-    def to_gen(self) -> Generator:
-        return self.diagram.generator(self.to_sigma)
+        Built leftwards from the last column (``a``, then 0): column c is
+        column c+1 shifted by ``b[c] - b[c+1]``, plus the change in the
+        quadrant counts, ``[x_{c+1} > r] - [y_{c+1} > r]``, which is +1 on the
+        rows ``y_{c+1} <= r < x_{c+1}`` and -1 on ``x_{c+1} <= r < y_{c+1}``.
+        """
+        x, y, b = self.from_sigma, self.to_sigma, self.b_vec + (0,)
+        col = list(self.a_vec) + [0]
+        cols = [col]
+        for c in range(self.diagram.n - 2, -1, -1):
+            u, v, shift = x[c + 1], y[c + 1], b[c] - b[c + 1]
+            if shift:
+                col = [q + shift for q in col]
+            elif u != v:
+                col = col[:]  # column c+1 stays in cols unchanged
+            if u > v:
+                col[v:u] = [q + 1 for q in col[v:u]]
+            elif u < v:
+                col[u:v] = [q - 1 for q in col[u:v]]
+            cols.append(col)
+        cols.reverse()
+        return tuple(itertools.chain.from_iterable(cols))
 
     def is_positive(self) -> bool:
         return min(self.mult) >= 0
 
     def is_trivial(self) -> bool:
-        return self.from_sigma == self.to_sigma and not any(self.mult)
+        return self.from_sigma == self.to_sigma and not any(self.a_vec) and not any(self.b_vec)
 
     def max_multiplicity(self) -> int:
         return max(self.mult)
@@ -619,62 +632,34 @@ class GridDomain:
             return min(self.mult[j * n : (j + 1) * n])
         raise ValueError(f"kind must be 'H' or 'V', got {kind!r}")
 
-    # -- coefficient vectors -------------------------------------------------
-
-    def o_vec(self) -> tuple[int, ...]:
-        g, n = self.diagram, self.diagram.n
-        return tuple(self.mult[c * n + g.o_row[c]] for c in range(n))
-
-    def x_vec(self) -> tuple[int, ...]:
-        g, n = self.diagram, self.diagram.n
-        return tuple(self.mult[c * n + g.x_row[c]] for c in range(n))
-
-    def a_vec(self) -> tuple[int, ...]:
-        """Multiplicities in the rightmost column, rows 0..n-2."""
-        n = self.diagram.n
-        return self.mult[(n - 1) * n : n * n - 1]
-
-    def b_vec(self) -> tuple[int, ...]:
-        """Multiplicities in the topmost row, columns 0..n-2."""
-        n = self.diagram.n
-        return self.mult[n - 1 : n * n - 1 : n]
-
     # -- structure -------------------------------------------------------------
 
     def maslov_index(self) -> int:
-        """mu(D) = M(x) - M(y) + 2|O(D)|."""
-        return self.from_gen.maslov - self.to_gen.maslov + 2 * sum(self.o_vec())
+        """mu(D) = M(x) - M(y) + 2|O(D)|: the zero-data part from
+        ``base_maslov_index``, plus ``a[o_c] + b[c]`` on the cell of each O_c."""
+        g = self.diagram
+        a = self.a_vec + (0,)
+        o_data = sum(a[r] for r in g.o_row) + sum(self.b_vec)
+        x, y = g.generator(self.from_sigma), g.generator(self.to_sigma)
+        return g.base_maslov_index(x, y) + 2 * o_data
 
     def compose(self, other: "GridDomain") -> "GridDomain":
         if self.to_sigma != other.from_sigma:
             raise EndpointMismatch(f"cannot compose: {self.to_sigma} != {other.from_sigma}")
-        mult = tuple(map(add, self.mult, other.mult))
-        return GridDomain(self.diagram, self.from_sigma, other.to_sigma, mult)
+        a, b = tuple(map(add, self.a_vec, other.a_vec)), tuple(map(add, self.b_vec, other.b_vec))
+        return GridDomain(self.diagram, self.from_sigma, other.to_sigma, a, b)
 
     def subtract(self, other: "GridDomain") -> "GridDomain":
         """Prefix strip: for ``self = other * E`` this is ``E``, the 2-chain
         ``self - other`` running from ``other.to`` to ``self.to``."""
-        mult = tuple(map(sub, self.mult, other.mult))
-        return GridDomain(self.diagram, other.to_sigma, self.to_sigma, mult)
+        a, b = tuple(map(sub, self.a_vec, other.a_vec)), tuple(map(sub, self.b_vec, other.b_vec))
+        return GridDomain(self.diagram, other.to_sigma, self.to_sigma, a, b)
 
     def strip_suffix(self, other: "GridDomain") -> "GridDomain":
         """Suffix strip: for ``self = E * other`` this is ``E``, the 2-chain
         ``self - other`` running from ``self.from`` to ``other.from``."""
-        mult = tuple(map(sub, self.mult, other.mult))
-        return GridDomain(self.diagram, self.from_sigma, other.from_sigma, mult)
-
-    def satisfies_boundary_condition(self) -> bool:
-        """Corner defects must be +1 at x-coordinates, -1 at y, 0 elsewhere."""
-        n, m = self.diagram.n, self.mult
-        xs, ys = set(enumerate(self.from_sigma)), set(enumerate(self.to_sigma))
-        for u in range(n):
-            left = (u - 1) % n * n
-            for v in range(n):
-                below = (v - 1) % n
-                d = m[u * n + v] + m[left + below] - m[left + v] - m[u * n + below]
-                if d != ((u, v) in xs) - ((u, v) in ys):
-                    return False
-        return True
+        a, b = tuple(map(sub, self.a_vec, other.a_vec)), tuple(map(sub, self.b_vec, other.b_vec))
+        return GridDomain(self.diagram, self.from_sigma, other.from_sigma, a, b)
 
     def decompose_into_rectangles(self) -> list["GridDomain"]:
         """One decomposition D = R_1 * ... * R_k with k = mu(D).

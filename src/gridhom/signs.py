@@ -222,16 +222,7 @@ class GaugeTwist:
 # -- verification ------------------------------------------------------------
 
 
-SHAPE_CLASSES = (
-    "cross",
-    "disjoint",
-    "hexagon-ll",
-    "hexagon-lr",
-    "hexagon-ul",
-    "hexagon-ur",
-    "annulus-horizontal",
-    "annulus-vertical",
-)
+SHAPE_CLASSES = ("cross", "disjoint", "hexagon", "annulus-horizontal", "annulus-vertical")
 
 
 @dataclass
@@ -246,22 +237,16 @@ class AxiomReport:
 
 
 def _classify(d: GridDomain, decomps) -> str:
+    """The shape of an index-2 domain: ``cross`` when a cell holds 2, an
+    annulus, else ``disjoint`` or ``hexagon`` as its decompositions move four
+    or three columns in all; no label depends on the order of ``decomps``."""
     if d.max_multiplicity() > 1:
         return "cross"
     kind = d.annulus_kind()
     if kind:
         return "annulus-horizontal" if kind == "H" else "annulus-vertical"
     cols = {c for r1, r2, _ in decomps for c in r1.pair + r2.pair}
-    if len(cols) == 4:
-        return "disjoint"
-    # hexagon: orient by where the narrow rectangle sits relative to the wide one
-    r1, r2, _ = decomps[0]
-    wide, narrow = (r1, r2) if r1.width >= r2.width else (r2, r1)
-    above = (narrow.row0 - wide.row0) % d.diagram.n >= wide.height
-    left_aligned = narrow.col0 == wide.col0
-    if above:
-        return "hexagon-ul" if left_aligned else "hexagon-ur"
-    return "hexagon-ll" if left_aligned else "hexagon-lr"
+    return "disjoint" if len(cols) == 4 else "hexagon"
 
 
 def verify_axioms(g: GridDiagram, s: SignAssignment) -> AxiomReport:
@@ -273,9 +258,8 @@ def verify_axioms(g: GridDiagram, s: SignAssignment) -> AxiomReport:
     shape_counts = {name: 0 for name in SHAPE_CLASSES}
     violations = []
     for from_sigma, rects in infos.items():
-        # The composites r1*r2 from one x, kept until the next x.  A domain
-        # from x is pinned by its end and its data in the last column and the
-        # top row (the top-right cell is 0), so that key names it completely.
+        # The composites r1*r2 from one x, kept until the next x, keyed as
+        # ``GridDomain.key`` less the common start: the end and the data.
         groups: dict = {}
         for r1, s1 in rects:
             for r2, s2 in infos[r1.to_sigma]:

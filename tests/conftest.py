@@ -27,6 +27,39 @@ def plus_u_map(g, s, marking, alexander2, maslov_cap=None):
     return u_map(src, dst, marking)
 
 
+def recurrence_cells(n, x_sigma, y_sigma, a, b):
+    """The cells of the 2-chain from x to y with last-column/top-row data
+    (a, b), at index ``c*n + r``, by the corner recurrence: the last column
+    and the top row are the data (the top-right cell 0), and each other cell
+    follows from the corner defect at its top-right corner, +1 at a point of
+    x and -1 at a point of y.  It shares no code with the quadrant form of
+    ``GridDomain.mult``, which the oracles check against it."""
+    xs, ys = set(enumerate(x_sigma)), set(enumerate(y_sigma))
+    m = [0] * (n * n)
+    m[(n - 1) * n : n * n - 1] = a
+    m[n - 1 : n * n - 1 : n] = b
+    for c in range(n - 2, -1, -1):
+        for r in range(n - 2, -1, -1):
+            i = c * n + r
+            corner = ((c + 1, r + 1) in xs) - ((c + 1, r + 1) in ys)
+            m[i] = corner - m[i + n + 1] + m[i + 1] + m[i + n]
+    return tuple(m)
+
+
+def meets_boundary_condition(n, x_sigma, y_sigma, cells):
+    """Whether every corner defect of the cells is +1 at a point of x, -1 at
+    a point of y and 0 elsewhere, the wrapping corners included."""
+    xs, ys = set(enumerate(x_sigma)), set(enumerate(y_sigma))
+    for u in range(n):
+        left = (u - 1) % n * n
+        for v in range(n):
+            below = (v - 1) % n
+            d = cells[u * n + v] + cells[left + below] - cells[left + v] - cells[u * n + below]
+            if d != ((u, v) in xs) - ((u, v) in ys):
+                return False
+    return True
+
+
 @pytest.fixture(scope="session")
 def unknot2():
     return GridDiagram(2, (1, 0), (0, 1))

@@ -129,12 +129,15 @@ class TestVerifiers:
         ["strata", "unknot2.grid", "--max-codim", "-1"],
         ["homology", "hopf4.grid", "--flavor", "plus-prime", "--alexander=4"],
         ["u-map", "trefoil5.grid", "--alexander", "6", "--cap", "1"],
+        ["zn", "--n", "2", "--edges", "--dot", "/nonexistent_dir/x.dot"],
+        ["homology", "unknot2.grid", "--out", os.path.join(fixture_path("unknot2.grid"), "sub")],
     ],
 )
 def test_bad_input_exits_2(argv, capsys):
     argv = [fixture_path(a) if a.endswith(".grid") else a for a in argv]
     assert main(argv) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == "", out
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "maslov_cap" not in err, err
 

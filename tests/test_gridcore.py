@@ -1,13 +1,13 @@
 import itertools
 import json
 import random
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridhom.gridcore import (
     GridDiagram,
-    GridDomain,
     InvalidGrid,
     EndpointMismatch,
     NotPositive,
@@ -16,11 +16,26 @@ from gridhom.gridcore import (
     parse_grid_json,
     parse_grid_text,
 )
+from conftest import meets_boundary_condition, recurrence_cells
 
 
 def cell(d, c, r):
     """Multiplicity of domain d at cell (c, r), read from the flat tuple."""
     return d.mult[c * d.diagram.n + r]
+
+
+def marking_cells(d, rows):
+    """The multiplicity of d on the marking of each column c, in row rows[c]."""
+    return [cell(d, c, r) for c, r in enumerate(rows)]
+
+
+def painted_box(info, n):
+    """The cells of a rectangle record, painted one by one from its box."""
+    mult = [0] * (n * n)
+    for dc in range(info.width):
+        for dr in range(info.height):
+            mult[(info.col0 + dc) % n * n + (info.row0 + dr) % n] = 1
+    return tuple(mult)
 
 
 def hand_annulus_kind(d):
@@ -241,7 +256,7 @@ class TestRectangles:
             for rect, y in unknot3.rectangles_from(x):
                 assert rect.maslov_index() == 1
                 assert rect.is_positive()
-                assert rect.satisfies_boundary_condition()
+                assert meets_boundary_condition(3, rect.from_sigma, rect.to_sigma, rect.mult)
 
     def test_rectangles_into_inverts_from(self, unknot3):
         seen = set()
@@ -311,14 +326,14 @@ class TestGradings:
         g = GridDiagram(n, tuple((i + 1) % n for i in range(n)), tuple(range(n)))
         for x in g.generators():
             for rect, y in g.rectangles_from(x):
-                assert x.maslov - y.maslov == 1 - 2 * sum(rect.o_vec())
+                assert x.maslov - y.maslov == 1 - 2 * sum(marking_cells(rect, g.o_row))
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_relative_alexander_law(self, n):
         g = GridDiagram(n, tuple((i + 1) % n for i in range(n)), tuple(range(n)))
         for x in g.generators():
             for rect, y in g.rectangles_from(x):
-                diff = sum(rect.x_vec()) - sum(rect.o_vec())
+                diff = sum(marking_cells(rect, g.x_row)) - sum(marking_cells(rect, g.o_row))
                 assert sum(x.alexander2) - sum(y.alexander2) == 2 * diff
 
     def test_alexander_component_law(self, hopf4):
@@ -328,8 +343,8 @@ class TestGradings:
         for x in hopf4.generators():
             for rect, y in hopf4.rectangles_from(x):
                 for k in range(hopf4.num_components):
-                    xs = sum(v for c, v in enumerate(rect.x_vec()) if comp_of_x[c] == k)
-                    os = sum(v for c, v in enumerate(rect.o_vec()) if comp[c] == k)
+                    xs = sum(v for c, v in enumerate(marking_cells(rect, hopf4.x_row)) if comp_of_x[c] == k)
+                    os = sum(v for c, v in enumerate(marking_cells(rect, hopf4.o_row)) if comp[c] == k)
                     assert x.alexander2[k] - y.alexander2[k] == 2 * (xs - os)
 
     def test_alexander_parity_constant(self, trefoil5, hopf4):
@@ -355,6 +370,19 @@ class TestDomains:
         x = unknot3.generator((0, 1, 2))
         assert unknot3.marking_annulus("H", 0, x).maslov_index() == 2
         assert unknot3.marking_annulus("V", 0, x).maslov_index() == 2
+
+    @pytest.mark.parametrize("name", ["unknot2", "grid4", "hopf4", "trefoil5"])
+    def test_annuli_are_their_row_and_column(self, name, request):
+        g = request.getfixturevalue(name)
+        n = g.n
+        for x in g.generators():
+            for j in range(n):
+                if g.o_row[j] != n - 1:
+                    h = g.marking_annulus("H", j, x)
+                    assert h.mult == tuple(int(i % n == g.o_row[j]) for i in range(n * n))
+                if j != n - 1:
+                    v = g.marking_annulus("V", j, x)
+                    assert v.mult == tuple(int(i // n == j) for i in range(n * n))
 
     def test_compose_identity(self, unknot3):
         x = unknot3.generator((1, 0, 2))
@@ -443,7 +471,9 @@ class TestDecompose:
 
     def test_requires_positive(self, unknot3):
         x = unknot3.generator((0, 1, 2))
-        neg = GridDomain(unknot3, x.sigma, x.sigma, (-1,) * 9)
+        # the empty domain minus a row annulus: -1 along that row
+        neg = unknot3.trivial_domain(x).subtract(unknot3.marking_annulus("H", 0, x))
+        assert min(neg.mult) == -1
         with pytest.raises(NotPositive):
             neg.decompose_into_rectangles()
 
@@ -456,17 +486,21 @@ class TestDecompose:
 
 
 class TestUniqueDomain:
+    """``unique_domain`` against the corner recurrence of ``recurrence_cells``."""
+
     def test_trivial(self, unknot3):
         x = unknot3.generator((0, 1, 2))
         d = unknot3.unique_domain(x, x, (0, 0), (0, 0))
         assert d.is_trivial()
+        assert d.mult == recurrence_cells(3, x.sigma, x.sigma, (0, 0), (0, 0)) == (0,) * 9
 
     def test_d_sigma_positive(self, grid4):
         # P-2: a unique positive domain from the maximum to any generator
         x_id = grid4.generator((0, 1, 2, 3))
         for y in grid4.generators():
             d = grid4.unique_domain(x_id, y, (0, 0, 0), (0, 0, 0))
-            assert d.is_positive()
+            assert d.mult == recurrence_cells(4, x_id.sigma, y.sigma, (0, 0, 0), (0, 0, 0))
+            assert min(d.mult) >= 0
             assert d.maslov_index() == sum(
                 1
                 for i in range(4)
@@ -482,18 +516,22 @@ class TestUniqueDomain:
             a = tuple(rng.randint(0, 2) for _ in range(2))
             b = tuple(rng.randint(0, 2) for _ in range(2))
             d = unknot3.unique_domain(x, y, a, b)
-            assert d.a_vec() == a and d.b_vec() == b
-            assert d.satisfies_boundary_condition()
-            assert d.x_vec()[2] == 0  # X_2 sits in the top-right cell
+            assert d.a_vec == a and d.b_vec == b
+            cells = recurrence_cells(3, x.sigma, y.sigma, a, b)
+            assert d.mult == cells
+            assert meets_boundary_condition(3, x.sigma, y.sigma, cells)
+            assert cell(d, 2, unknot3.x_row[2]) == 0  # X_2 sits in the top-right cell
 
     @pytest.mark.parametrize("name", ["trefoil5", "hopf4"])
     def test_base_maslov_index_reads_quadrants(self, name, request):
         g = request.getfixturevalue(name)
-        zero = (0,) * (g.n - 1)
+        n, zero = g.n, (0,) * (g.n - 1)
         gens = list(g.generators())
         for x in gens:
             for y in gens:
-                assert g.base_maslov_index(x, y) == g.unique_domain(x, y, zero, zero).maslov_index()
+                cells = recurrence_cells(n, x.sigma, y.sigma, zero, zero)
+                o_count = sum(cells[c * n + r] for c, r in enumerate(g.o_row))
+                assert g.base_maslov_index(x, y) == x.maslov - y.maslov + 2 * o_count
 
 
 class TestPeriodicDomains:
@@ -504,10 +542,49 @@ class TestPeriodicDomains:
             h = tuple(rng.randint(0, 3) for _ in range(3))
             v = tuple(rng.randint(0, 3) for _ in range(3))
             d = grid4.unique_domain(x, x, h, v)
-            assert (d.a_vec(), d.b_vec()) == (h, v)
-            assert d.satisfies_boundary_condition()
+            assert (d.a_vec, d.b_vec) == (h, v)
+            cells = recurrence_cells(4, x.sigma, x.sigma, h, v)
+            assert d.mult == cells
+            assert meets_boundary_condition(4, x.sigma, x.sigma, cells)
             # h[r] on each row r plus v[c] on each column c
             assert all(cell(d, c, r) == (h + (0,))[r] + (v + (0,))[c] for c in range(4) for r in range(4))
+
+
+def domain_data(n):
+    """Last-column/top-row data with entries in -2..2, zero data included."""
+    zero = (0,) * (n - 1)
+    return st.one_of(st.just(zero), st.tuples(*[st.integers(-2, 2)] * (n - 1)))
+
+
+class TestDomainOperations:
+    """Every ``GridDomain`` operation against the recurrence's cells and the
+    operation's cell-by-cell definition."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_operations_match_cells(self, data):
+        g = data.draw(canonical_grids())
+        n = g.n
+        perms = st.permutations(range(n)).map(tuple)
+        xs = data.draw(perms)
+        ys = data.draw(st.one_of(st.just(xs), perms))
+        zs = data.draw(perms)
+        x, y, z = g.generator(xs), g.generator(ys), g.generator(zs)
+        a1, b1, a2, b2 = (data.draw(domain_data(n)) for _ in range(4))
+        d, e = g.unique_domain(x, y, a1, b1), g.unique_domain(y, z, a2, b2)
+        cd, ce = recurrence_cells(n, xs, ys, a1, b1), recurrence_cells(n, ys, zs, a2, b2)
+        assert d.mult == cd and e.mult == ce
+        de = d.compose(e)
+        assert (de.from_sigma, de.to_sigma, de.mult) == (xs, zs, tuple(map(add, cd, ce)))
+        assert de.subtract(d).key == e.key and de.subtract(d).mult == ce
+        assert de.strip_suffix(e).key == d.key and de.strip_suffix(e).mult == cd
+        o_count = sum(cd[c * n + r] for c, r in enumerate(g.o_row))
+        assert d.maslov_index() == x.maslov - y.maslov + 2 * o_count
+        assert d.is_positive() == all(v >= 0 for v in cd)
+        assert d.is_trivial() == (xs == ys and not any(cd))
+        for j in range(n):
+            assert d.annulus_room("H", j) == min(cd[c * n + g.o_row[j]] for c in range(n))
+            assert d.annulus_room("V", j) == min(cd[j * n + r] for r in range(n))
 
 
 class TestFlatQueries:
@@ -520,7 +597,7 @@ class TestFlatQueries:
         for x in g.generators():
             for info in g.rectangle_infos(x.sigma):
                 d = info.domain(g)
-                assert info.a_vec == d.a_vec() and info.b_vec == d.b_vec()
+                assert d.mult == painted_box(info, n)
                 assert info.meets_last_column == any(cell(d, n - 1, r) for r in range(n))
                 assert info.meets_top_row == any(cell(d, c, n - 1) for c in range(n))
 

@@ -217,7 +217,8 @@ def grouped_by_whole_domain(g, s) -> AxiomReport:
                 groups.setdefault(d.key, (d, []))[1].append((r1, r2, s.of(r1) * s.of(r2)))
     shape_counts = {name: 0 for name in SHAPE_CLASSES}
     violations = []
-    for (from_sigma, _, mult), (d, decomps) in groups.items():
+    for d, decomps in groups.values():
+        from_sigma, mult = d.from_sigma, d.mult
         shape = _classify(d, decomps)
         shape_counts[shape] += 1
         prods = [p for _, _, p in decomps]
@@ -237,6 +238,27 @@ def test_axioms_match_whole_domain_grouping(name, request):
     g = request.getfixturevalue(name)
     s = build_sign_assignment(g)
     assert verify_axioms(g, s) == grouped_by_whole_domain(g, s)
+
+
+class ReversedRectangles(GridDiagram):
+    """A diagram that lists each generator's rectangles in reverse order, so
+    that ``verify_axioms`` meets the decompositions of every index-2 domain
+    in reverse order too (it pairs r1 with r2 in the order of both lists)."""
+
+    def rectangle_infos(self, sigma):
+        return super().rectangle_infos(sigma)[::-1]
+
+
+@pytest.mark.parametrize("name", ["hopf4", "trefoil5"])
+def test_census_ignores_decomposition_order(name, request):
+    g = request.getfixturevalue(name)
+    rev = ReversedRectangles(g.n, g.o_row, g.x_row)
+    forward = verify_axioms(g, build_sign_assignment(g))
+    backward = verify_axioms(rev, build_sign_assignment(rev))
+    assert forward.ok and backward.ok
+    assert forward.shape_counts == backward.shape_counts
+    assert forward.checked == backward.checked
+    assert forward.shape_counts["hexagon"] > 0
 
 
 def test_flipped_violations_match_whole_domain_grouping(unknot3, signs3):
