@@ -4,10 +4,12 @@ Exit codes: 0 on success, 1 when a verification fails, 2 on input errors
 (a bad grid file, slice, marking, seed or size, or an output path that cannot
 be written), reported as one line on stderr, and 141 (128 + SIGPIPE, as a
 shell reports a pipe writer killed by the signal) when stdout is closed
-before all output is written, with nothing on stderr.  On links every
-homology flavor, plus-prime included, needs explicit ``--alexander`` slices,
-and plus-prime also needs ``--cap``: its slices of a link are infinite, and a
-capped table is exact up to grading cap - 2.
+before all output is written, with nothing on stderr.  An ``--alexander``
+slice gives one doubled grading per sliced component: every component for
+plus, hat and tilde, the distinguished one alone for plus-prime.  On links
+every homology flavor needs explicit ``--alexander`` slices, and plus-prime
+also needs ``--cap``: its slices of a link are infinite, and a capped table
+is exact up to grading cap - 2.
 """
 
 from __future__ import annotations
@@ -55,10 +57,10 @@ def _emit(args, obj, text_lines):
             print(line)
 
 
-def _slice_label(a2) -> str:
-    """A slice's name in JSON keys and CSV file names: ``2`` for the knot
-    slice 2A=2 (int or 1-tuple), ``2_0`` for the link slice (2, 0)."""
-    return str(a2) if isinstance(a2, int) else "_".join(str(v) for v in a2)
+def _slice_label(a2: tuple[int, ...]) -> str:
+    """A slice's name in JSON keys and CSV file names: ``2`` for the slice
+    (2,), ``2_0`` for the link slice (2, 0)."""
+    return "_".join(str(v) for v in a2)
 
 
 def _write_csvs(outdir: str, name: str, tables: dict) -> None:
@@ -108,25 +110,21 @@ def cmd_generators(args) -> int:
     return 0
 
 
-def _alexander_values(args, g: GridDiagram, flavor: str):
+def _alexander_values(args, g: GridDiagram, spec: FlavorSpec) -> list[tuple[int, ...]]:
     if args.alexander:
-        if flavor == "plus_prime":
-            return [_parse_slice(spec, 1)[0] for spec in args.alexander]
-        return [_parse_slice(spec, g.num_components) for spec in args.alexander]
+        return [_parse_slice(text, len(spec.sliced)) for text in args.alexander]
     if g.num_components > 1:
         raise InputError("links need explicit --alexander slices")
-    rng = alexander2_range(g)
-    return list(rng) if flavor == "plus_prime" else [(a2,) for a2 in rng]
+    return [(a2,) for a2 in alexander2_range(g)]
 
 
 def cmd_homology(args) -> int:
     g = _load(args.grid)
-    flavor = args.flavor.replace("-", "_")
-    values = _alexander_values(args, g, flavor)
-    if flavor == "plus_prime" and g.num_components > 1 and args.cap is None:
-        raise InputError("plus-prime slices of a link are infinite; give --cap")
+    spec = FlavorSpec.make(g, args.flavor.replace("-", "_"))
+    values = _alexander_values(args, g, spec)
+    if args.cap is None and len(spec.sliced) < g.num_components:
+        raise InputError(f"{args.flavor} slices of a link are infinite; give --cap")
     s = build_sign_assignment(g)
-    spec = FlavorSpec.make(g, flavor)
     tables = {a2: capped_homology(g, s, spec, a2, args.cap) for a2 in values}
     obj = {
         "flavor": args.flavor,
@@ -318,12 +316,7 @@ def cmd_zn(args) -> int:
     if not 0 <= args.n <= strata.ZN_MAX:
         raise InputError(f"zn needs 0 <= --n <= {strata.ZN_MAX}")
     sts = strata.zn_strata(args.n)
-    edges = []
-    if args.edges:
-        for a in sts:
-            for b in sts:
-                if a != b and strata.zn_leq(a, b):
-                    edges.append((a, b))
+    edges = [(a, b) for a in sts for b in sts if a != b and strata.zn_leq(a, b)] if args.edges or args.dot else []
     obj = {
         "count": len(sts),
         "strata": [

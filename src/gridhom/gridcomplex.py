@@ -4,19 +4,22 @@ Generators are ``[x, j_1, ..., j_n]`` with ``j_i >= 0`` recording negative
 U-powers; the homological grading is ``M(x) + 2 sum(j)`` and each U_i lowers
 its component's Alexander grading by one.  The full plus complex is
 infinitely generated, so every computation happens in a fixed Alexander
-(multi-)grading.  Such a slice is finite for plus, hat and tilde, and for
-plus_prime on a knot; plus_prime slices of links are infinite and are
-computed only under a Maslov cap.  A capped slice has exact homology only
-below ``cap - 1``, so capped results (``capped_homology``, ``ReducedSlice``
-and the U maps between two of them) keep the gradings ``k <= cap - 2``.
+(multi-)grading, a tuple of doubled gradings for every flavor.  A flavor
+is three choices, which ``FlavorSpec.make`` turns into data (MOS,
+arXiv:math/0607691; MOST, arXiv:math/0610559):
 
-Flavors:
+* ``plus``        -- no frozen O, every X avoided, every component sliced;
+* ``hat``         -- plus with j_i = 0 at the first O of each component;
+* ``tilde``       -- plus with all j_i = 0;
+* ``plus_prime``  -- no frozen O; only the X markings on the component of the
+                     distinguished top-right X are avoided, and only that
+                     component is sliced.
 
-* ``plus``        -- rectangles crossing no X marking;
-* ``plus_prime``  -- rectangles may cross X markings except on the component
-                     of the distinguished top-right marking;
-* ``hat``         -- plus, restricted to j_i = 0 at one chosen O per component;
-* ``tilde``       -- plus, restricted to all j_i = 0.
+A slice that pins every component is finite.  plus_prime slices of links
+leave a component free, so they are infinite and are computed only under a
+Maslov cap.  A capped slice has exact homology only below ``cap - 1``, so
+capped results (``capped_homology``, ``ReducedSlice`` and the U maps between
+two of them) keep the gradings ``k <= cap - 2``.
 """
 
 from __future__ import annotations
@@ -49,35 +52,30 @@ class UnboundedSlice(GridError):
 
 @dataclass(frozen=True)
 class FlavorSpec:
+    """What a flavor decides, as data.  The O columns in ``frozen`` carry no
+    U power, differential rectangles miss the X markings of the columns in
+    ``avoid``, and a slice pins the doubled Alexander grading of each
+    component in ``sliced``, in that order.  Every other component's U
+    powers are bounded only by a Maslov cap."""
+
     flavor: str
-    hat_markings: tuple[int, ...] = ()
+    frozen: tuple[int, ...]
+    avoid: tuple[int, ...]
+    sliced: tuple[int, ...]
 
     @staticmethod
-    def make(g: GridDiagram, flavor: str, hat_markings=None) -> "FlavorSpec":
+    def make(g: GridDiagram, flavor: str) -> "FlavorSpec":
         if flavor not in FLAVORS:
             raise ValueError(f"unknown flavor {flavor!r}")
-        if flavor != "hat":
-            return FlavorSpec(flavor)
-        if hat_markings is None:
-            chosen = {}
-            for col, comp in enumerate(g.component_of_o):
-                chosen.setdefault(comp, col)
-            hat_markings = tuple(chosen[c] for c in sorted(chosen))
-        else:
-            hat_markings = tuple(hat_markings)
-            comps = sorted(g.component_of_o[c] for c in hat_markings)
-            if comps != list(range(g.num_components)):
-                raise ValueError("hat needs exactly one marking per link component")
-        return FlavorSpec("hat", hat_markings)
-
-
-def _x_constraint_mask(g: GridDiagram, flavor: str) -> tuple[int, ...]:
-    """Columns whose X marking must be avoided by differential rectangles."""
-    if flavor in ("plus", "hat", "tilde"):
-        return tuple(range(g.n))
-    # plus_prime: only the X markings on the component of the top-right one
-    comp_of_x = g.component_of_x
-    return tuple(c for c in range(g.n) if comp_of_x[c] == comp_of_x[g.n - 1])
+        every = tuple(range(g.n))
+        if flavor == "plus_prime":
+            special = g.component_of_x[g.n - 1]
+            return FlavorSpec(flavor, (), tuple(c for c in every if g.component_of_x[c] == special), (special,))
+        first_o = {}  # component -> its first O column, which hat freezes
+        for col, comp in enumerate(g.component_of_o):
+            first_o.setdefault(comp, col)
+        frozen = {"plus": (), "hat": tuple(first_o.values()), "tilde": every}[flavor]
+        return FlavorSpec(flavor, frozen, every, tuple(range(g.num_components)))
 
 
 def alexander2_range(g: GridDiagram) -> range:
@@ -101,15 +99,13 @@ def build_complex(
 ) -> IntegerChainComplex:
     """Chain complex of one Alexander slice, truncated at ``maslov_cap``.
 
-    ``alexander2`` is the doubled Alexander multi-grading (one entry per
-    component) for plus/hat/tilde; for plus_prime it is the doubled grading
-    on the distinguished component alone.
-
-    For plus/hat/tilde, and plus_prime on a knot, the slice is finite (the
-    U-power total over each component is pinned by the Alexander grading),
-    so ``maslov_cap=None`` computes the exact slice.  plus_prime slices of
-    links are infinite: without a cap this raises ``UnboundedSlice``.  A
-    slice truncated at a cap has its homology exact below ``cap - 1``.
+    ``alexander2`` is a tuple of doubled Alexander gradings, one for each
+    component in ``spec.sliced``: every component for plus, hat and tilde,
+    the distinguished one alone for plus_prime.  A slice that pins every
+    component is finite, so ``maslov_cap=None`` computes it exactly; one
+    that leaves a component free (plus_prime on a link) is infinite, and
+    without a cap this raises ``UnboundedSlice``.  A slice truncated at a
+    cap has its homology exact below ``cap - 1``.
 
     The differential is built per generator sigma from one fresh
     ``rectangle_infos`` call, kept only while sigma's cells are built.  Its
@@ -125,31 +121,18 @@ def build_complex(
     """
     g._require_canonical()
     n = g.n
-    flavor = spec.flavor
     comp_of_o = g.component_of_o
-    ncomp = g.num_components
-    frozen = set()
-    if flavor == "hat":
-        frozen = set(spec.hat_markings)
-    elif flavor == "tilde":
-        frozen = set(range(n))
+    frozen, avoid = spec.frozen, spec.avoid
+    alexander2 = tuple(alexander2)
+    if len(alexander2) != len(spec.sliced):
+        raise ValueError(f"a {spec.flavor} slice needs {len(spec.sliced)} entries, one per sliced component")
+    if maslov_cap is None and len(spec.sliced) < g.num_components:
+        raise UnboundedSlice(f"{spec.flavor} slices of links are infinite; give a maslov_cap")
+    pinned = dict(zip(spec.sliced, alexander2))
     # per component, the O columns whose U-power j_c may be non-zero
-    free_cols = [[c for c in range(n) if comp_of_o[c] == k and c not in frozen] for k in range(ncomp)]
+    free_cols = [[c for c in range(n) if comp_of_o[c] == k and c not in frozen] for k in range(g.num_components)]
     # weak compositions of (total, parts), listed once for all generators
     compositions = functools.cache(lambda total, parts: list(pt.weak_compositions(total, parts)))
-
-    special_comp = None
-    if flavor == "plus_prime":
-        special_comp = g.component_of_x[n - 1]
-        alexander2 = (int(alexander2),) if isinstance(alexander2, int) else tuple(alexander2)
-        if len(alexander2) != 1:
-            raise ValueError("plus_prime slices by the distinguished component only")
-        if maslov_cap is None and ncomp > 1:
-            raise UnboundedSlice("plus_prime slices of links are infinite; give a maslov_cap")
-    else:
-        alexander2 = tuple(alexander2)
-        if len(alexander2) != ncomp:
-            raise ValueError(f"alexander grading needs {ncomp} components")
 
     grading: dict = {}
     for x in g.generators():
@@ -159,14 +142,14 @@ def build_complex(
         per_comp: list[list[tuple[int, ...]]] = []
         ok = True
         for k, cols in enumerate(free_cols):
-            if special_comp is not None and k != special_comp:
+            if k not in pinned:
                 # unconstrained component: bounded only by the Maslov cap
                 options = []
                 for total in range(budget + 1):
                     options.extend(compositions(total, len(cols)))
                 per_comp.append(options)
                 continue
-            gap2 = alexander2[k if special_comp is None else 0] - x.alexander2[k]
+            gap2 = pinned[k] - x.alexander2[k]
             if gap2 < 0 or gap2 % 2:
                 ok = False
                 break
@@ -197,7 +180,6 @@ def build_complex(
     for key in grading:
         cells.setdefault(key[0], {})[key[1]] = key
 
-    avoid = _x_constraint_mask(g, flavor)
     zero_cols: dict = {}  # j -> bit mask of the columns c with j[c] == 0
     diff: dict = {}
     for sigma, by_j in cells.items():

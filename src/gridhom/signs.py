@@ -37,20 +37,25 @@ invertible, so lambda is read off one entry.  Each u_sigma is d Gaussian
 integers, kept as 2d integers (real and imaginary parts), on which every
 gamma is a signed permutation; u_sigma follows from its parent's along the
 reduced word, since L(sigma)^rev = (e_p - e_{p+1}) L(parent)^rev.  A ratio
-that is not a nonzero real number raises ``Unsatisfiable``.  The u_sigma are
-kept, one per permutation reached; rectangle signs are not: each ``of`` call
-applies one gamma pair to u_sigma and compares the result with u_tau, so a
-caller that revisits a rectangle keeps the sign in a table of its own.
+that is not a nonzero real number raises ``Unsatisfiable``.  Each u_sigma is
+kept divided by the positive gcd of its entries, which keeps every lambda's
+sign, so its entries lie in {0, +-1} (checked up to n = 9); equal vectors
+share one tuple (60,480 distinct ones for the 9! permutations at n = 9).
+The u_sigma are kept, one per permutation reached; rectangle signs are not:
+each ``of`` call applies one gamma pair to u_sigma and compares the result
+with u_tau, so a caller that revisits a rectangle keeps the sign in a table
+of its own.
 ``verify_axioms`` re-checks the axioms exhaustively; nothing is trusted on
 faith.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from operator import add
 
-from gridhom.gridcore import GridDiagram, GridDomain, GridError, RectInfo
+from gridhom.gridcore import GridDiagram, GridError, RectInfo
 
 
 class Unsatisfiable(GridError):
@@ -81,7 +86,9 @@ def _gammas(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
 
 
 class _Spinors:
-    """Lazy table of u_sigma = rho(L(sigma)^rev) v0, one fixed Pin lift L."""
+    """Lazy table of u_sigma = rho(L(sigma)^rev) v0, one fixed Pin lift L,
+    each scaled by a positive number to coprime entries; equal vectors are
+    stored once."""
 
     def __init__(self, n: int):
         gammas = _gammas(n)
@@ -92,8 +99,9 @@ class _Spinors:
             for j in range(n)
             if i != j
         }
-        d2 = 2 << n // 2
-        self._table: dict[tuple, tuple] = {tuple(range(n)): (1,) + (0,) * (d2 - 1)}
+        v0 = (1,) + (0,) * ((2 << n // 2) - 1)
+        self._table: dict[tuple, tuple] = {tuple(range(n)): v0}
+        self._shared: dict[tuple, tuple] = {v0: v0}  # each distinct u_sigma, keyed by itself
 
     def _apply(self, i: int, j: int, u: tuple) -> tuple:
         """rho(e_i - e_j) u."""
@@ -118,7 +126,11 @@ class _Spinors:
             if got is None:
                 stack.append(parent)
                 continue
-            self._table[top] = self._apply(p, p + 1, got)
+            u = self._apply(p, p + 1, got)
+            k = math.gcd(*u)
+            if k > 1:
+                u = tuple(v // k for v in u)
+            self._table[top] = self._shared.setdefault(u, u)
             stack.pop()
         return self._table[sigma]
 
@@ -236,15 +248,24 @@ class AxiomReport:
         return not self.violations
 
 
-def _classify(d: GridDomain, decomps) -> str:
-    """The shape of an index-2 domain: ``cross`` when a cell holds 2, an
-    annulus, else ``disjoint`` or ``hexagon`` as its decompositions move four
-    or three columns in all; no label depends on the order of ``decomps``."""
-    if d.max_multiplicity() > 1:
+def _arcs_meet(start1: int, len1: int, start2: int, len2: int, n: int) -> bool:
+    """Whether the arcs ``start..start+len-1`` of Z/n share a point."""
+    return (start2 - start1) % n < len1 or (start1 - start2) % n < len2
+
+
+def _classify(decomps) -> str:
+    """The shape of an index-2 domain, read from its decompositions
+    ``(r1, r2, sign)``: ``cross`` when the two boxes of one overlap on the
+    torus (a cell holds 2), an annulus when it ends where it starts
+    (horizontal iff it has data in the last column), else ``disjoint`` or
+    ``hexagon`` as its decompositions move four or three columns in all; no
+    label depends on the order of ``decomps``."""
+    r1, r2, _ = decomps[0]
+    n = len(r1.from_sigma)
+    if _arcs_meet(r1.col0, r1.width, r2.col0, r2.width, n) and _arcs_meet(r1.row0, r1.height, r2.row0, r2.height, n):
         return "cross"
-    kind = d.annulus_kind()
-    if kind:
-        return "annulus-horizontal" if kind == "H" else "annulus-vertical"
+    if r2.to_sigma == r1.from_sigma:
+        return "annulus-horizontal" if any(r1.a_vec) or any(r2.a_vec) else "annulus-vertical"
     cols = {c for r1, r2, _ in decomps for c in r1.pair + r2.pair}
     return "disjoint" if len(cols) == 4 else "hexagon"
 
@@ -267,9 +288,7 @@ def verify_axioms(g: GridDiagram, s: SignAssignment) -> AxiomReport:
                 groups.setdefault(key, []).append((r1, r2, s1 * s2))
         checked += len(groups)
         for decomps in groups.values():
-            r1, r2, _ = decomps[0]
-            d = r1.domain(g).compose(r2.domain(g))
-            shape = _classify(d, decomps)
+            shape = _classify(decomps)
             shape_counts[shape] += 1
             prods = [p for _, _, p in decomps]
             if shape == "annulus-horizontal":
@@ -279,5 +298,6 @@ def verify_axioms(g: GridDiagram, s: SignAssignment) -> AxiomReport:
             else:
                 label, ok = shape, len(prods) == 2 and prods[0] == -prods[1]
             if not ok:
-                violations.append((from_sigma, d.mult, label, prods))
+                r1, r2, _ = decomps[0]
+                violations.append((from_sigma, r1.domain(g).compose(r2.domain(g)).mult, label, prods))
     return AxiomReport(checked=checked, shape_counts=shape_counts, violations=violations)

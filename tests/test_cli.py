@@ -95,6 +95,17 @@ class TestVerifiers:
         assert code == 0 and data["count"] == 7
         assert os.path.exists(dot)
 
+    def test_zn_dot_does_not_need_edges(self, capsys, tmp_path):
+        # --dot writes the closure order whether or not --edges is given;
+        # only --edges adds closure_pairs to the output
+        texts = []
+        for extra in ([], ["--edges"]):
+            dot = tmp_path / f"zn{len(extra)}.dot"
+            code, out = run(capsys, "--json", "zn", "--n", "2", "--dot", str(dot), *extra)
+            assert code == 0 and ("closure_pairs" in json.loads(out)) == bool(extra)
+            texts.append(dot.read_text())
+        assert texts[0] == texts[1] and texts[0].count(" -> ") == json.loads(out)["closure_pairs"] > 0
+
     def test_strata(self, capsys):
         code, out = run(
             capsys,

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -193,7 +194,7 @@ def assert_hat_choice_invariance(g, s):
     complexes differ: each marking freezes another column."""
     tables, cell_sets = [], set()
     for marking in range(g.n):
-        spec = FlavorSpec.make(g, "hat", (marking,))
+        spec = dataclasses.replace(FlavorSpec.make(g, "hat"), frozen=(marking,))
         table, cells = {}, set()
         for a2 in a2_range(g):
             cx = build_complex(g, s, spec, a2)
@@ -241,8 +242,7 @@ class TestFlavors:
     def test_d_squared_small_grids(self, flavor, unknot3, signs3):
         spec = FlavorSpec.make(unknot3, flavor)
         for a2 in a2_range(unknot3):
-            arg = a2[0] if flavor == "plus_prime" else a2
-            cx = build_complex(unknot3, signs3, spec, arg)
+            cx = build_complex(unknot3, signs3, spec, a2)
             assert cx.check_d_squared()
             cx.validate_grading()
 
@@ -267,7 +267,7 @@ class TestFlavors:
         prime = FlavorSpec.make(trefoil5, "plus_prime")
         for a2 in [(-2,), (0,), (2,)]:
             cx_plus = build_complex(trefoil5, signs5, plus, a2)
-            cx_prime = build_complex(trefoil5, signs5, prime, a2[0])
+            cx_prime = build_complex(trefoil5, signs5, prime, a2)
             assert cx_plus.grading == cx_prime.grading
             assert cx_plus.diff == cx_prime.diff
 
@@ -317,13 +317,13 @@ class TestPlusPrimeLinks:
     def test_needs_cap(self, hopf4, signs_hopf):
         spec = FlavorSpec.make(hopf4, "plus_prime")
         with pytest.raises(UnboundedSlice):
-            build_complex(hopf4, signs_hopf, spec, 0)
+            build_complex(hopf4, signs_hopf, spec, (0,))
 
     def test_d_squared_and_filtration(self, hopf4, signs_hopf):
         spec = FlavorSpec.make(hopf4, "plus_prime")
         comp_special = hopf4.component_of_o[hopf4.o_row.index(hopf4.x_row[3])]
         other = 1 - comp_special
-        cx = build_complex(hopf4, signs_hopf, spec, 2, maslov_cap=6)
+        cx = build_complex(hopf4, signs_hopf, spec, (2,), maslov_cap=6)
         assert cx.check_d_squared()
 
         def other_a2(key):
@@ -353,9 +353,18 @@ class TestPlusPrimeLinks:
         # two agreeing capped tables do not certify an infinite slice
         spec = FlavorSpec.make(hopf4, "plus_prime")
         for cap in (6, 8, 10):
-            assert capped_homology(hopf4, signs_hopf, spec, 4, cap).nonzero() == {3: (1, ())}
+            assert capped_homology(hopf4, signs_hopf, spec, (4,), cap).nonzero() == {3: (1, ())}
         with pytest.raises(UnboundedSlice):
-            build_complex(hopf4, signs_hopf, spec, 4)
+            build_complex(hopf4, signs_hopf, spec, (4,))
+
+    @pytest.mark.parametrize(
+        "flavor,a2", [("plus_prime", (0, 0)), ("plus_prime", ()), ("plus", (0,)), ("tilde", (0, 0, 0))]
+    )
+    def test_slice_of_the_wrong_length(self, flavor, a2, hopf4, signs_hopf):
+        # one entry per sliced component: the distinguished one alone for
+        # plus_prime, both components of the link otherwise
+        with pytest.raises(ValueError, match="entries, one per sliced component"):
+            build_complex(hopf4, signs_hopf, FlavorSpec.make(hopf4, flavor), a2, maslov_cap=6)
 
 
 class TestTables:
@@ -449,14 +458,18 @@ def spreads(total, parts):
 def reference_complex(g, s, spec, alexander2, cap=None):
     """One slice from the definition: every cell [x, j] of the slice, and for
     every cell every rectangle out of x that crosses no forbidden X and whose
-    O markings j can pay for.  No per-generator tables, no shared keys."""
+    O markings j can pay for.  No per-generator tables, no shared keys, and
+    no flavor data from ``spec`` but its name: hat freezes the first O
+    column of each component, chosen here."""
     n = g.n
     comp_of_o = g.component_of_o
     comp_of_x = [comp_of_o[g.o_row.index(g.x_row[c])] for c in range(n)]
-    frozen = {"hat": set(spec.hat_markings), "tilde": set(range(n))}.get(spec.flavor, set())
+    first_o = [comp_of_o.index(k) for k in range(g.num_components)]
+    frozen = {"hat": set(first_o), "tilde": set(range(n))}.get(spec.flavor, set())
     if spec.flavor == "plus_prime":
         special = comp_of_x[n - 1]
-        pinned = {special: alexander2}
+        (pinned_a2,) = alexander2
+        pinned = {special: pinned_a2}
         forbidden = [c for c in range(n) if comp_of_x[c] == special]
     else:
         pinned = dict(enumerate(alexander2))
@@ -536,7 +549,7 @@ class TestBuildReference:
         spec = FlavorSpec.make(g, flavor)
         if flavor == "plus_prime":
             special = g.component_of_o[g.o_row.index(g.x_row[g.n - 1])]
-            slices = sorted({a2[special] for a2 in a2_range(g)})
+            slices = sorted({(a2[special],) for a2 in a2_range(g)})
             caps = (6,) if g.num_components > 1 else (None, 4)
         else:
             slices = a2_range(g)
@@ -551,7 +564,7 @@ class TestBuildReference:
         spec = FlavorSpec.make(hopf4, "plus_prime")
         for cap in (2, 4, 6, 8):
             for a2 in (-2, 0, 2, 4):
-                assert_same_build(hopf4, signs_hopf, spec, a2, cap)
+                assert_same_build(hopf4, signs_hopf, spec, (a2,), cap)
 
     def test_t25_hat(self, t25, signs7):
         spec = FlavorSpec.make(t25, "hat")

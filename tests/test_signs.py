@@ -9,7 +9,6 @@ from gridhom.signs import (
     SHAPE_CLASSES,
     AxiomReport,
     GaugeTwist,
-    _classify,
     _gammas,
     _Spinors,
     build_sign_assignment,
@@ -104,6 +103,49 @@ def test_spinor_edge_signs_equal_clifford(n):
             tau = list(sigma)
             tau[i], tau[j] = tau[j], tau[i]
             assert spinors.edge_sign(sigma, tuple(tau), i, j) == lifts.edge_sign(sigma, (i, j))
+
+
+def unscaled_edge_signs(n, sigmas):
+    """``{(sigma, i, j): sign}`` for every edge of each sigma, from u_sigma
+    walked along the same reduced words (peel the smallest descent) with no
+    scaling, straight from ``_gammas``."""
+    gammas = _gammas(n)
+    spinors = {tuple(range(n)): (1,) + (0,) * (len(gammas[0][0]) - 1)}
+
+    def reflect(i, j, u):  # rho(e_i - e_j) u
+        (si, gi), (sj, gj) = gammas[i], gammas[j]
+        return tuple(a * u[p] - b * u[q] for p, a, q, b in zip(si, gi, sj, gj))
+
+    def spinor(sigma):
+        if sigma not in spinors:
+            p = next(p for p in range(n - 1) if sigma[p] > sigma[p + 1])
+            parent = sigma[:p] + (sigma[p + 1], sigma[p]) + sigma[p + 2 :]
+            spinors[sigma] = reflect(p, p + 1, spinor(parent))
+        return spinors[sigma]
+
+    out = {}
+    for sigma in sigmas:
+        for i, j in itertools.combinations(range(n), 2):
+            tau = list(sigma)
+            tau[i], tau[j] = tau[j], tau[i]
+            w, u = reflect(i, j, spinor(sigma)), spinor(tuple(tau))
+            k = next(k for k, v in enumerate(u) if v)
+            assert [u[k] * a for a in w] == [w[k] * b for b in u]
+            out[sigma, i, j] = 1 if (w[k] > 0) == (u[k] > 0) else -1
+    return out
+
+
+def test_scaled_spinor_signs_at_n7():
+    # the Clifford oracle stops at n = 6; here the scaled, shared table of
+    # _Spinors must give the signs of the unscaled walk on a seeded sample
+    n, rng = 7, random.Random(7)
+    sigmas = {tuple(rng.sample(range(n), n)) for _ in range(2000)}
+    spinors = _Spinors(n)
+    for (sigma, i, j), sign in unscaled_edge_signs(n, sigmas).items():
+        tau = list(sigma)
+        tau[i], tau[j] = tau[j], tau[i]
+        assert spinors.edge_sign(sigma, tuple(tau), i, j) == sign, (sigma, i, j)
+    assert all(set(u) <= {-1, 0, 1} for u in spinors._table.values())
 
 
 @pytest.mark.parametrize("name", ["unknot2", "trefoil5", "hopf4"])
@@ -204,10 +246,22 @@ def test_flipped_rectangle_violates(unknot3, signs3):
     pytest.fail("no single flip produced a violation")
 
 
+def cell_shape(d, decomps) -> str:
+    """The shape class of an index-2 domain read from its cells: the oracle
+    for ``_classify``, which reads the rectangle records instead."""
+    if d.max_multiplicity() > 1:
+        return "cross"
+    kind = d.annulus_kind()
+    if kind:
+        return "annulus-horizontal" if kind == "H" else "annulus-vertical"
+    cols = {c for r1, r2, _ in decomps for c in r1.pair + r2.pair}
+    return "disjoint" if len(cols) == 4 else "hexagon"
+
+
 def grouped_by_whole_domain(g, s) -> AxiomReport:
     """``verify_axioms`` as it was first written: every composite r1*r2 of
     the grid built as a whole domain and grouped by ``GridDomain.key`` in one
-    table, shape classes by ``_classify``."""
+    table, shape classes read from the domain's cells."""
     infos = {x.sigma: g.rectangle_infos(x.sigma) for x in g.generators()}
     groups: dict = {}
     for rects in infos.values():
@@ -219,7 +273,7 @@ def grouped_by_whole_domain(g, s) -> AxiomReport:
     violations = []
     for d, decomps in groups.values():
         from_sigma, mult = d.from_sigma, d.mult
-        shape = _classify(d, decomps)
+        shape = cell_shape(d, decomps)
         shape_counts[shape] += 1
         prods = [p for _, _, p in decomps]
         if shape == "annulus-horizontal":
