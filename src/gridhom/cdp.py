@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from gridhom import partitions as pt
 from gridhom.domainposet import g_set
-from gridhom.gridcore import Generator, GridDiagram, GridDomain
+from gridhom.gridcore import Generator, GridDiagram, GridDomain, inversions
 from gridhom.homalg import HomologyTable, IntegerChainComplex, chain_add
 from gridhom.signs import SignAssignment
 
@@ -363,16 +363,16 @@ def graded_piece_complex(
     Generators are the x in G^{a,b,y}, each carrying its unique positive
     domain (x, y, a, b).  That is the zero-data domain (x, y, 0, 0) followed
     by the periodic domain (y, y, a, b), so its Maslov index is the sum of
-    theirs: the first read from the O table by
-    ``GridDiagram.base_maslov_index``, the second the data's share of the O
-    cells, the same for every x.  The differential splits off front
+    theirs: the first ``inversions(y) - inversions(x)``
+    (``GridDiagram.base_maslov_index``), the second the data's share of the
+    O cells, the same for every x.  The differential splits off front
     rectangles avoiding the last row and column, read from the arrow table
     ``SignAssignment.inner_arrows``.
     """
     a, b = tuple(a), tuple(b)
     members = g_set(g, a, b, y)
-    mu_periodic = g.unique_domain(y, y, a, b).maslov_index()
-    grading = {x: g.base_maslov_index(g.generator(x), y) + mu_periodic for x in members}
+    top = g.unique_domain(y, y, a, b).maslov_index() + inversions(y.sigma)
+    grading = {x: top - inversions(x) for x in members}
     diff: dict = {}
     for sigma in members:
         col = {tau: v for tau, v in s.inner_arrows(sigma).items() if tau in members}

@@ -58,8 +58,8 @@ def _emit(args, obj, text_lines):
 
 
 def _slice_label(a2: tuple[int, ...]) -> str:
-    """A slice's name in JSON keys and CSV file names: ``2`` for the slice
-    (2,), ``2_0`` for the link slice (2, 0)."""
+    """A slice's name in text lines, JSON keys and CSV file names: ``2`` for
+    the slice (2,), ``2_0`` for the link slice (2, 0)."""
     return "_".join(str(v) for v in a2)
 
 
@@ -135,7 +135,7 @@ def cmd_homology(args) -> int:
     lines = [f"{args.flavor} homology of {args.grid}"]
     for a2, t in sorted(tables.items()):
         nz = t.nonzero()
-        lines.append(f"  2A={a2}: " + (str(nz) if nz else "0"))
+        lines.append(f"  2A={_slice_label(a2)}: " + (str(nz) if nz else "0"))
     if args.out:
         _write_csvs(args.out, args.flavor, obj["tables"])
     _emit(args, obj, lines)
@@ -167,7 +167,7 @@ def cmd_u_map(args) -> int:
     _emit(
         args,
         obj,
-        [f"U_{args.marking} on slice 2A={a2}"]
+        [f"U_{args.marking} on slice 2A={_slice_label(a2)}"]
         + [f"  gr {k}: {res.matrices[k]}" for k in gradings]
         + [f"  isomorphism: {obj['isomorphism']}"],
     )

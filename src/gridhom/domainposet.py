@@ -13,19 +13,15 @@ from __future__ import annotations
 
 from operator import le, sub
 
-from gridhom.gridcore import Generator, GridDiagram
+from gridhom.gridcore import Generator, GridDiagram, columns_within, inversions, quadrant_counts
 
 Perm = tuple[int, ...]
 
 
 def generator_leq(g: GridDiagram, y: Generator, x: Generator) -> bool:
-    """y <= x iff the unique (x -> y) domain with A = B = 0 is positive."""
-    return g.base_is_positive(x, y)
-
-
-def inversions(sigma: Perm) -> int:
-    n = len(sigma)
-    return sum(1 for i in range(n) for j in range(i + 1, n) if sigma[i] > sigma[j])
+    """y <= x iff the unique (x -> y) domain with A = B = 0 is positive,
+    unbuilt: by the quadrant form, iff ``Q_y <= Q_x`` on every cell."""
+    return all(map(le, quadrant_counts(y.sigma), quadrant_counts(x.sigma)))
 
 
 def bruhat_leq(sigma: Perm, tau: Perm) -> bool:
@@ -119,12 +115,19 @@ def g_set(g: GridDiagram, a, b, y: Generator) -> set[Perm]:
     That domain is the ``GridDomain`` (x, y, a, b), whose multiplicity on
     cell (c, r) is ``Q_x(c, r) - Q_y(c, r) + a[r] + b[c]`` with ``Q_z(c, r)``
     the number of points of z strictly up and to the right of the cell, so
-    membership is ``Q_x >= Q_y - a[r] - b[c]`` on every cell; a pruned column
-    search finds the members without building any domain.
+    membership is ``Q_x >= Q_y - a[r] - b[c]`` on every cell (a and b padded
+    with zeros to length n); a column search bounded from below only finds
+    the members without building any domain.
     """
-    return g.positive_sources(y, a, b)
+    n = g.n
+    a = tuple(a) + (0,) * (n - len(a))
+    b = tuple(b) + (0,) * (n - len(b))
+    qy = quadrant_counts(y.sigma)
+    lo = [qy[c * n + r] - a[r] - b[c] for c in range(n) for r in range(n)]
+    return set(columns_within(n, lo, [n] * (n * n)))
 
 
 def interval(g: GridDiagram, lo: Generator, hi: Generator) -> set[Perm]:
-    """Every z with lo <= z <= hi."""
-    return g.base_interval(lo, hi)
+    """Every z with lo <= z <= hi: ``Q_lo <= Q_z <= Q_hi`` on every cell,
+    one column search."""
+    return set(columns_within(g.n, quadrant_counts(lo.sigma), quadrant_counts(hi.sigma)))

@@ -107,6 +107,10 @@ def build_complex(
     without a cap this raises ``UnboundedSlice``.  A slice truncated at a
     cap has its homology exact below ``cap - 1``.
 
+    Only the slice's generators are walked and graded: each pinned
+    component's grading is bounded by the slice from above (U powers only
+    raise it), and from below where the component has no free O column.
+
     The differential is built per generator sigma from one fresh
     ``rectangle_infos`` call, kept only while sigma's cells are built.  Its
     rectangles are filtered once: no avoided X, no O in a frozen column, a
@@ -134,8 +138,9 @@ def build_complex(
     # weak compositions of (total, parts), listed once for all generators
     compositions = functools.cache(lambda total, parts: list(pt.weak_compositions(total, parts)))
 
+    lower = {k: v for k, v in pinned.items() if not free_cols[k]}
     grading: dict = {}
-    for x in g.generators():
+    for x in g.generators(lower, pinned):
         if maslov_cap is not None and x.maslov > maslov_cap:
             continue
         budget = None if maslov_cap is None else (maslov_cap - x.maslov) // 2
@@ -150,17 +155,10 @@ def build_complex(
                 per_comp.append(options)
                 continue
             gap2 = pinned[k] - x.alexander2[k]
-            if gap2 < 0 or gap2 % 2:
+            if gap2 % 2 or (budget is not None and gap2 // 2 > budget):
                 ok = False
                 break
-            gap = gap2 // 2
-            if budget is not None and gap > budget:
-                ok = False
-                break
-            if not cols and gap > 0:
-                ok = False
-                break
-            per_comp.append(compositions(gap, len(cols)))
+            per_comp.append(compositions(gap2 // 2, len(cols)))
         if not ok:
             continue
         for choice in itertools.product(*per_comp):

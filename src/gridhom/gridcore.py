@@ -19,7 +19,10 @@ annuli ``H_j`` / ``V_j`` are the row and column through ``O_j``.  The marking
 package has coefficient zero there.
 
 Gradings are point counts against marking sets, each a sum of one look-up per
-column in tables built once per diagram (``_MarkingTable``).
+column in tables built once per diagram (``_MarkingTable``).  A generator is
+graded on every ``generator`` call and kept by no one here.  The doubled
+Alexander grading of each component is a sum of one table entry per column,
+so ``generators(lo, hi)`` walks only the permutations within its bounds.
 
 Empty rectangles are ``RectInfo`` records, found in O(n^2) per generator and
 built afresh on every ``rectangle_infos``/``rectangle_infos_into`` call: the
@@ -39,6 +42,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import add, getitem, le, sub
@@ -91,7 +95,12 @@ class _MarkingTable(NamedTuple):
         return sum(map(getitem, self.above, sigma)) + sum(map(getitem, self.below, sigma))
 
 
-def _quadrant_counts(sigma: Perm) -> list[int]:
+def inversions(sigma: Perm) -> int:
+    """``#{i < j : sigma[i] > sigma[j]}``."""
+    return sum(u > v for u, v in itertools.combinations(sigma, 2))
+
+
+def quadrant_counts(sigma: Perm) -> list[int]:
     """``Q(c, r) = #{i > c : sigma[i] > r}`` at index ``c*n + r``."""
     n = len(sigma)
     out = [0] * (n * n)
@@ -103,9 +112,9 @@ def _quadrant_counts(sigma: Perm) -> list[int]:
     return out
 
 
-def _columns_within(n: int, lo: list[int], hi: list[int]) -> list[Perm]:
+def columns_within(n: int, lo: list[int], hi: list[int]) -> list[Perm]:
     """Each permutation w with ``lo[i] <= Q_w(c, r) <= hi[i]`` on every cell
-    ``i = c*n + r`` (``Q_w`` as in ``_quadrant_counts``), in lexicographic
+    ``i = c*n + r`` (``Q_w`` as in ``quadrant_counts``), in lexicographic
     order of ``w[n-1], w[n-2], ..., w[0]``.
 
     Column c of ``Q_w`` depends only on the values ``w[c+1..n-1]``, so w is
@@ -138,7 +147,7 @@ def _columns_within(n: int, lo: list[int], hi: list[int]) -> list[Perm]:
 
 @dataclass(frozen=True)
 class Generator:
-    """A generator x^sigma with its cached gradings.
+    """A generator x^sigma with its gradings.
 
     ``alexander2`` stores the doubled Alexander multi-grading (one entry per
     link component), so half-integers stay exact.
@@ -156,11 +165,10 @@ class GridDiagram:
     n: int
     o_row: Perm
     x_row: Perm
-    # Per-diagram caches: graded generators (n! at most) and the marking data
-    # of a rectangle's box (n^4 at most).  Rectangle records and domains are
-    # rebuilt on every call and kept by no one here; a caller that revisits
-    # them keeps a table of its own.
-    _gen_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # The one per-diagram cache: the marking data of a rectangle's box (n^4
+    # at most).  Generators, rectangle records and domains are built on every
+    # call and kept by no one here; a caller that revisits them keeps a table
+    # of its own.
     _box_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -231,54 +239,89 @@ class GridDiagram:
         return _MarkingTable.of(self.n, list(enumerate(self.o_row)))
 
     @cached_property
-    def _component_tables(self) -> tuple[tuple[_MarkingTable, _MarkingTable, int], ...]:
-        """Per component: the tables of its O and X markings, and its O count."""
-        out = []
+    def _component_tables(self) -> tuple[tuple[tuple[tuple[int, ...], ...], int], ...]:
+        """Per component k: a table T and a constant with
+        ``2*A_k(x) = sum_i T[i][x_i] + const``.
+
+        2*A_k = M_{O_k} - M_{X_k} + (n_k - 1), with M_P the point count
+        against the component's own markings (see ``_MarkingTable``);
+        ``I(x, x)`` and the ``+ 1`` cancel in the difference, which leaves
+        ``T[i][v] = X.above + X.below - O.above - O.below`` at (i, v).  The
+        ``n_k - 1`` offset matches the Maslov normalization.
+        """
+        n, out = self.n, []
         for comp in range(self.num_components):
             os = [(c, r) for c, r in enumerate(self.o_row) if self.component_of_o[c] == comp]
             xs = [(c, r) for c, r in enumerate(self.x_row) if self.component_of_x[c] == comp]
-            out.append((_MarkingTable.of(self.n, os), _MarkingTable.of(self.n, xs), len(os)))
+            ot, xt = _MarkingTable.of(n, os), _MarkingTable.of(n, xs)
+            table = tuple(
+                tuple(xa + xb - oa - ob for xa, xb, oa, ob in zip(*rows))
+                for rows in zip(xt.above, xt.below, ot.above, ot.below)
+            )
+            out.append((table, ot.inner - xt.inner + len(os) - 1))
         return tuple(out)
 
     # -- generators and gradings --------------------------------------------
 
-    def generators(self):
-        """Iterate over all n! generators."""
-        for sigma in itertools.permutations(range(self.n)):
-            yield self.generator(sigma)
+    def generators(self, lo: dict | None = None, hi: dict | None = None):
+        """Iterate over the generators with ``lo[k] <= 2*A_k <= hi[k]`` for
+        every component k that ``lo`` or ``hi`` names, all n! of them without
+        bounds, in lexicographic order of sigma.
+
+        Columns are placed from 0 up, each trying the free values in
+        ascending order.  ``2*A_k`` is a sum of one table entry per column
+        (``_component_tables``), so a partial permutation is dropped as soon
+        as its placed sum plus the least (greatest) entries of the columns
+        still open lies above hi[k] (below lo[k]).
+        """
+        n = self.n
+        lo, hi = lo or {}, hi or {}
+        bounded = []  # per bounded component: its table, suffix sums of row minima and maxima, bounds less const
+        for k, (table, const) in enumerate(self._component_tables):
+            if k in lo or k in hi:
+                least = list(itertools.accumulate(map(min, reversed(table)), initial=0))[::-1]
+                most = list(itertools.accumulate(map(max, reversed(table)), initial=0))[::-1]
+                bounded.append((table, least, most, lo.get(k, -math.inf) - const, hi.get(k, math.inf) - const))
+        sigma = [0] * n
+        free = list(range(n))  # ascending
+
+        def walk(c: int, sums: list[int]):
+            for k, v in enumerate(free):
+                placed = [s + table[c][v] for s, (table, *_) in zip(sums, bounded)]
+                if any(
+                    s + least[c + 1] > high or s + most[c + 1] < low
+                    for s, (_, least, most, low, high) in zip(placed, bounded)
+                ):
+                    continue
+                sigma[c] = v
+                if c == n - 1:
+                    yield self.generator(tuple(sigma))
+                    continue
+                del free[k]
+                yield from walk(c + 1, placed)
+                free.insert(k, v)
+
+        yield from walk(0, [0] * len(bounded))
 
     def generator(self, sigma: Perm) -> Generator:
         sigma = tuple(sigma)
-        gen = self._gen_cache.get(sigma)
-        if gen is None:
-            gen = Generator(sigma, self._maslov(sigma), self._alexander2(sigma))
-            self._gen_cache[sigma] = gen
-        return gen
+        return Generator(sigma, self._maslov(sigma), self._alexander2(sigma))
 
     def _maslov(self, sigma: Perm) -> int:
         """Maslov grading, normalized so grid homology is a link invariant.
 
-        ``M_O(x)`` read from the O table (see ``_MarkingTable``); the extra
-        ``n - l`` (markings minus components) corrects for index 0/3
-        stabilizations, pinning the unknot's hat homology at Maslov 0 on every
-        grid presentation.
+        ``M_O(x)`` read from the O table (see ``_MarkingTable``), with
+        ``I(x, x) = C(n, 2) - inversions``; the extra ``n - l`` (markings
+        minus components) corrects for index 0/3 stabilizations, pinning the
+        unknot's hat homology at Maslov 0 on every grid presentation.
         """
-        o = self._o_table
-        pairs = sum(u < v for u, v in itertools.combinations(sigma, 2))
-        return pairs - o.crossings(sigma) + o.inner + 1 + (self.n - self.num_components)
+        n, o = self.n, self._o_table
+        pairs = n * (n - 1) // 2 - inversions(sigma)
+        return pairs - o.crossings(sigma) + o.inner + 1 + (n - self.num_components)
 
     def _alexander2(self, sigma: Perm) -> tuple[int, ...]:
-        """Doubled Alexander multi-grading.
-
-        Per component k: 2*A_k = M_{O_k} - M_{X_k} + (n_k - 1), with M_P the
-        point count against the component's own markings; ``I(x, x)`` and the
-        ``+ 1`` cancel in the difference.  The ``n_k - 1`` offset matches the
-        Maslov normalization above.
-        """
-        return tuple(
-            xt.crossings(sigma) - ot.crossings(sigma) + ot.inner - xt.inner + nk - 1
-            for ot, xt, nk in self._component_tables
-        )
+        """Doubled Alexander multi-grading, from ``_component_tables``."""
+        return tuple(sum(map(getitem, table, sigma)) + const for table, const in self._component_tables)
 
     # -- rectangles -----------------------------------------------------------
 
@@ -445,21 +488,19 @@ class GridDiagram:
             raise ValueError("a and b must have length n-1")
         return GridDomain(self, x.sigma, y.sigma, tuple(a), tuple(b))
 
-    def base_is_positive(self, x: Generator, y: Generator) -> bool:
-        """Whether the zero-data ``unique_domain(x, y)`` is positive, unbuilt:
-        by the quadrant form, iff ``Q_y <= Q_x`` on every cell."""
-        return all(map(le, _quadrant_counts(y.sigma), _quadrant_counts(x.sigma)))
-
-    def base_maslov_index(self, x: Generator, y: Generator) -> int:
-        """The Maslov index of the zero-data ``unique_domain(x, y)``, unbuilt.
+    @staticmethod
+    def base_maslov_index(x_sigma: Perm, y_sigma: Perm) -> int:
+        """The Maslov index of the zero-data ``unique_domain(x, y)``, unbuilt:
+        ``inversions(y) - inversions(x)``, which reads no marking.
 
         By the quadrant form the domain has ``Q_x(c, r) - Q_y(c, r)`` on cell
-        ``(c, r)``, so its O-count is ``sum_c Q_x(c, o_c) - Q_y(c, o_c)``,
-        which is ``I(O, x) - I(O, y)``: the O table's ``below`` part.
+        ``(c, r)``, so its O count is ``I(O, x) - I(O, y)`` and its index
+        ``M(x) - M(y) + 2*(I(O, x) - I(O, y))`` (MOS, arXiv:math/0607691).
+        Since ``[i <= c][v <= r] - [i > c][v > r] = [i <= c] + [v <= r] - 1``,
+        ``I(z, O) - I(O, z) = n`` for every generator z, so the O terms
+        cancel and what is left is ``I(x, x) - I(y, y)``.
         """
-        below = self._o_table.below
-        o_count = sum(map(getitem, below, x.sigma)) - sum(map(getitem, below, y.sigma))
-        return x.maslov - y.maslov + 2 * o_count
+        return inversions(y_sigma) - inversions(x_sigma)
 
     def subdomain_data(self, rem: "GridDomain") -> list[tuple[Perm, tuple[int, ...], tuple[int, ...]]]:
         """Every ``(w, a, b)`` with ``0 <= unique_domain(x, w, a, b) <= rem``
@@ -473,13 +514,13 @@ class GridDiagram:
         interval read from rem's cells.
         """
         n, m = self.n, rem.mult
-        qx, qy = _quadrant_counts(rem.from_sigma), _quadrant_counts(rem.to_sigma)
+        qx, qy = quadrant_counts(rem.from_sigma), quadrant_counts(rem.to_sigma)
         amax, bmax = rem.a_vec + (0,), rem.b_vec + (0,)
         lo = [qy[c * n + r] - amax[r] - bmax[c] for c in range(n) for r in range(n)]
         hi = [qx[c * n + r] + amax[r] + bmax[c] for c in range(n) for r in range(n)]
         out = []
-        for w in _columns_within(n, lo, hi):
-            d = list(map(sub, qx, _quadrant_counts(w)))
+        for w in columns_within(n, lo, hi):
+            d = list(map(sub, qx, quadrant_counts(w)))
             for a in itertools.product(*(range(v + 1) for v in amax[:-1])):
                 b_ranges = []
                 for c in range(n - 1):
@@ -494,24 +535,6 @@ class GridDiagram:
                     out.extend((w, a, b) for b in itertools.product(*b_ranges))
         out.sort()
         return out
-
-    def positive_sources(self, y: Generator, a, b) -> set[Perm]:
-        """Every x with ``unique_domain(x, y, a, b)`` positive.
-
-        By the quadrant form that is ``Q_x(c, r) >= Q_y(c, r) - a[r] - b[c]``
-        on every cell (a and b padded with zeros to length n), which bounds a
-        column search from below only.
-        """
-        n = self.n
-        a = tuple(a) + (0,) * (n - len(a))
-        b = tuple(b) + (0,) * (n - len(b))
-        qy = _quadrant_counts(y.sigma)
-        lo = [qy[c * n + r] - a[r] - b[c] for c in range(n) for r in range(n)]
-        return set(_columns_within(n, lo, [n] * (n * n)))
-
-    def base_interval(self, lo: Generator, hi: Generator) -> set[Perm]:
-        """Every z with ``Q_lo <= Q_z <= Q_hi`` on every cell, one column search."""
-        return set(_columns_within(self.n, _quadrant_counts(lo.sigma), _quadrant_counts(hi.sigma)))
 
 
 class RectInfo(NamedTuple):
@@ -560,7 +583,7 @@ class GridDomain:
     ``b_vec[c]`` the multiplicity in the topmost row at column ``c``
     (``r, c < n-1``); the top-right cell is 0.  Those pin the 2-chain: cell
     ``(c, r)`` holds ``Q_x(c, r) - Q_y(c, r) + a[r] + b[c]`` (``mult``, with
-    ``a[n-1] = b[n-1] = 0`` and ``Q`` as in ``_quadrant_counts``), so
+    ``a[n-1] = b[n-1] = 0`` and ``Q`` as in ``quadrant_counts``), so
     composing and splitting add and subtract the data.
     """
 
@@ -640,8 +663,7 @@ class GridDomain:
         g = self.diagram
         a = self.a_vec + (0,)
         o_data = sum(a[r] for r in g.o_row) + sum(self.b_vec)
-        x, y = g.generator(self.from_sigma), g.generator(self.to_sigma)
-        return g.base_maslov_index(x, y) + 2 * o_data
+        return g.base_maslov_index(self.from_sigma, self.to_sigma) + 2 * o_data
 
     def compose(self, other: "GridDomain") -> "GridDomain":
         if self.to_sigma != other.from_sigma:

@@ -8,6 +8,7 @@ from gridhom import cdp
 from gridhom.domainposet import g_set
 from gridhom.gridcore import GridDiagram
 from gridhom.signs import build_sign_assignment
+from conftest import recurrence_cells
 
 
 def curated_seeds(g):
@@ -170,10 +171,16 @@ class TestGradedPieces:
 
 def reference_piece_complex(g, s, a, b, y):
     """``graded_piece_complex`` as a loop over every rectangle of every
-    member, one ``s.of`` per rectangle: the form the arrow table replaced."""
+    member, one ``s.of`` per rectangle: the form the arrow table replaced.
+    Each member x is graded by the index M(x) - M(y) + 2|O(D)| of its domain
+    D, with the O cells read from the corner recurrence."""
+    n = g.n
     members = g_set(g, a, b, y)
-    mu_periodic = g.unique_domain(y, y, a, b).maslov_index()
-    grading = {x: g.base_maslov_index(g.generator(x), y) + mu_periodic for x in members}
+    grading = {}
+    for x in members:
+        cells = recurrence_cells(n, x, y.sigma, a, b)
+        o_count = sum(cells[c * n + r] for c, r in enumerate(g.o_row))
+        grading[x] = g.generator(x).maslov - y.maslov + 2 * o_count
     diff = {}
     for sigma in members:
         col = {}

@@ -66,6 +66,29 @@ class TestHomology:
         assert any(f.endswith(".csv") for f in files)
 
 
+class TestSliceLabels:
+    """The text lines name a slice as the ``--json`` output does."""
+
+    @pytest.mark.parametrize("argv", [
+        ["homology", fixture_path("hopf4.grid"), "--flavor", "tilde", "--alexander=0,0", "--alexander=2,0"],
+        ["homology", fixture_path("trefoil5.grid"), "--flavor", "plus-prime", "--alexander=0", "--alexander=2"],
+    ])
+    def test_homology(self, argv, capsys):
+        code, text = run(capsys, *argv)
+        assert code == 0
+        _, out = run(capsys, "--json", *argv)
+        labels = [line.split(":")[0].strip()[len("2A="):] for line in text.splitlines()[1:]]
+        assert labels == list(json.loads(out)["tables"]) == [a.split("=")[1].replace(",", "_") for a in argv[4:]]
+
+    def test_u_map(self, capsys):
+        argv = ["u-map", fixture_path("hopf4.grid"), "--alexander", "2,0"]
+        code, text = run(capsys, *argv)
+        assert code == 0
+        _, out = run(capsys, "--json", *argv)
+        label = "_".join(map(str, json.loads(out)["alexander2"]))
+        assert text.splitlines()[0] == f"U_0 on slice 2A={label}" == "U_0 on slice 2A=2_0"
+
+
 class TestVerifiers:
     def test_signs_verify(self, capsys):
         code, out = run(capsys, "signs-verify", fixture_path("unknot2.grid"))

@@ -361,6 +361,53 @@ class TestGradings:
                 assert x.alexander2 == y.alexander2
 
 
+def reference_walk(g):
+    """Every permutation in lexicographic order, with its doubled Alexander
+    grading by pair counts."""
+    return [(sigma, reference_gradings(g, sigma)[1]) for sigma in itertools.permutations(range(g.n))]
+
+
+def assert_walk_within(g, walk, lo, hi):
+    """``g.generators(lo, hi)`` is ``walk`` filtered by the bounds."""
+    inf = float("inf")
+    want = [sigma for sigma, a2 in walk if all(lo.get(k, -inf) <= v <= hi.get(k, inf) for k, v in enumerate(a2))]
+    assert [x.sigma for x in g.generators(lo, hi)] == want, (lo, hi)
+
+
+class TestSliceWalk:
+    """``generators(lo, hi)`` is the full walk filtered by the doubled
+    Alexander bounds, in the same order."""
+
+    @pytest.mark.parametrize("name", ["unknot2", "unknot3", "grid4", "hopf4", "trefoil5", "t25"])
+    def test_fixtures(self, name, request):
+        g = request.getfixturevalue(name)
+        walk = reference_walk(g)
+        assert_walk_within(g, walk, {}, {})
+        rng = random.Random(name)
+        for _ in range(8):
+            lo, hi = {}, {}
+            for k in range(g.num_components):
+                values = sorted({a2[k] for _, a2 in walk})
+                low, high = sorted(rng.choice(values) for _ in range(2))
+                if rng.random() < 0.7:
+                    hi[k] = high
+                if rng.random() < 0.7:
+                    lo[k] = low
+            assert_walk_within(g, walk, lo, hi)
+
+    @settings(max_examples=40, deadline=None)
+    @given(grids(), st.data())
+    def test_random_grids(self, g, data):
+        bound = st.one_of(st.none(), st.integers(-2 * g.n, 2 * g.n))
+        lo, hi = {}, {}
+        for k in range(g.num_components):
+            for bounds in (lo, hi):
+                v = data.draw(bound)
+                if v is not None:
+                    bounds[k] = v
+        assert_walk_within(g, reference_walk(g), lo, hi)
+
+
 class TestDomains:
     def test_trivial_domain_index_zero(self, unknot3):
         x = unknot3.generator((0, 1, 2))
@@ -531,7 +578,7 @@ class TestUniqueDomain:
             for y in gens:
                 cells = recurrence_cells(n, x.sigma, y.sigma, zero, zero)
                 o_count = sum(cells[c * n + r] for c, r in enumerate(g.o_row))
-                assert g.base_maslov_index(x, y) == x.maslov - y.maslov + 2 * o_count
+                assert g.base_maslov_index(x.sigma, y.sigma) == x.maslov - y.maslov + 2 * o_count
 
 
 class TestPeriodicDomains:
