@@ -5,8 +5,9 @@ column and the topmost row; on permutations this is the opposite of the
 strong Bruhat order.  By the quadrant form of that domain (see ``g_set``),
 ``y <= x`` iff ``Q_y <= Q_x`` on every cell.  The module also finds
 the minimum generator m^{a,b,y} of the upward-closed sets G^{a,b,y} that
-drive the acyclicity of the positive-domain complex, by stepping back along
-minimal witness rectangles.
+drive the acyclicity of the positive-domain complex: one loop that steps
+back along the minimal witness rectangle into the current generator, read
+from one ``rectangle_infos_into`` call per step.
 """
 
 from __future__ import annotations
@@ -62,50 +63,34 @@ def reduced_words(sigma: Perm) -> list[tuple[int, ...]]:
     return out
 
 
-def _witness_records(g: GridDiagram, a, b, y_sigma: Perm):
-    """``(kind, omega, tau, record)`` for each A- and B-witness rectangle
-    into y, in the order of ``rectangle_infos_into``.
-
-    ``omega`` counts the annuli the rectangle crosses between its left edge
-    (bottom edge for B) and the last column (row); together with the width
-    (height) ``tau`` this pins both corners, so the lexicographic minimizer
-    is unique.  A rectangle avoids the top-right cell, so it meets the last
-    column (top row) off that cell iff it meets it at all:
-    ``meets_last_column`` stands for ``any(a_vec)`` and ``meets_top_row``
-    for ``any(b_vec)``.
-    """
-    n = g.n
-    for info in g.rectangle_infos_into(y_sigma):
-        if info.meets_last_column and all(map(le, info.a_vec, a)):
-            yield "A", (n - 1 - info.col0) % n, info.width, info
-        if info.meets_top_row and all(map(le, info.b_vec, b)):
-            yield "B", (n - 1 - info.row0) % n, info.height, info
-
-
-def _minimal_witness_record(g: GridDiagram, a, b, y_sigma: Perm):
-    """The A-witness record minimizing (omega, tau) lexicographically, else
-    the minimal B-witness record, else None."""
-    best: dict = {}
-    for w in _witness_records(g, a, b, y_sigma):
-        if w[0] not in best or w[1:3] < best[w[0]][1:3]:
-            best[w[0]] = w
-    return best.get("A") or best.get("B")
-
-
 def g_minimum(g: GridDiagram, a, b, y: Generator) -> Generator:
     """The minimum m^{a,b,y} of G^{a,b,y}, by the witness recursion: step
-    back along the minimal witness into y, lowering a (A) or b (B) by its
-    last-column (top-row) data, until no witness is left."""
+    back along the minimal witness rectangle into y, lowering a (b) by its
+    last-column (top-row) data, until no witness is left.
+
+    A-witnesses (they meet the last column, with ``a_vec <= a``) come
+    first, minimized by (omega, width); otherwise B-witnesses (they meet
+    the top row, with ``b_vec <= b``), minimized by (omega, height).  omega
+    counts the annuli crossed from the left (bottom) edge to the last column
+    (top row); with the width (height) it pins both corners, so each
+    minimizer is unique.  A rectangle avoids the top-right cell, so
+    ``meets_last_column`` and ``meets_top_row`` stand for ``any(a_vec)`` and
+    ``any(b_vec)``.
+    """
+    n = g.n
     a, b = tuple(a), tuple(b)
     sigma = y.sigma
-    while (found := _minimal_witness_record(g, a, b, sigma)) is not None:
-        kind, _, _, info = found
-        if kind == "A":
+    while True:
+        infos = g.rectangle_infos_into(sigma)
+        if wa := [i for i in infos if i.meets_last_column and all(map(le, i.a_vec, a))]:
+            info = min(wa, key=lambda i: ((n - 1 - i.col0) % n, i.width))
             a = tuple(map(sub, a, info.a_vec))
-        else:
+        elif wb := [i for i in infos if i.meets_top_row and all(map(le, i.b_vec, b))]:
+            info = min(wb, key=lambda i: ((n - 1 - i.row0) % n, i.height))
             b = tuple(map(sub, b, info.b_vec))
+        else:
+            return g.generator(sigma)
         sigma = info.from_sigma
-    return g.generator(sigma)
 
 
 def g_set(g: GridDiagram, a, b, y: Generator) -> set[Perm]:

@@ -79,9 +79,12 @@ class FlavorSpec:
 
 
 def alexander2_range(g: GridDiagram) -> range:
-    """The doubled Alexander gradings of a knot's generators, ascending."""
-    vals = [x.alexander2[0] for x in g.generators()]
-    return range(min(vals), max(vals) + 1, 2)
+    """The doubled Alexander gradings of a knot's generators, ascending,
+    from the extremes of its grading table over all permutations; no
+    generator is walked."""
+    _, const = g._component_tables[0]
+    least, most = g._component_extremes[0]
+    return range(least[-1] + const, most[-1] + const + 1, 2)
 
 
 def exact_below(maslov_cap: int | None) -> float:
@@ -145,7 +148,6 @@ def build_complex(
             continue
         budget = None if maslov_cap is None else (maslov_cap - x.maslov) // 2
         per_comp: list[list[tuple[int, ...]]] = []
-        ok = True
         for k, cols in enumerate(free_cols):
             if k not in pinned:
                 # unconstrained component: bounded only by the Maslov cap
@@ -154,13 +156,10 @@ def build_complex(
                     options.extend(compositions(total, len(cols)))
                 per_comp.append(options)
                 continue
+            # an odd or over-budget gap leaves no option, so no cell
             gap2 = pinned[k] - x.alexander2[k]
-            if gap2 % 2 or (budget is not None and gap2 // 2 > budget):
-                ok = False
-                break
-            per_comp.append(compositions(gap2 // 2, len(cols)))
-        if not ok:
-            continue
+            fits = gap2 % 2 == 0 and (budget is None or gap2 // 2 <= budget)
+            per_comp.append(compositions(gap2 // 2, len(cols)) if fits else [])
         for choice in itertools.product(*per_comp):
             j = [0] * n
             for cols, part in zip(free_cols, choice):

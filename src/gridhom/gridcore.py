@@ -261,6 +261,25 @@ class GridDiagram:
             out.append((table, ot.inner - xt.inner + len(os) - 1))
         return tuple(out)
 
+    @cached_property
+    def _component_extremes(self) -> tuple[tuple[list[int], list[int]], ...]:
+        """Per component, ``(least, most)`` indexed by a bit mask F of row
+        values: the least and the greatest ``sum_i T[i][x_i]`` (T from
+        ``_component_tables``) over the bijections x from the last |F|
+        columns onto F.  A subset DP on the first of those columns, n * 2^n
+        steps; the full mask gives the extremes of 2*A_k less its constant.
+        """
+        n, out = self.n, []
+        for table, _ in self._component_tables:
+            least, most = [0] * (1 << n), [0] * (1 << n)
+            for mask in range(1, 1 << n):
+                row = table[n - mask.bit_count()]
+                rest = [(row[v], mask ^ (1 << v)) for v in range(n) if mask >> v & 1]
+                least[mask] = min(t + least[m] for t, m in rest)
+                most[mask] = max(t + most[m] for t, m in rest)
+            out.append((least, most))
+        return tuple(out)
+
     # -- generators and gradings --------------------------------------------
 
     def generators(self, lo: dict | None = None, hi: dict | None = None):
@@ -271,25 +290,25 @@ class GridDiagram:
         Columns are placed from 0 up, each trying the free values in
         ascending order.  ``2*A_k`` is a sum of one table entry per column
         (``_component_tables``), so a partial permutation is dropped as soon
-        as its placed sum plus the least (greatest) entries of the columns
-        still open lies above hi[k] (below lo[k]).
+        as its placed sum plus the least (greatest) sum that the values
+        still free can make on the columns still open
+        (``_component_extremes``) lies above hi[k] (below lo[k]).
         """
         n = self.n
         lo, hi = lo or {}, hi or {}
-        bounded = []  # per bounded component: its table, suffix sums of row minima and maxima, bounds less const
-        for k, (table, const) in enumerate(self._component_tables):
+        bounded = []  # per bounded component: its table, extremes by free mask, bounds less const
+        for k, ((table, const), (least, most)) in enumerate(zip(self._component_tables, self._component_extremes)):
             if k in lo or k in hi:
-                least = list(itertools.accumulate(map(min, reversed(table)), initial=0))[::-1]
-                most = list(itertools.accumulate(map(max, reversed(table)), initial=0))[::-1]
                 bounded.append((table, least, most, lo.get(k, -math.inf) - const, hi.get(k, math.inf) - const))
         sigma = [0] * n
         free = list(range(n))  # ascending
 
-        def walk(c: int, sums: list[int]):
+        def walk(c: int, sums: list[int], mask: int):
             for k, v in enumerate(free):
+                rest = mask ^ (1 << v)
                 placed = [s + table[c][v] for s, (table, *_) in zip(sums, bounded)]
                 if any(
-                    s + least[c + 1] > high or s + most[c + 1] < low
+                    s + least[rest] > high or s + most[rest] < low
                     for s, (_, least, most, low, high) in zip(placed, bounded)
                 ):
                     continue
@@ -298,10 +317,10 @@ class GridDiagram:
                     yield self.generator(tuple(sigma))
                     continue
                 del free[k]
-                yield from walk(c + 1, placed)
+                yield from walk(c + 1, placed, rest)
                 free.insert(k, v)
 
-        yield from walk(0, [0] * len(bounded))
+        yield from walk(0, [0] * len(bounded), (1 << n) - 1)
 
     def generator(self, sigma: Perm) -> Generator:
         sigma = tuple(sigma)

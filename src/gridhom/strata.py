@@ -3,7 +3,9 @@
 Everything here is the discrete shadow of the stratified spaces: descriptors
 of broken trajectories with boundary degenerations and partition data, the
 local-model posets Z_N and I_N, and the permutohedron face lattice.  No
-smooth geometry is computed.
+smooth geometry is computed.  The strata of one configuration are its
+geometric splittings, each with one product over the markings of the ways
+to share out and coarsen that marking's bubbles (``enumerate_strata``).
 """
 
 from __future__ import annotations
@@ -110,24 +112,29 @@ def _extractions(g: GridDiagram, rem: GridDomain):
 
 
 def _lambda_refinements(eta, extras, max_extra_codim):
-    """Partitions reachable from eta by inserting ``extras`` units and
-    coarsening, with the induced codimension contribution attached."""
-    out = {}
+    """``(lam, contribution)`` for each lam reachable from eta by inserting
+    ``extras`` units and coarsening whose codimension contribution, which
+    is ``2 * extras + len(eta) - len(lam)``, is at most ``max_extra_codim``."""
     level = {eta}
     for _ in range(extras):
-        nxt = set()
-        for lam in level:
-            for lam2, _ in pt.unit_enlargements(lam):
-                nxt.add(lam2)
-        level = nxt
-    for lam in level:
-        for lam2 in pt.coarsenings_of(lam):
-            contribution = 2 * extras + len(eta) - len(lam2)
-            if contribution <= max_extra_codim:
-                cur = out.get(lam2)
-                if cur is None or contribution < cur:
-                    out[lam2] = contribution
-    return out
+        level = {lam2 for lam in level for lam2, _ in pt.unit_enlargements(lam)}
+    coarse = dict.fromkeys(lam2 for lam in level for lam2 in pt.coarsenings_of(lam))
+    return [(lam, c) for lam in coarse if (c := 2 * extras + len(eta) - len(lam)) <= max_extra_codim]
+
+
+def _marking_options(n_j: int, lam_j, extras, max_extra_codim):
+    """``(counts, etas, lams, contribution)`` for each split of (n_j, lam_j)
+    into consecutive blocks eta_i of totals counts_i, one per piece, and
+    each refinement lam_i of eta_i after ``extras[i]`` insertions."""
+    for counts in pt.weak_compositions(n_j, len(extras)):
+        etas = pt.split_concatenation(lam_j, counts)
+        if etas is None:
+            continue
+        refinements = [_lambda_refinements(eta, e, max_extra_codim) for eta, e in zip(etas, extras)]
+        for pick in itertools.product(*refinements):
+            lams, contributions = zip(*pick)
+            if (contribution := sum(contributions)) <= max_extra_codim:
+                yield counts, etas, lams, contribution
 
 
 def enumerate_strata(
@@ -139,12 +146,15 @@ def enumerate_strata(
 ) -> list[StratumDescriptor]:
     """All strata of the compactified moduli space up to ``max_codim``.
 
-    A stratum breaks the trajectory into r positive pieces, extracts row and
-    column degenerations from each, splits the bubble counts, and coarsens
-    the per-piece partitions after inserting the new degeneration points.
+    A stratum breaks the trajectory into r positive pieces and extracts row
+    and column degenerations from each.  The decorations of each such
+    geometric splitting are one product over the markings of
+    ``_marking_options``, so a marking with no option empties it; the
+    codimension is tested before any piece is built, and a candidate with
+    a constant, undecorated piece is dropped.  ``s`` is not read: callers
+    pass it by position.
     """
     g = D.diagram
-    n = g.n
     n_vec = tuple(n_vec)
     lambdas = tuple(tuple(lam) for lam in lambdas)
     k, _ = dimension(D, n_vec, lambdas)
@@ -152,68 +162,32 @@ def enumerate_strata(
 
     def recurse(rem: GridDomain, pieces_geo, r_left):
         """Collect geometric splittings (domain, E, F) piece lists."""
-        if r_left == 1:
-            for e_rows, f_cols, core in _extractions(g, rem):
-                yield pieces_geo + [(core, e_rows, f_cols)]
-            return
         for e_rows, f_cols, after_ex in _extractions(g, rem):
+            if r_left == 1:
+                yield pieces_geo + [(after_ex, e_rows, f_cols)]
+                continue
             for piece, rest in _positive_subdomains(g, after_ex):
                 yield from recurse(rest, pieces_geo + [(piece, e_rows, f_cols)], r_left - 1)
 
     for r in range(1, max_codim + 2):
-        base_codim = r - 1
+        budget = max_codim - (r - 1)
         for geo in recurse(D, [], r):
-            # split bubble counts and partitions per marking
-            per_j_options = []
-            feasible = True
-            for j in range(n):
-                options = []
-                for counts in pt.weak_compositions(n_vec[j], r):
-                    blocks = pt.split_concatenation(lambdas[j], counts)
-                    if blocks is None:
-                        continue
-                    extras = [geo[i][1][j] + geo[i][2][j] for i in range(r)]
-                    per_piece = []
-                    for i in range(r):
-                        opts = _lambda_refinements(
-                            blocks[i], extras[i], max_codim - base_codim
-                        )
-                        per_piece.append(opts)
-                    options.append((counts, blocks, per_piece))
-                if not options:
-                    feasible = False
-                    break
-                per_j_options.append(options)
-            if not feasible:
-                continue
-            for combo in itertools.product(*per_j_options):
-                # per-piece choices of refined partitions across markings
-                choices_per_piece = []
-                for i in range(r):
-                    per_marking = [list(combo[j][2][i].items()) for j in range(n)]
-                    choices_per_piece.append(per_marking)
-                for pick in itertools.product(
-                    *[itertools.product(*choices_per_piece[i]) for i in range(r)]
-                ):
-                    codim = base_codim
-                    pieces = []
-                    degenerate = False
-                    for i in range(r):
-                        lam_i = tuple(p[0] for p in pick[i])
-                        codim += sum(p[1] for p in pick[i])
-                        dom, e_rows, f_cols = geo[i]
-                        nv = tuple(combo[j][0][i] for j in range(n))
-                        eta = tuple(combo[j][1][i] for j in range(n))
-                        piece = StratumPiece(dom, e_rows, f_cols, nv, lam_i, eta)
-                        if dom.is_trivial() and not any(piece.extras) and not any(nv):
-                            degenerate = True
-                            break
-                        pieces.append(piece)
-                    if degenerate or codim > max_codim:
-                        continue
+            extras = [[e[j] + f[j] for _, e, f in geo] for j in range(g.n)]  # by marking, then piece
+            options = [_marking_options(nj, lam, ex, budget) for nj, lam, ex in zip(n_vec, lambdas, extras)]
+            for combo in itertools.product(*options):
+                counts, etas, lams, contributions = zip(*combo)  # each indexed by marking
+                codim = r - 1 + sum(contributions)
+                if codim > max_codim:
+                    continue
+                pieces = []
+                for (dom, e_rows, f_cols), nv, eta, lam in zip(geo, zip(*counts), zip(*etas), zip(*lams)):
+                    piece = StratumPiece(dom, e_rows, f_cols, nv, lam, eta)
+                    if dom.is_trivial() and not any(piece.extras) and not any(nv):
+                        break
+                    pieces.append(piece)
+                else:
+                    assert codim == k - sum(p.dim for p in pieces), "codimension bookkeeping mismatch"
                     desc = StratumDescriptor(tuple(pieces), codim)
-                    total_dim = sum(p.dim for p in desc.pieces)
-                    assert codim == k - total_dim, "codimension bookkeeping mismatch"
                     found[desc.key] = desc
     return sorted(found.values(), key=lambda d: (d.codim, d.key))
 

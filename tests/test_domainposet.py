@@ -113,10 +113,36 @@ class TestReducedWordDecompositions:
                 assert brute == (sigma[p] > sigma[p + 1])
 
 
+def witness_records(g, a, b, y_sigma):
+    """``(kind, omega, tau, info)`` for each A- and B-witness rectangle into
+    y, read from ``rectangle_infos_into`` as ``g_minimum`` defines them: an
+    A-witness has a non-zero ``a_vec <= a``, with omega the annuli from its
+    left edge to the last column and tau its width; a B-witness the same
+    with ``b_vec``, rows and height."""
+    n, out = g.n, []
+    for info in g.rectangle_infos_into(y_sigma):
+        if any(info.a_vec) and all(v <= m for v, m in zip(info.a_vec, a)):
+            out.append(("A", (n - 1 - info.col0) % n, info.width, info))
+        if any(info.b_vec) and all(v <= m for v, m in zip(info.b_vec, b)):
+            out.append(("B", (n - 1 - info.row0) % n, info.height, info))
+    return out
+
+
+def minimal_witness_record(g, a, b, y_sigma):
+    """The A-witness record with the least (omega, tau), else the least
+    B-witness record, else None."""
+    records = witness_records(g, a, b, y_sigma)
+    for kind in "AB":
+        pool = [w for w in records if w[0] == kind]
+        if pool:
+            return min(pool, key=lambda w: w[1:3])
+    return None
+
+
 class TestWitnesses:
     def test_zero_triple_has_no_witness(self, unknot3):
         for y in unknot3.generators():
-            assert dp._minimal_witness_record(unknot3, (0, 0), (0, 0), y.sigma) is None
+            assert witness_records(unknot3, (0, 0), (0, 0), y.sigma) == []
 
     def test_minimizer_unique(self, grid4):
         rng = random.Random(2)
@@ -125,7 +151,7 @@ class TestWitnesses:
             y = rng.choice(gens)
             a = tuple(rng.randint(0, 2) for _ in range(3))
             b = tuple(rng.randint(0, 2) for _ in range(3))
-            ws = list(dp._witness_records(grid4, a, b, y.sigma))
+            ws = witness_records(grid4, a, b, y.sigma)
             for kind in ("A", "B"):
                 pool = sorted((omega, tau) for k, omega, tau, _ in ws if k == kind)
                 if pool:
@@ -138,7 +164,7 @@ class TestWitnesses:
             y = rng.choice(gens)
             a = tuple(rng.randint(0, 2) for _ in range(3))
             b = tuple(rng.randint(0, 2) for _ in range(3))
-            w = dp._minimal_witness_record(grid4, a, b, y.sigma)
+            w = minimal_witness_record(grid4, a, b, y.sigma)
             if w is None:
                 continue
             kind, omega, tau, rect = w

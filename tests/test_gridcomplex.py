@@ -1,10 +1,12 @@
 import dataclasses
 import itertools
+import json
 import math
+import os
 
 import pytest
 
-from gridhom.gridcore import GridDiagram, GridError, canonicalize
+from gridhom.gridcore import GridDiagram, GridError, canonicalize, load_grid
 from gridhom.homalg import IntegerChainComplex
 from gridhom.signs import build_sign_assignment
 from gridhom.gridcomplex import (
@@ -16,7 +18,7 @@ from gridhom.gridcomplex import (
     capped_homology,
     u_map,
 )
-from conftest import plus_u_map
+from conftest import fixture_path, plus_u_map
 
 
 def nonzero_tables(g, s, flavor, a2_values):
@@ -299,6 +301,15 @@ class TestFlavors:
             s = build_sign_assignment(g)
             tables.append(nonzero_tables(g, s, "hat", a2_range(g)))
         assert tables[0] == tables[1]
+
+
+class TestAlexanderRange:
+    def test_t27_spans_its_tilde_golden(self):
+        # read from the extremes table alone: no generator of the n = 9 grid is walked
+        g = load_grid(fixture_path("t27.grid"))
+        with open(fixture_path(os.path.join("expected", "t27_tilde.json"))) as fh:
+            keys = sorted(int(a2) for a2 in json.load(fh)["tables"])
+        assert alexander2_range(g) == range(keys[0], keys[-1] + 1, 2)
 
 
 class TestSymmetry:

@@ -16,6 +16,7 @@ from gridhom.gridcore import (
     parse_grid_json,
     parse_grid_text,
 )
+from gridhom.gridcomplex import alexander2_range
 from conftest import meets_boundary_condition, recurrence_cells
 
 
@@ -406,6 +407,51 @@ class TestSliceWalk:
                 if v is not None:
                     bounds[k] = v
         assert_walk_within(g, reference_walk(g), lo, hi)
+
+
+def brute_extremes(g):
+    """Per component, ``{mask: (least, most)}`` of ``sum_i T[i][x_i]`` over
+    the suffixes of every permutation: a suffix on the last m columns is a
+    bijection onto its set of values, and every such bijection is one."""
+    n, out = g.n, []
+    for table, _ in g._component_tables:
+        best = {}
+        for sigma in itertools.permutations(range(n)):
+            for m in range(n + 1):
+                cols = range(n - m, n)
+                mask, total = sum(1 << sigma[i] for i in cols), sum(table[i][sigma[i]] for i in cols)
+                low, high = best.get(mask, (total, total))
+                best[mask] = (min(low, total), max(high, total))
+        out.append(best)
+    return out
+
+
+def assert_extremes_match(g):
+    want = brute_extremes(g)
+    assert len(g._component_extremes) == len(want) == g.num_components
+    for (least, most), best in zip(g._component_extremes, want):
+        assert len(best) == len(least) == 1 << g.n
+        assert {mask: (least[mask], most[mask]) for mask in best} == best
+
+
+class TestAlexanderExtremes:
+    """``_component_extremes`` is the least and greatest table sum over the
+    bijections from the last columns onto each set of values."""
+
+    @pytest.mark.parametrize("name", ["unknot2", "unknot3", "grid4", "hopf4", "trefoil5", "t25"])
+    def test_fixtures(self, name, request):
+        assert_extremes_match(request.getfixturevalue(name))
+
+    @settings(max_examples=25, deadline=None)
+    @given(grids())
+    def test_random_grids(self, g):
+        assert_extremes_match(g)
+
+    @pytest.mark.parametrize("name", ["unknot2", "unknot3", "grid4", "trefoil5", "t25"])
+    def test_range_is_the_span_of_the_walk(self, name, request):
+        g = request.getfixturevalue(name)
+        values = [x.alexander2[0] for x in g.generators()]
+        assert alexander2_range(g) == range(min(values), max(values) + 1, 2)
 
 
 class TestDomains:

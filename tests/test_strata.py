@@ -1,4 +1,5 @@
 import itertools
+import random
 from collections import Counter
 from operator import sub
 
@@ -315,3 +316,52 @@ class TestModuliStrata:
             for d in strata.enumerate_strata(s, t.domain, t.n_vec, t.lambdas, 1):
                 if d.codim == 1:
                     assert strata.classify_codim1(d) in ("TypeI", "TypeII", "TypeIII")
+
+
+def one_dimensional_family(g, rng):
+    """A seeded decorated triple with k = mu - 1 + sum(len(lambda_j)) = 1:
+    two rectangles in a row or an allowable annulus with no bubbles, a
+    rectangle with a one-part bubble partition, or a constant domain with
+    two bubble parts at one marking or one part at each of two."""
+    n = g.n
+    x = g.generator(tuple(rng.sample(range(n), n)))
+    n_vec, lambdas = [0] * n, [()] * n
+    kind = rng.choice(("two rectangles", "annulus", "rectangle", "constant"))
+    if kind == "two rectangles":
+        r1, y = rng.choice(g.rectangles_from(x))
+        r2, _ = rng.choice(g.rectangles_from(y))
+        domain = r1.compose(r2)
+    elif kind == "annulus":
+        domain = rng.choice(allowable_annuli(g, x))
+    elif kind == "rectangle":
+        domain, _ = rng.choice(g.rectangles_from(x))
+        j = rng.randrange(n)
+        n_vec[j] = rng.randint(1, 2)
+        lambdas[j] = (n_vec[j],)
+    else:
+        domain = g.trivial_domain(x)
+        if rng.random() < 0.5:
+            j = rng.randrange(n)
+            n_vec[j] = rng.randint(2, 3)
+            lambdas[j] = rng.choice([(1, n_vec[j] - 1), (n_vec[j] - 1, 1)])
+        else:
+            for j in rng.sample(range(n), 2):
+                n_vec[j] = rng.randint(1, 2)
+                lambdas[j] = (n_vec[j],)
+    return PartitionedDomain(domain, tuple(n_vec), tuple(lambdas))
+
+
+def test_codim1_census_on_seeded_one_dimensional_families(unknot3, signs3, hopf4, signs_hopf, trefoil5, signs5):
+    """On 40 seeded one-dimensional families, the codimension-one strata
+    account for the raw differential events exactly, as multisets, and no
+    piece of a stratum has negative dimension."""
+    rng = random.Random(19)
+    grids = [(unknot3, signs3), (hopf4, signs_hopf), (trefoil5, signs5)]
+    for _ in range(40):
+        g, s = rng.choice(grids)
+        t = one_dimensional_family(g, rng)
+        assert strata.dimension(t.domain, t.n_vec, t.lambdas)[0] == 1
+        ok, descs = census_match(g, s, t)
+        assert ok, t.key
+        assert all(p.dim >= 0 for d in descs for p in d.pieces), t.key
+
