@@ -262,7 +262,9 @@ class ReducedSlice:
 
     It keeps what U maps read: the gradings of its cells, ``iota``, ``pi``
     and the homology bases.  The differential of the built complex is
-    dropped once the reduction returns.
+    dropped once the reduction returns.  ``pi`` holds only the reduction's
+    log, one flat tuple of original keys and coefficients per cancellation,
+    and replays it on the keys; it keeps no renumbering of the cells.
 
     A slice truncated at ``maslov_cap`` keeps homology bases (and so its
     ``table``) only in the gradings ``k <= maslov_cap - 2``, where the

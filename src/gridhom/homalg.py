@@ -35,10 +35,6 @@ class NotAComplex(Exception):
     pass
 
 
-class NotAFiltration(Exception):
-    pass
-
-
 def chain_add(a: Chain, b: Chain, scale: int = 1) -> Chain:
     out = dict(a)
     for k, v in b.items():
@@ -91,32 +87,6 @@ class IntegerChainComplex:
         reduced, _, _ = reduce_complex(self)
         return HomologyTable.from_bases(homology_with_bases(reduced))
 
-    def associated_graded(self, filtration) -> list["IntegerChainComplex"]:
-        """Split into filtration-level pieces.
-
-        ``filtration`` maps basis keys to values; the differential must not
-        raise the value (compared with ``<=``).  The returned complexes keep
-        only the level-preserving part of ``diff``.
-        """
-        levels: dict = {}
-        for key in self.grading:
-            levels.setdefault(filtration(key), []).append(key)
-        for key, col in self.diff.items():
-            fv = filtration(key)
-            for key2 in col:
-                if not filtration(key2) <= fv:
-                    raise NotAFiltration(f"differential raises filtration at {key!r} -> {key2!r}")
-        out = []
-        for value, keys in sorted(levels.items(), key=lambda kv: repr(kv[0])):
-            grading = {k: self.grading[k] for k in keys}
-            diff = {}
-            for k in keys:
-                col = {k2: c for k2, c in self.diff.get(k, {}).items() if filtration(k2) == value}
-                if col:
-                    diff[k] = col
-            out.append(IntegerChainComplex(grading, diff))
-        return out
-
 
 @dataclass
 class HomologyTable:
@@ -143,9 +113,6 @@ class HomologyTable:
     def nonzero(self) -> dict:
         return {k: v for k, v in self.groups.items() if v[0] or v[1]}
 
-    def total_rank(self) -> int:
-        return sum(r for r, _ in self.groups.values())
-
     def to_json_obj(self) -> dict:
         """The non-zero groups as ``{str(k): {"rank": r, "torsion": [...]}}``."""
         return {str(k): {"rank": r, "torsion": list(t)} for k, (r, t) in sorted(self.nonzero().items())}
@@ -160,11 +127,13 @@ def reduce_complex(
     """Cancel unit pivots; returns (reduced, iota, pi).
 
     The cells are numbered in ``cx.grading`` order and the reduction runs on
-    those numbers, with each row an insertion-ordered dict of the columns
-    that met it.  A unit entry ``d(b) = u*a + ...`` is queued when its column
-    is read and whenever an update leaves it a unit, with the Markowitz
-    priority |column of b| * |row of a| at that moment (a row still counts
-    the columns that died after meeting it).  The least priority leaves
+    those numbers.  Each row is a list of the columns that met it, in the
+    order they met it; a column leaves the row when its entry there cancels
+    to zero, but not when the column itself is cancelled, so a row still
+    counts the columns that died after meeting it.  A unit entry
+    ``d(b) = u*a + ...`` is queued when its column is read and whenever an
+    update leaves it a unit, with the Markowitz priority
+    |column of b| * |row of a| at that moment.  The least priority leaves
     first, ties first in, first out; an entry whose cells died or whose
     coefficient is no longer a unit is dropped when it leaves.  So the
     cancellation order depends only on the insertion order of ``cx.grading``
@@ -173,15 +142,17 @@ def reduce_complex(
     ``iota`` maps each surviving key to a chain in the original complex; the
     cancelled cells get no entry.  ``pi`` is a function from chains of the
     original complex to chains of the reduced one: each cancellation of
-    ``d(b) = u*a + rest`` is logged as ``(a, b, -u*rest)``, and ``pi`` replays
-    the log in order, sending ``a`` to ``-u*rest`` and ``b`` to zero.  Both
-    are chain homotopy equivalences; they are None unless requested.
+    ``d(b) = u*a + rest`` is logged on the original keys as one flat tuple
+    ``(a, b, r1, c1, r2, c2, ...)`` with ``-u*rest = c1*r1 + c2*r2 + ...``,
+    and ``pi`` replays the log in order, sending ``a`` to ``-u*rest`` and
+    ``b`` to zero.  Both are chain homotopy equivalences; they are None
+    unless requested.
     """
     keys = list(cx.grading)
     index = {k: i for i, k in enumerate(keys)}
     n = len(keys)
     cols: list = [None] * n  # cell -> {row cell: coefficient}
-    rows: list = [None] * n  # cell -> {column cell: None}, in insertion order
+    rows: list = [None] * n  # cell -> [column cells], in the order they met it
     read = []  # the columns in ``cx.diff`` order
     for k, col in cx.diff.items():
         if col:
@@ -190,9 +161,9 @@ def reduce_complex(
             cols[c] = col = {index[r]: v for r, v in col.items()}
             for r in col:
                 if rows[r] is None:
-                    rows[r] = {c: None}
+                    rows[r] = [c]
                 else:
-                    rows[r][c] = None
+                    rows[r].append(c)
     # the queue: priority -> deque of unit entries as flat column, row pairs,
     # and a heap of the priorities that have a deque
     buckets: dict = {}
@@ -209,8 +180,8 @@ def reduce_complex(
     heapq.heapify(prios)
 
     alive = [True] * n
-    steps: list | None = [None] * n if track_iota else None  # cell -> [(b, factor)] added to its iota
-    cancelled: list = []  # (a, b, pi(a)) per cancellation, in order
+    steps: list | None = [None] * n if track_iota else None  # cell -> [b, factor, ...] added to its iota
+    log: list = []  # (a, b, r, coeff, ...) on the original keys, per cancellation in order
 
     while prios:
         p = prios[0]
@@ -226,17 +197,20 @@ def reduce_complex(
         u = db.get(a, 0)
         if u != 1 and u != -1:
             continue
-        # cancel the pair (a, b): d(b) = u*a + rest; live columns meet live rows only
+        # cancel the pair (a, b): d(b) = u*a + rest; live columns meet live
+        # rows only, so ``r in col`` exactly when ``c`` is in ``rows[r]``
         rest = [(r, v) for r, v in db.items() if r != a]
         for c in [c for c in rows[a] if c != b and alive[c]]:
             col = cols[c]
             factor = -col.pop(a) * u
             for r, v in rest:
-                w = col.get(r, 0) + factor * v
+                old = col.get(r)
+                w = factor * v if old is None else old + factor * v
                 if w:
                     col[r] = w
                     row = rows[r]
-                    row[c] = None
+                    if old is None:
+                        row.append(c)
                     if w == 1 or w == -1:
                         p = len(col) * len(row)
                         bucket = buckets.get(p)
@@ -247,14 +221,17 @@ def reduce_complex(
                             bucket.extend((c, r))
                 else:
                     del col[r]
-                    del rows[r][c]
+                    rows[r].remove(c)
             if track_iota:
                 if steps[c] is None:
-                    steps[c] = [(b, factor)]
+                    steps[c] = [b, factor]
                 else:
-                    steps[c].append((b, factor))
+                    steps[c] += (b, factor)
         if track_pi:
-            cancelled.append((a, b, {r: -u * v for r, v in rest}))
+            entry = [keys[a], keys[b]]
+            for r, v in rest:
+                entry += (keys[r], -u * v)
+            log.append(tuple(entry))
         alive[a] = alive[b] = False
         cols[a] = cols[b] = rows[a] = None
         for c in rows[b] or ():
@@ -274,34 +251,36 @@ def reduce_complex(
         return reduced, iota, None
 
     def pi(chain: Chain) -> Chain:
-        out = {index[k]: v for k, v in chain.items()}
-        for a, b, pi_a in cancelled:
-            mu = out.pop(a, 0)
+        out = dict(chain)
+        for entry in log:
+            mu = out.pop(entry[0], 0)
             if mu:
-                for r, v in pi_a.items():
+                for r, v in zip(entry[2::2], entry[3::2]):
                     w = out.get(r, 0) + mu * v
                     if w:
                         out[r] = w
                     else:
                         out.pop(r, None)
-            out.pop(b, None)
-        return {keys[i]: v for i, v in out.items()}
+            out.pop(entry[1], None)
+        return out
 
     return reduced, iota, pi
 
 
 def _iota_chains(survivors: list, steps: list) -> dict:
     """``iota`` of the surviving cells: cell ``c`` starts as ``c`` and adds
-    ``factor * iota(b)`` for each ``(b, factor)`` in ``steps[c]``, in order.
-    ``iota(b)`` is final once ``b`` is cancelled, which happens before it
-    enters any ``steps``, so a memoized post-order gives the same chains as
-    updating every affected cell at each cancellation."""
+    ``factor * iota(b)`` for each pair ``b, factor`` of the flat list
+    ``steps[c]``, in order.  ``iota(b)`` is final once ``b`` is cancelled,
+    which happens before it enters any ``steps``, so a memoized post-order
+    gives the same chains as updating every affected cell at each
+    cancellation."""
     done: dict = {}
     for s in survivors:
         stack = [s]
         while stack:
             c = stack[-1]
-            todo = [b for b, _ in steps[c] or () if b not in done]
+            pairs = steps[c] or ()
+            todo = [b for b in pairs[::2] if b not in done]
             if todo:
                 stack.extend(todo)
                 continue
@@ -309,7 +288,7 @@ def _iota_chains(survivors: list, steps: list) -> dict:
             if c in done:
                 continue
             chain = {c: 1}
-            for b, factor in steps[c] or ():
+            for b, factor in zip(pairs[::2], pairs[1::2]):
                 chain = chain_add(chain, done[b], factor)
             done[c] = chain
     return {s: done[s] for s in survivors}

@@ -7,6 +7,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from gridhom.gridcomplex import FlavorSpec, ReducedSlice, u_map
 from gridhom.gridcore import GridDiagram, load_grid
+from gridhom.homalg import IntegerChainComplex
 from gridhom.signs import build_sign_assignment
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -25,6 +26,42 @@ def plus_u_map(g, s, marking, alexander2, maslov_cap=None):
     src = ReducedSlice.build(g, s, spec, tuple(alexander2), maslov_cap)
     dst = ReducedSlice.build(g, s, spec, target, None if maslov_cap is None else maslov_cap - 2)
     return u_map(src, dst, marking)
+
+
+class NotAFiltration(Exception):
+    pass
+
+
+def associated_graded(cx, filtration):
+    """``cx`` split into filtration-level pieces.
+
+    ``filtration`` maps basis keys to values; the differential must not
+    raise the value (compared with ``<=``).  The returned complexes keep
+    only the level-preserving part of ``diff``.
+    """
+    levels: dict = {}
+    for key in cx.grading:
+        levels.setdefault(filtration(key), []).append(key)
+    for key, col in cx.diff.items():
+        fv = filtration(key)
+        for key2 in col:
+            if not filtration(key2) <= fv:
+                raise NotAFiltration(f"differential raises filtration at {key!r} -> {key2!r}")
+    out = []
+    for value, keys in sorted(levels.items(), key=lambda kv: repr(kv[0])):
+        grading = {k: cx.grading[k] for k in keys}
+        diff = {}
+        for k in keys:
+            col = {k2: c for k2, c in cx.diff.get(k, {}).items() if filtration(k2) == value}
+            if col:
+                diff[k] = col
+        out.append(IntegerChainComplex(grading, diff))
+    return out
+
+
+def total_rank(table):
+    """The sum of the free ranks of a ``HomologyTable``."""
+    return sum(r for r, _ in table.groups.values())
 
 
 def recurrence_cells(n, x_sigma, y_sigma, a, b):
