@@ -23,7 +23,17 @@ import sys
 
 from gridhom import cdp, domainposet, spectra, strata
 from gridhom.gridcore import GridDiagram, GridError, canonicalize, load_grid
-from gridhom.gridcomplex import FlavorSpec, ReducedSlice, alexander2_range, capped_homology, exact_below, u_map
+from gridhom.gridcomplex import (
+    FlavorSpec,
+    ReducedSlice,
+    alexander2_range,
+    build_complex,
+    capped_homology,
+    exact_below,
+    lower_slice,
+    slices_top_down,
+    u_map,
+)
 from gridhom.signs import build_sign_assignment, verify_axioms
 
 
@@ -125,7 +135,10 @@ def cmd_homology(args) -> int:
     if args.cap is None and len(spec.sliced) < g.num_components:
         raise InputError(f"{args.flavor} slices of a link are infinite; give --cap")
     s = build_sign_assignment(g)
-    tables = {a2: capped_homology(g, s, spec, a2, args.cap) for a2 in values}
+    if args.cap is not None:
+        tables = {a2: capped_homology(g, s, spec, a2, args.cap) for a2 in values}
+    else:
+        tables = {a2: cx.homology() for a2, cx in slices_top_down(g, s, spec, values)}
     obj = {
         "flavor": args.flavor,
         "tables": {_slice_label(k): t.to_json_obj() for k, t in sorted(tables.items())},
@@ -152,8 +165,10 @@ def cmd_u_map(args) -> int:
     comp = g.component_of_o[args.marking]
     target = tuple(v - 2 if k == comp else v for k, v in enumerate(a2))
     cap = args.cap
-    src = ReducedSlice.build(g, s, spec, a2, cap)
-    dst = ReducedSlice.build(g, s, spec, target, None if cap is None else cap - 2)
+    cx = build_complex(g, s, spec, a2, cap)
+    src = ReducedSlice.reduce(cx, spec, a2, cap, track_pi=False)
+    # the target is the U_marking-quotient of the source, capped two lower
+    dst = ReducedSlice.reduce(lower_slice(cx, args.marking), spec, target, None if cap is None else cap - 2)
     res = u_map(src, dst, args.marking)
     gradings = sorted(res.matrices)
     obj = {

@@ -20,6 +20,14 @@ leave a component free, so they are infinite and are computed only under a
 Maslov cap.  A capped slice has exact homology only below ``cap - 1``, so
 capped results (``capped_homology``, ``ReducedSlice`` and the U maps between
 two of them) keep the gradings ``k <= cap - 2``.
+
+A window of slices shares one build.  U_m maps the cells with j_m >= k of a
+slice one to one onto the slice k steps lower on m's component, so
+``slices_top_down`` builds the top slice of a window and ``lower_slice``
+reads every lower one off the one above it instead of building it.  And hat
+is the kernel of U on plus at the O column that hat freezes, a surjection,
+so ``kernel_table`` reads hat's table off the cone of U between two reduced
+plus slices; no hat complex is built or reduced.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from operator import sub
 
@@ -37,6 +45,7 @@ from gridhom.homalg import (
     HomologyTable,
     IntegerChainComplex,
     chain_add,
+    cone_homology,
     homology_with_bases,
     reduce_complex,
     smith_normal_form,
@@ -217,6 +226,88 @@ def build_complex(
     return IntegerChainComplex(grading, diff)
 
 
+def lower_slice(cx: IntegerChainComplex, marking: int, steps: int = 1) -> IntegerChainComplex:
+    """The slice ``steps`` lower on the component of the O column ``marking``,
+    read off the built slice ``cx``.  The column must be one the flavor
+    leaves free, on a component the slice pins.
+
+    U_marking^steps maps the cells (sigma, j) of ``cx`` with
+    ``j[marking] >= steps`` one to one onto the lower slice and commutes
+    with d, so that slice is those cells relabelled (sigma, j - steps e_m),
+    two gradings lower per step, with their columns filtered and relabelled.
+    A slice truncated at cap c gives the lower one truncated at
+    ``c - 2 * steps``.  One pass keeps the order of cells, columns and
+    column entries, which is ``build_complex``'s, so the result equals the
+    built slice item for item and reduces the same way.  The derived keys
+    share one j tuple per distinct j.  The columns of ``cx`` are released as
+    they are read, so ``cx.diff`` is empty afterwards.
+    """
+    drop = 2 * steps
+    lowered: dict = {}  # j of cx -> the j it becomes, one tuple per distinct j
+    keys: dict = {}  # key of cx -> its key in the lower slice
+    grading: dict = {}
+    for key, gr in cx.grading.items():
+        sigma, j = key
+        if j[marking] >= steps:
+            j2 = lowered.get(j)
+            if j2 is None:
+                j2 = lowered[j] = j[:marking] + (j[marking] - steps,) + j[marking + 1 :]
+            keys[key] = key2 = (sigma, j2)
+            grading[key2] = gr - drop
+    diff: dict = {}
+    parent = cx.diff
+    for key, col in parent.items():
+        parent[key] = None
+        key2 = keys.get(key)
+        if key2 is not None:
+            col = {k: v for r, v in col.items() if (k := keys.get(r)) is not None}
+            if col:
+                diff[key2] = col
+    parent.clear()
+    return IntegerChainComplex(grading, diff)
+
+
+def lowering(g: GridDiagram, spec: FlavorSpec, upper, lower) -> tuple[int, int] | None:
+    """``(marking, steps)`` with which ``lower_slice`` reads the slice
+    ``lower`` off the slice ``upper``, or None when it cannot: the slices
+    must differ on one component only, lower there by a positive even
+    amount, and the flavor must leave an O column of that component free
+    (the first such column is the marking)."""
+    moved = [i for i, (u, v) in enumerate(zip(upper, lower)) if u != v]
+    if len(moved) != 1:
+        return None
+    gap = upper[moved[0]] - lower[moved[0]]
+    comp = spec.sliced[moved[0]]
+    free = [c for c, k in enumerate(g.component_of_o) if k == comp and c not in spec.frozen]
+    if gap <= 0 or gap % 2 or not free:
+        return None
+    return free[0], gap // 2
+
+
+def slices_top_down(g: GridDiagram, s: SignAssignment, spec: FlavorSpec, values) -> Iterator[tuple]:
+    """``(alexander2, complex)`` for each of the uncapped slices ``values``,
+    once each and highest first.  The first slice is built; each later one
+    is read off the one before it (``lower_slice``) when ``lowering``
+    allows, and built otherwise.
+
+    A yielded slice is used up when the next one is asked for: its columns
+    are released then, read by ``lower_slice`` or dropped before a build.
+    So the caller reduces it first, no slice is derived before its parent's
+    reduction, and one built differential is held at a time.
+    """
+    cx = above = None
+    for a2 in sorted(set(values), reverse=True):
+        step = None if cx is None else lowering(g, spec, above, a2)
+        if step is not None:
+            cx = lower_slice(cx, *step)
+        else:
+            if cx is not None:
+                cx.diff.clear()  # release the slice above before building
+            cx = build_complex(g, s, spec, a2)
+        above = a2
+        yield a2, cx
+
+
 def capped_homology(
     g: GridDiagram, s: SignAssignment, spec: FlavorSpec, alexander2, maslov_cap: int | None
 ) -> HomologyTable:
@@ -257,14 +348,17 @@ class UMapResult:
 
 @dataclass
 class ReducedSlice:
-    """One slice, built once and Morse-reduced once with both homotopy
-    equivalences tracked, so it can be the source or the target of a U map.
+    """One slice, built or read off a built one, and Morse-reduced once with
+    its homotopy equivalences tracked, so it can be the source or the target
+    of a U map.
 
-    It keeps what U maps read: the gradings of its cells, ``iota``, ``pi``
-    and the homology bases.  The differential of the built complex is
-    dropped once the reduction returns.  ``pi`` holds only the reduction's
-    log, one flat tuple of original keys and coefficients per cancellation,
-    and replays it on the keys; it keeps no renumbering of the cells.
+    It keeps what U maps and kernel cones read: the gradings of its cells,
+    the few-cell reduced complex, ``iota``, ``pi`` and the homology bases.
+    The differential of the built complex is dropped once the reduction
+    returns.  ``pi`` holds only the reduction's log, one flat tuple of
+    original keys and coefficients per cancellation, and replays it on the
+    keys; it keeps no renumbering of the cells.  A slice that is never the
+    target of a U map may skip the log (``pi`` is then None).
 
     A slice truncated at ``maslov_cap`` keeps homology bases (and so its
     ``table``) only in the gradings ``k <= maslov_cap - 2``, where the
@@ -274,21 +368,29 @@ class ReducedSlice:
     alexander2: tuple
     maslov_cap: int | None
     grading: dict  # cell of the built complex -> Maslov grading
+    reduced: IntegerChainComplex  # the Morse-reduced complex
     iota: dict  # key of the reduced complex -> chain of cells
-    pi: Callable  # chain of cells -> chain in the reduced complex
+    pi: Callable | None  # chain of cells -> chain in the reduced complex
     bases: dict  # grading -> GradedHomologyBasis of the reduced complex
 
     @staticmethod
-    def build(g, s, spec, alexander2, maslov_cap=None) -> "ReducedSlice":
-        cx = build_complex(g, s, spec, alexander2, maslov_cap)
-        reduced, iota, pi = reduce_complex(cx, track_iota=True, track_pi=True)
+    def reduce(cx, spec, alexander2, maslov_cap=None, track_pi=True) -> "ReducedSlice":
+        """The slice whose built (or derived) complex is ``cx``."""
+        reduced, iota, pi = reduce_complex(cx, track_iota=True, track_pi=track_pi)
         top = exact_below(maslov_cap)
         bases = {k: b for k, b in homology_with_bases(reduced).items() if k < top}
-        return ReducedSlice(spec, alexander2, maslov_cap, cx.grading, iota, pi, bases)
+        return ReducedSlice(spec, tuple(alexander2), maslov_cap, cx.grading, reduced, iota, pi, bases)
 
     @property
     def table(self) -> HomologyTable:
         return HomologyTable.from_bases(self.bases)
+
+
+def _u_chain(chain: dict, marking: int) -> dict:
+    """U_marking of a chain of cells, as a chain of the slice one step lower."""
+    return {
+        (sigma, j[:marking] + (j[marking] - 1,) + j[marking + 1 :]): v for (sigma, j), v in chain.items() if j[marking]
+    }
 
 
 def u_map(src: ReducedSlice, dst: ReducedSlice, marking: int) -> UMapResult:
@@ -311,12 +413,6 @@ def u_map(src: ReducedSlice, dst: ReducedSlice, marking: int) -> UMapResult:
         if j[marking] and (sigma, j[:marking] + (j[marking] - 1,) + j[marking + 1 :]) not in dst.grading:
             raise GridError(f"U_{marking} of {(sigma, j)} is not a cell of the target slice")
 
-    def u_chain(chain):
-        """U_marking of a chain of cells of ``src``, as a chain of cells of ``dst``."""
-        return {
-            (sigma, j[:marking] + (j[marking] - 1,) + j[marking + 1 :]): v for (sigma, j), v in chain.items() if j[marking]
-        }
-
     matrices: dict = {}
     for gr, basis in src.bases.items():
         if not basis.free_reps:
@@ -326,7 +422,7 @@ def u_map(src: ReducedSlice, dst: ReducedSlice, marking: int) -> UMapResult:
             lifted: dict = {}
             for rkey, rv in rep.items():
                 lifted = chain_add(lifted, src.iota[rkey], rv)
-            images.append(dst.pi(u_chain(lifted)))
+            images.append(dst.pi(_u_chain(lifted, marking)))
         target_basis = dst.bases.get(gr - 2)
         if target_basis is None:
             if any(images):
@@ -336,3 +432,17 @@ def u_map(src: ReducedSlice, dst: ReducedSlice, marking: int) -> UMapResult:
             matrices[gr] = [list(row) for row in zip(*(target_basis.express(c) for c in images))]
 
     return UMapResult(src.table, dst.table, matrices)
+
+
+def kernel_table(src: ReducedSlice, dst: ReducedSlice, marking: int) -> HomologyTable:
+    """Homology of the kernel of U_marking from the uncapped plus slice
+    ``src`` onto ``dst``, the slice one step lower.  The kernel is the cells
+    with no U power at ``marking``, so on a knot with ``marking`` 0 this is
+    hat's table of ``src``'s slice.
+
+    U_marking is onto ``dst`` on chains, so the kernel's homology is that of
+    the cone of pi_dst o U_marking o iota_src between the two reduced
+    complexes, shifted down one (``cone_homology``); only that few-cell cone
+    is reduced."""
+    f = {key: dst.pi(_u_chain(chain, marking)) for key, chain in src.iota.items()}
+    return cone_homology(src.reduced, dst.reduced, f, -2)

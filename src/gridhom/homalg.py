@@ -493,3 +493,29 @@ def homology_with_bases(cx: IntegerChainComplex) -> dict[int, GradedHomologyBasi
             keys=keys, free_reps=free_reps, torsion=tors, _rinv=Rinv, _rank=rank, _l2=L2, _free_idx=free_idx
         )
     return out
+
+
+def cone_homology(a: IntegerChainComplex, b: IntegerChainComplex, f: dict, degree: int) -> HomologyTable:
+    """Homology of the mapping cone of the chain map ``f`` (key of ``a`` ->
+    chain of ``b``, changing gradings by ``degree``), shifted down one: a
+    cell of ``a`` keeps its grading and a cell of ``b`` sits ``1 + degree``
+    below its own, so ``d(a) = d_a(a) + f(a)`` and ``d(b) = -d_b(b)``.
+
+    When ``f`` is onto on chains, ``0 -> ker f -> a -> b -> 0`` splits in
+    every grading, so this is the homology of ``ker f`` over Z, torsion
+    included.  It does not change when ``a`` and ``b`` are replaced by
+    homotopy equivalent complexes and ``f`` by the map the equivalences
+    induce, so the kernel of a large surjection can be read off the cone
+    of its Morse-reduced ends."""
+    grading = {(0, k): gr for k, gr in a.grading.items()}
+    grading.update({(1, k): gr - 1 - degree for k, gr in b.grading.items()})
+    diff = {}
+    for k in a.grading:
+        col = {(0, r): v for r, v in a.diff.get(k, {}).items()}
+        col.update({(1, r): v for r, v in f.get(k, {}).items()})
+        if col:
+            diff[(0, k)] = col
+    for k, col in b.diff.items():
+        if col:
+            diff[(1, k)] = {(1, r): -v for r, v in col.items()}
+    return IntegerChainComplex(grading, diff).homology()

@@ -1,10 +1,6 @@
-"""Cell-level bookkeeping for the flow-category CW complexes, and the wedge
-decompositions available in the Hurewicz range.
-
-A window [B, A] of Maslov gradings turns one Alexander slice of a grid
-complex into a finite CW complex: one cell of dimension C_d(B, A) + gr per
-generator, attached along the zero-dimensional compactified moduli spaces,
-so the cellular chain complex is the grid complex shifted by C_d(B, A).
+"""Per-Alexander spectrum reports of a knot: the hat and plus homology of
+each slice, the wedge of spheres it determines in the Hurewicz range, and
+U_0 on plus homology.
 
 When the homology of a slice is free abelian and supported in at most two
 consecutive Maslov gradings, the associated spectrum is a wedge of spheres
@@ -17,14 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from gridhom.gridcore import GridDiagram
-from gridhom.homalg import HomologyTable, IntegerChainComplex
-from gridhom.gridcomplex import FlavorSpec, ReducedSlice, alexander2_range, build_complex, capped_homology, u_map
+from gridhom.homalg import HomologyTable
+from gridhom.gridcomplex import FlavorSpec, ReducedSlice, alexander2_range, kernel_table, slices_top_down, u_map
 from gridhom.signs import SignAssignment
-
-
-def dimension_offset(b: int, a: int, d: int) -> int:
-    """C_d(B, A) = (A - B) d - B."""
-    return (a - b) * d - b
 
 
 @dataclass
@@ -86,62 +77,6 @@ def wedge_decomposition(table: HomologyTable) -> WedgeDecomposition:
 
 
 @dataclass
-class CellStructure:
-    """Cells of the CW complex for one slice in the window [B, A]."""
-
-    window: tuple[int, int]
-    d: int
-    offset: int
-    cells: dict  # key -> cell dimension
-    boundary: dict  # key -> {key: coeff}, the cellular boundary degrees
-    complex: IntegerChainComplex
-
-    def shift_to(self, b2: int, a2: int) -> int:
-        """Cell-dimension shift when enlarging the window to [b2, a2]."""
-        b, a = self.window
-        if b2 > b or a2 < a:
-            raise ValueError("windows only grow")
-        return dimension_offset(b2, a2, self.d) - self.offset
-
-
-def cell_census(
-    g: GridDiagram,
-    s: SignAssignment,
-    spec: FlavorSpec,
-    alexander2,
-    window: tuple[int, int],
-    d: int = 1,
-) -> CellStructure:
-    """Cell list and cellular boundary for one Alexander slice and window.
-
-    The cellular boundary in a consecutive pair of dimensions is the signed
-    count of points in the compactified moduli spaces, i.e. exactly the grid
-    differential; the construction asserts that identification.
-    """
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    b, a = window
-    if b > a:
-        raise ValueError("empty window")
-    cx = build_complex(g, s, spec, alexander2, maslov_cap=a)
-    offset = dimension_offset(b, a, d)
-    cells = {key: offset + gr for key, gr in cx.grading.items() if b <= gr <= a}
-    boundary: dict = {}
-    for key, col in cx.diff.items():
-        if key not in cells:
-            continue
-        entries = {k: v for k, v in col.items() if k in cells}
-        if entries:
-            boundary[key] = entries
-    grading = {key: cx.grading[key] for key in cells}
-    sub = IntegerChainComplex(grading, boundary)
-    # cellular chain complex == grid complex in the window, shifted by offset
-    for key, dim in cells.items():
-        assert dim == offset + grading[key]
-    return CellStructure((b, a), d, offset, cells, boundary, sub)
-
-
-@dataclass
 class SliceReport:
     alexander2: int
     tables: dict  # flavor -> HomologyTable
@@ -156,37 +91,47 @@ def spectrum_report(g: GridDiagram, s: SignAssignment, alexander_range=None) -> 
     ``alexander_range`` is an iterable of doubled gradings; by default the
     range spanned by the generators.  The report keeps the caller's order.
 
-    The slices are walked from the top down and each plus slice is built
-    and Morse-reduced once: its ``ReducedSlice`` gives the plus table, the
-    source of U_0 on it and the target of U_0 from the slice above.  So the
+    A slice's report reads two plus slices, its own and the one below, the
+    target of U_0.  The window of those slices shares one build: the top
+    one is built and every lower one is read off the one above it once that
+    one is reduced (``slices_top_down``).  Each is Morse-reduced once
+    into a ``ReducedSlice``, which gives the plus table, the source of U_0
+    and its target.  Hat is the kernel of U_0 (hat freezes column 0), so its
+    table is read off the cone of U_0 between the two reduced slices
+    (``kernel_table``), and no hat complex is built or reduced.  So the
     largest slice is built and reduced while nothing else is held, and every
-    later one beside at most one ``ReducedSlice``, which keeps its cells'
-    gradings but not its differential.
+    later one beside at most one ``ReducedSlice`` of a requested slice, which
+    keeps its cells' gradings but not its differential.
     """
     if g.num_components != 1:
         raise ValueError("spectrum reports are per-component; use a knot grid")
     order = list(alexander2_range(g) if alexander_range is None else alexander_range)
-    hat, plus = FlavorSpec.make(g, "hat"), FlavorSpec.make(g, "plus")
-    below = None
+    wanted = set(order)
+    plus = FlavorSpec.make(g, "plus")
     out: dict[int, SliceReport] = {}
-    for a2 in sorted(set(order), reverse=True):
-        here = below if below is not None and below.alexander2 == (a2,) else None
-        below = None
-        tables = {"hat": capped_homology(g, s, hat, (a2,), None)}
-        if here is None:
-            here = ReducedSlice.build(g, s, plus, (a2,))
-        tables["plus"] = here.table
-        wedges = {flavor: wedge_decomposition(table) for flavor, table in tables.items()}
-        umaps = {}
-        if tables["plus"].nonzero():
-            below = ReducedSlice.build(g, s, plus, (a2 - 2,))
-            res = u_map(here, below, 0)
-            umaps[0] = {
-                "iso": res.is_isomorphism(),
-                "matrices": {gr: res.matrices.get(gr, []) for gr in sorted(tables["plus"].groups)},
-            }
-        out[a2] = SliceReport(a2, tables, wedges, umaps)
+    held: dict = {}  # a2 -> ReducedSlice of a requested slice, until the slice below it is reduced
+    for (a2,), cx in slices_top_down(g, s, plus, {(a2,) for a2 in wanted} | {(a2 - 2,) for a2 in wanted}):
+        # only a U_0 target needs pi, so the top slice keeps no log
+        here = ReducedSlice.reduce(cx, plus, (a2,), track_pi=a2 + 2 in wanted)
+        if a2 + 2 in held:
+            out[a2 + 2] = _slice_report(held.pop(a2 + 2), here)
+        if a2 in wanted:
+            held[a2] = here
     return {a2: out[a2] for a2 in order}
+
+
+def _slice_report(here: ReducedSlice, below: ReducedSlice) -> SliceReport:
+    """The report of ``here``'s slice; ``below`` is the slice one step lower."""
+    tables = {"hat": kernel_table(here, below, 0), "plus": here.table}
+    wedges = {flavor: wedge_decomposition(table) for flavor, table in tables.items()}
+    umaps = {}
+    if tables["plus"].nonzero():
+        res = u_map(here, below, 0)
+        umaps[0] = {
+            "iso": res.is_isomorphism(),
+            "matrices": {gr: res.matrices.get(gr, []) for gr in sorted(tables["plus"].groups)},
+        }
+    return SliceReport(here.alexander2[0], tables, wedges, umaps)
 
 
 def alexander_label(a2: int) -> str:

@@ -5,7 +5,7 @@ import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from gridhom.gridcomplex import FlavorSpec, ReducedSlice, u_map
+from gridhom.gridcomplex import FlavorSpec, ReducedSlice, build_complex, u_map
 from gridhom.gridcore import GridDiagram, load_grid
 from gridhom.homalg import IntegerChainComplex
 from gridhom.signs import build_sign_assignment
@@ -17,14 +17,20 @@ def fixture_path(name: str) -> str:
     return os.path.join(FIXTURES, name)
 
 
+def reduced_slice(g, s, spec, alexander2, maslov_cap=None):
+    """The ``ReducedSlice`` of a directly built slice."""
+    return ReducedSlice.reduce(build_complex(g, s, spec, alexander2, maslov_cap), spec, alexander2, maslov_cap)
+
+
 def plus_u_map(g, s, marking, alexander2, maslov_cap=None):
     """U_marking from the plus slice ``alexander2`` (truncated at
-    ``maslov_cap``) to the slice below it (truncated two gradings lower)."""
+    ``maslov_cap``) to the slice below it (truncated two gradings lower),
+    both built directly."""
     spec = FlavorSpec.make(g, "plus")
     comp = g.component_of_o[marking]
     target = tuple(v - 2 if k == comp else v for k, v in enumerate(alexander2))
-    src = ReducedSlice.build(g, s, spec, tuple(alexander2), maslov_cap)
-    dst = ReducedSlice.build(g, s, spec, target, None if maslov_cap is None else maslov_cap - 2)
+    src = reduced_slice(g, s, spec, tuple(alexander2), maslov_cap)
+    dst = reduced_slice(g, s, spec, target, None if maslov_cap is None else maslov_cap - 2)
     return u_map(src, dst, marking)
 
 

@@ -7,7 +7,10 @@ import pytest
 
 import gridhom
 from gridhom.cli import main
-from conftest import fixture_path
+from gridhom.gridcomplex import FlavorSpec, capped_homology
+from gridhom.gridcore import load_grid
+from gridhom.signs import build_sign_assignment
+from conftest import fixture_path, plus_u_map
 
 
 def run(capsys, *argv):
@@ -64,6 +67,43 @@ class TestHomology:
         assert code == 0
         files = os.listdir(tmp_path)
         assert any(f.endswith(".csv") for f in files)
+
+
+class TestSharedBuilds:
+    """``homology`` reads a slice off the one above it and ``u-map`` its
+    target off its source; the answers are those of direct builds."""
+
+    @pytest.mark.parametrize("grid, flavor, slices", [
+        ("trefoil5", "plus", ["6", "-2", "2", "4", "2"]),  # unsorted, with a gap and a repeat
+        ("hopf4", "hat", ["2,0", "0,0", "2,-2", "-2,-2", "0,-2"]),  # some slices move two components
+        ("hopf4", "tilde", ["2,0", "0,0"]),  # tilde leaves no O column free, so every slice is built
+    ])
+    def test_homology(self, grid, flavor, slices, capsys):
+        g = load_grid(fixture_path(f"{grid}.grid"))
+        s = build_sign_assignment(g)
+        spec = FlavorSpec.make(g, flavor)
+        code, out = run(capsys, "--json", "homology", fixture_path(f"{grid}.grid"), "--flavor", flavor,
+                        *(f"--alexander={a}" for a in slices))
+        assert code == 0
+        tables = json.loads(out)["tables"]
+        for a in slices:
+            a2 = tuple(int(v) for v in a.split(","))
+            assert tables[a.replace(",", "_")] == capped_homology(g, s, spec, a2, None).to_json_obj(), a
+
+    @pytest.mark.parametrize("grid, marking, a2, cap", [
+        ("trefoil5", 0, "6", None), ("trefoil5", 2, "4", 6), ("hopf4", 1, "2,2", None), ("hopf4", 2, "2,2", 6),
+    ])
+    def test_u_map(self, grid, marking, a2, cap, capsys):
+        g = load_grid(fixture_path(f"{grid}.grid"))
+        alexander2 = tuple(int(v) for v in a2.split(","))
+        res = plus_u_map(g, build_sign_assignment(g), marking, alexander2, cap)
+        argv = ["--json", "u-map", fixture_path(f"{grid}.grid"), "--marking", str(marking), "--alexander", a2]
+        code, out = run(capsys, *argv, *([] if cap is None else ["--cap", str(cap)]))
+        assert code == 0
+        data = json.loads(out)
+        assert data["matrices"] == {str(k): m for k, m in sorted(res.matrices.items())}
+        assert data["isomorphism"] == res.is_isomorphism()
+        assert res.source_table.nonzero()
 
 
 class TestSliceLabels:

@@ -6,8 +6,9 @@ import os
 
 import pytest
 
+from gridhom import gridcomplex
 from gridhom.gridcore import GridDiagram, GridError, canonicalize, load_grid
-from gridhom.homalg import IntegerChainComplex
+from gridhom.homalg import IntegerChainComplex, reduce_complex
 from gridhom.signs import build_sign_assignment
 from gridhom.gridcomplex import (
     FlavorSpec,
@@ -16,9 +17,13 @@ from gridhom.gridcomplex import (
     alexander2_range,
     build_complex,
     capped_homology,
+    kernel_table,
+    lower_slice,
+    lowering,
+    slices_top_down,
     u_map,
 )
-from conftest import associated_graded, fixture_path, plus_u_map, total_rank
+from conftest import associated_graded, fixture_path, plus_u_map, reduced_slice, total_rank
 
 
 def nonzero_tables(g, s, flavor, a2_values):
@@ -114,21 +119,26 @@ class TestUMap:
     @pytest.mark.parametrize("cap", [None, 6])
     def test_reduced_slice_holds_no_differential(self, cap, trefoil5, signs5):
         spec = FlavorSpec.make(trefoil5, "plus")
-        sl = ReducedSlice.build(trefoil5, signs5, spec, (6,), cap)
-        assert set(vars(sl)) == {"spec", "alexander2", "maslov_cap", "grading", "iota", "pi", "bases"}
-        held = list(vars(sl).values()) + [cell.cell_contents for cell in sl.pi.__closure__]
+        sl = reduced_slice(trefoil5, signs5, spec, (6,), cap)
+        assert set(vars(sl)) == {"spec", "alexander2", "maslov_cap", "grading", "reduced", "iota", "pi", "bases"}
+        held = [v for k, v in vars(sl).items() if k != "reduced"] + [cell.cell_contents for cell in sl.pi.__closure__]
         assert not any(isinstance(v, IntegerChainComplex) for v in held)
         cx = build_complex(trefoil5, signs5, spec, (6,), cap)
         assert cx.diff and list(sl.grading.items()) == list(cx.grading.items())
+        # the one complex it keeps is the few-cell reduced one, never the built one
+        reduced, _, _ = reduce_complex(cx)
+        assert len(reduced.grading) < len(cx.grading)
+        assert list(sl.reduced.grading.items()) == list(reduced.grading.items())
+        assert sl.reduced.diff == reduced.diff
 
     def test_u_map_rejects_wrong_target(self, trefoil5, signs5):
         spec = FlavorSpec.make(trefoil5, "plus")
-        src = ReducedSlice.build(trefoil5, signs5, spec, (6,))
-        wrong = ReducedSlice.build(trefoil5, signs5, spec, (2,))
+        src = reduced_slice(trefoil5, signs5, spec, (6,))
+        wrong = reduced_slice(trefoil5, signs5, spec, (2,))
         with pytest.raises(GridError, match="not a cell of the target slice"):
             u_map(src, wrong, 0)
-        capped = ReducedSlice.build(trefoil5, signs5, spec, (6,), maslov_cap=6)
-        too_low = ReducedSlice.build(trefoil5, signs5, spec, (4,), maslov_cap=2)
+        capped = reduced_slice(trefoil5, signs5, spec, (6,), maslov_cap=6)
+        too_low = reduced_slice(trefoil5, signs5, spec, (4,), maslov_cap=2)
         with pytest.raises(GridError, match="not a cell of the target slice"):
             u_map(capped, too_low, 0)
 
@@ -592,3 +602,152 @@ class TestBuildReference:
         lo = min(x.alexander2[0] for x in t25.generators())
         for a2 in range(lo, 3, 2):
             assert_same_build(t25, signs7, spec, (a2,))
+
+
+def assert_same_complex(derived, built):
+    """Equal item for item, in the insertion order of cells, columns and entries."""
+    assert list(derived.grading.items()) == list(built.grading.items())
+    assert list(derived.diff) == list(built.diff)
+    for key, col in built.diff.items():
+        assert list(derived.diff[key].items()) == list(col.items()), key
+
+
+def assert_walk_matches_builds(g, s, flavor, slices, monkeypatch):
+    """Walk ``slices`` with ``slices_top_down``, compare each slice with its
+    direct build, and return the slices the walk built itself."""
+    spec = FlavorSpec.make(g, flavor)
+    built = []
+
+    def counting(g, s, spec, alexander2, maslov_cap=None):
+        built.append(alexander2)
+        return build_complex(g, s, spec, alexander2, maslov_cap)
+
+    monkeypatch.setattr(gridcomplex, "build_complex", counting)
+    walked = []
+    for a2, cx in slices_top_down(g, s, spec, slices):
+        assert_same_complex(cx, build_complex(g, s, spec, a2))
+        walked.append(a2)
+    assert walked == sorted(set(slices), reverse=True)
+    return built
+
+
+def assert_read_off(g, s, flavor, upper, lower, cap):
+    """The slice ``lower`` read off the slice ``upper`` built under ``cap``
+    is ``lower`` built directly under the cap two lower per step."""
+    spec = FlavorSpec.make(g, flavor)
+    marking, steps = lowering(g, spec, upper, lower)
+    derived = lower_slice(build_complex(g, s, spec, upper, cap), marking, steps)
+    assert_same_complex(derived, build_complex(g, s, spec, lower, None if cap is None else cap - 2 * steps))
+
+
+class TestLowerSlice:
+    """A lower slice read off a built one is the built lower slice, item for
+    item and in the same order, so it reduces the same way."""
+
+    @pytest.mark.parametrize("flavor", ["plus", "hat", "plus_prime"])
+    def test_trefoil5_range(self, flavor, trefoil5, signs5, monkeypatch):
+        slices = [(a2,) for a2 in alexander2_range(trefoil5)]
+        assert assert_walk_matches_builds(trefoil5, signs5, flavor, slices, monkeypatch) == [max(slices)]
+
+    def test_unknot2(self, unknot2, signs2, monkeypatch):
+        plus = [(a2,) for a2 in range(-2, 7, 2)]
+        assert assert_walk_matches_builds(unknot2, signs2, "plus", plus, monkeypatch) == [(6,)]
+        assert assert_walk_matches_builds(unknot2, signs2, "hat", [(-2,), (0,), (2,)], monkeypatch) == [(2,)]
+
+    def test_hopf4_walk(self, hopf4, signs_hopf, monkeypatch):
+        # down component 1, across to a slice that is built, down component 1 and then 0
+        slices = [(2, 0), (0, 0), (2, -2), (-2, -2), (0, -2)]
+        assert assert_walk_matches_builds(hopf4, signs_hopf, "hat", slices, monkeypatch) == [(2, 0), (0, 0)]
+        # tilde leaves no O column free, so every slice is built
+        built = assert_walk_matches_builds(hopf4, signs_hopf, "tilde", slices, monkeypatch)
+        assert built == sorted(slices, reverse=True)
+
+    @pytest.mark.parametrize("cap", [2, 7])
+    def test_capped(self, cap, unknot2, signs2, trefoil5, signs5):
+        for upper, lower in [((6,), (4,)), ((4,), (0,))]:
+            assert_read_off(unknot2, signs2, "plus", upper, lower, cap)
+            assert_read_off(trefoil5, signs5, "plus", upper, lower, cap)
+        assert_read_off(unknot2, signs2, "hat", (2,), (-2,), cap)
+
+    def test_t25_hat(self, t25, signs7, t25_hat):
+        spec = FlavorSpec.make(t25, "hat")
+        cx = IntegerChainComplex(t25_hat[4].grading, dict(t25_hat[4].diff))  # lower_slice empties the copy's diff
+        for a2 in (2, 0, -2, -4):
+            cx = lower_slice(cx, *lowering(t25, spec, (a2 + 2,), (a2,)))
+            assert_same_complex(cx, t25_hat[a2])
+
+    @pytest.mark.parametrize(
+        "flavor, pairs",
+        [
+            ("plus", [((2, 2), (2, 0)), ((2, 0), (2, -2)), ((0, 4), (-2, 4))]),
+            ("plus_prime", [((4,), (2,)), ((2,), (0,)), ((0,), (-2,))]),
+        ],
+    )
+    def test_hopf4_capped(self, flavor, pairs, hopf4, signs_hopf):
+        for upper, lower in pairs:
+            assert_read_off(hopf4, signs_hopf, flavor, upper, lower, cap=6)
+
+    def test_parent_columns_are_released(self, trefoil5, signs5):
+        spec = FlavorSpec.make(trefoil5, "plus")
+        cx = build_complex(trefoil5, signs5, spec, (4,))
+        cells = len(cx.grading)
+        lower = lower_slice(cx, 0)
+        assert cx.diff == {} and len(cx.grading) == cells
+        assert len(lower.grading) < cells
+
+    def test_lowering_rules(self, hopf4, trefoil5):
+        hat, tilde = FlavorSpec.make(hopf4, "hat"), FlavorSpec.make(hopf4, "tilde")
+        free = [c for c in range(hopf4.n) if hopf4.component_of_o[c] == 1 and c not in hat.frozen]
+        assert lowering(hopf4, hat, (2, 2), (2, -2)) == (free[0], 2)
+        assert lowering(hopf4, hat, (2, 2), (0, 0)) is None  # two components move
+        assert lowering(hopf4, hat, (2, 2), (2, 4)) is None  # upward
+        assert lowering(hopf4, hat, (2, 2), (2, 1)) is None  # odd gap
+        assert lowering(hopf4, tilde, (2, 2), (2, 0)) is None  # no free O column
+        assert lowering(trefoil5, FlavorSpec.make(trefoil5, "plus"), (4,), (0,)) == (0, 2)
+
+
+@pytest.fixture(scope="module")
+def t25_hat(t25, signs7):
+    """The t25 hat slices 2A = -4..4, built once for the tests that read them."""
+    spec = FlavorSpec.make(t25, "hat")
+    return {a2: build_complex(t25, signs7, spec, (a2,)) for a2 in range(-4, 5, 2)}
+
+
+def assert_cone_is_hat(g, s, slices, hat_table):
+    """Walk the plus slices down from the top of ``slices`` and compare each
+    kernel cone with ``hat_table(a2)``; returns the number of slices where
+    hat is not zero and U_0 is not an isomorphism."""
+    plus = FlavorSpec.make(g, "plus")
+    assert FlavorSpec.make(g, "hat").frozen == (0,)
+    top = max(slices)
+    cx = build_complex(g, s, plus, (top,))
+    here = ReducedSlice.reduce(cx, plus, (top,))
+    nonzero_non_iso = 0
+    for a2 in range(top, min(slices) - 1, -2):
+        cx = lower_slice(cx, 0)
+        below = ReducedSlice.reduce(cx, plus, (a2 - 2,))
+        table = kernel_table(here, below, 0)
+        assert table == hat_table(a2), a2
+        if table.nonzero() and not u_map(here, below, 0).is_isomorphism():
+            nonzero_non_iso += 1
+        here = below
+    return nonzero_non_iso
+
+
+class TestKernelCone:
+    """Hat is the kernel of U_0 on plus, read off the cone of U_0 between the
+    reduced plus slices; it equals the directly built hat table, also where
+    hat is not zero and U_0 is not an isomorphism."""
+
+    def test_unknot2(self, unknot2, signs2):
+        hat = FlavorSpec.make(unknot2, "hat")
+        oracle = lambda a2: capped_homology(unknot2, signs2, hat, (a2,), None)  # noqa: E731
+        assert assert_cone_is_hat(unknot2, signs2, range(-2, 5, 2), oracle) == 1  # A = 0
+
+    def test_trefoil5(self, trefoil5, signs5):
+        hat = FlavorSpec.make(trefoil5, "hat")
+        oracle = lambda a2: capped_homology(trefoil5, signs5, hat, (a2,), None)  # noqa: E731
+        assert assert_cone_is_hat(trefoil5, signs5, alexander2_range(trefoil5), oracle) == 3  # A = -1, 0 and 1
+
+    def test_t25(self, t25, signs7, t25_hat):
+        assert assert_cone_is_hat(t25, signs7, range(-4, 5, 2), lambda a2: t25_hat[a2].homology()) >= 1

@@ -7,6 +7,8 @@ from gridhom.homalg import (
     HomologyTable,
     IntegerChainComplex,
     NotAComplex,
+    chain_add,
+    cone_homology,
     homology_with_bases,
     reduce_complex,
     smith_normal_form,
@@ -200,6 +202,49 @@ class TestReduction:
                 for g in range(5):
                     assert table.rank(g) == exp_rank[g]
                     assert invariant_factors(table.torsion(g)) == invariant_factors(exp_tors[g])
+
+
+class TestConeHomology:
+    """A surjection f: a -> b of degree -2 whose kernel, spanned by k1 - e1
+    and k0 with d(k1 - e1) = 2 k0, is Z/2: neither end is split by the
+    kernel's basis, and H(a) = Z + Z/2 differs from it."""
+
+    A = IntegerChainComplex(
+        {"k1": 1, "k0": 0, "e1": 1, "e0": 0, "z": 0},
+        {"k1": {"k0": 2, "e0": 1}, "e1": {"e0": 1}},
+    )
+    B = IntegerChainComplex({"p1": -1, "p0": -2, "q": -2}, {"p1": {"p0": 1}})
+    F = {"k1": {"p1": 1}, "e1": {"p1": 1}, "e0": {"p0": 1}, "z": {"q": 1}}
+
+    def test_f_is_an_onto_chain_map(self):
+        def f(chain):
+            out = {}
+            for key, v in chain.items():
+                out = chain_add(out, self.F.get(key, {}), v)
+            return out
+
+        for key in self.A.grading:
+            assert f(self.A.apply({key: 1})) == self.B.apply(f({key: 1}))
+        assert {r for col in self.F.values() for r in col} == set(self.B.grading)
+
+    def test_cone_is_the_kernel(self):
+        kernel = IntegerChainComplex({"k1-e1": 1, "k0": 0}, {"k1-e1": {"k0": 2}})
+        want = HomologyTable({0: (0, (2,))})
+        assert kernel.homology() == want
+        assert self.A.homology() == HomologyTable({0: (1, (2,))})
+        assert cone_homology(self.A, self.B, self.F, -2) == want
+
+    def test_cone_of_the_reduced_ends(self):
+        a, iota, _ = reduce_complex(self.A, track_iota=True)
+        b, _, pi = reduce_complex(self.B, track_pi=True)
+        assert len(b.grading) < len(self.B.grading)
+        f = {}
+        for key, chain in iota.items():
+            image = {}
+            for k, v in chain.items():
+                image = chain_add(image, self.F.get(k, {}), v)
+            f[key] = pi(image)
+        assert cone_homology(a, b, f, -2) == HomologyTable({0: (0, (2,))})
 
 
 class TestAssociatedGraded:

@@ -1,16 +1,9 @@
 import pytest
 
-from gridhom import gridcomplex, spectra
+from gridhom import gridcomplex
 from gridhom.homalg import HomologyTable, reduce_complex
 from gridhom.gridcomplex import FlavorSpec, build_complex
-from gridhom.spectra import (
-    CellStructure,
-    cell_census,
-    dimension_offset,
-    report_to_json_obj,
-    spectrum_report,
-    wedge_decomposition,
-)
+from gridhom.spectra import report_to_json_obj, spectrum_report, wedge_decomposition
 from conftest import plus_u_map
 
 
@@ -60,60 +53,6 @@ class TestWedge:
         assert again.summands == w.summands
 
 
-class TestCellCensus:
-    def test_offset_formula(self):
-        assert dimension_offset(0, 0, 1) == 0
-        assert dimension_offset(-2, 3, 1) == 7
-        assert dimension_offset(-2, 3, 2) == 12
-
-    def test_unknot_window_zero(self, unknot2, signs2):
-        spec = FlavorSpec.make(unknot2, "plus")
-        cs = cell_census(unknot2, signs2, spec, (0,), (0, 0))
-        assert len(cs.cells) == 1
-        assert set(cs.cells.values()) == {0}
-        assert cs.boundary == {}
-
-    def test_boundary_is_grid_differential(self, trefoil5, signs5):
-        spec = FlavorSpec.make(trefoil5, "hat")
-        window = (-4, 4)
-        cs = cell_census(trefoil5, signs5, spec, (0,), window)
-        cx = build_complex(trefoil5, signs5, spec, (0,), maslov_cap=window[1])
-        keys = {k for k, gr in cx.grading.items() if window[0] <= gr <= window[1]}
-        expected = {
-            k: {k2: v for k2, v in col.items() if k2 in keys}
-            for k, col in cx.diff.items()
-            if k in keys
-        }
-        expected = {k: v for k, v in expected.items() if v}
-        assert cs.boundary == expected
-        # cell dims shift the grading by the window offset
-        for key, dim in cs.cells.items():
-            assert dim == cs.offset + cx.grading[key]
-
-    def test_suspension_shift(self, unknot2, signs2):
-        spec = FlavorSpec.make(unknot2, "plus")
-        cs = cell_census(unknot2, signs2, spec, (2,), (0, 2))
-        shift = cs.shift_to(-2, 4)
-        assert shift == dimension_offset(-2, 4, 1) - dimension_offset(0, 2, 1)
-        cs2 = cell_census(unknot2, signs2, spec, (2,), (-2, 4))
-        for key, dim in cs.cells.items():
-            assert cs2.cells[key] == dim + shift
-
-    def test_homology_matches_shifted(self, trefoil5, signs5):
-        spec = FlavorSpec.make(trefoil5, "hat")
-        cs = cell_census(trefoil5, signs5, spec, (2,), (-3, 3))
-        cellular = cs.complex.homology().nonzero()
-        # trefoil hat at A=1 is Z in Maslov 0; cells shifted by the offset
-        assert cellular == {0: (1, ())}
-
-    def test_rejects_bad_input(self, unknot2, signs2):
-        spec = FlavorSpec.make(unknot2, "plus")
-        with pytest.raises(ValueError):
-            cell_census(unknot2, signs2, spec, (0,), (0, 0), d=0)
-        with pytest.raises(ValueError):
-            cell_census(unknot2, signs2, spec, (0,), (2, 0))
-
-
 class TestReport:
     def test_unknot_report(self, unknot2, signs2):
         rep = spectrum_report(unknot2, signs2, range(-2, 5, 2))
@@ -137,8 +76,9 @@ class TestReport:
 
 
 class TestSharedSlices:
-    """spectrum_report builds and reduces each plus slice once and hands it
-    to u_map as source and as target; the answers must not change."""
+    """spectrum_report builds the top plus slice alone, reads the lower ones
+    off it, reduces each once and hands it to u_map as source and as target;
+    the answers must not change."""
 
     def test_iso_verdict(self, trefoil5, signs5, unknot2, signs2):
         rep = spectrum_report(trefoil5, signs5, [2, 4])
@@ -183,12 +123,9 @@ class TestSharedSlices:
             return build_complex(g, s, spec, alexander2, maslov_cap)
 
         monkeypatch.setattr(gridcomplex, "build_complex", counting)
-        monkeypatch.setattr(spectra, "build_complex", counting)
         spectrum_report(trefoil5, signs5, [8, 2, 4])
-        # hat on 2, 4, 8; plus on 2, 4, 8 and on 0 and 6, the targets of U_0
-        assert sorted(built) == sorted(
-            [("hat", (a2,)) for a2 in (2, 4, 8)] + [("plus", (a2,)) for a2 in (0, 2, 4, 6, 8)]
-        )
+        # plus 8 alone: plus 6, 4, 2 and 0 are read off it, and hat is a cone
+        assert built == [("plus", (8,))]
 
     @pytest.mark.parametrize("a2", [4, 6, 8, 10])
     def test_tracking_leaves_reduction_unchanged(self, a2, trefoil5, signs5):
