@@ -125,14 +125,6 @@ def cd_terms(s: SignAssignment, D: GridDomain):
             yield "suffix", sign_suffix * s.of(info), E
 
 
-def cd_differential(s: SignAssignment, D: GridDomain) -> list[tuple[int, GridDomain]]:
-    out: dict = {}
-    for _, coeff, E in cd_terms(s, D):
-        cur, _ = out.get(E.key, (0, E))
-        out[E.key] = (cur + coeff, E)
-    return [(c, E) for c, E in out.values() if c]
-
-
 # -- CDP differential -----------------------------------------------------------
 #
 # Each delta_* yields labelled raw terms (label, coefficient, target) before
@@ -318,20 +310,6 @@ def build_cdp_dagger(g: GridDiagram, s: SignAssignment) -> IntegerChainComplex:
             raise AssertionError("dagger subcomplex is not closed")
         if col:
             diff[t.key] = col
-    return IntegerChainComplex(grading, diff)
-
-
-def hypercube_piece(n_j: int) -> IntegerChainComplex:
-    """Compositions of N_j with the signed elementary-coarsening differential."""
-    grading = {lam: len(lam) for lam in pt.all_compositions(n_j)}
-    diff: dict = {}
-    for lam in grading:
-        col: dict = {}
-        for lam2, sgn in pt.elementary_coarsenings(lam):
-            col[lam2] = col.get(lam2, 0) + sgn
-        col = {k: v for k, v in col.items() if v}
-        if col:
-            diff[lam] = col
     return IntegerChainComplex(grading, diff)
 
 

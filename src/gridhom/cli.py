@@ -394,6 +394,9 @@ def cmd_spectrum(args) -> int:
     rng = None
     if args.alexander:
         rng = [_parse_slice(v, 1)[0] for v in args.alexander]
+        odd = [a2 for a2 in rng if a2 % 2]
+        if odd:
+            raise InputError(f"--alexander {odd[0]} is odd; a knot's doubled Alexander gradings are even")
     report = spectra.spectrum_report(g, build_sign_assignment(g), rng)
     obj = spectra.report_to_json_obj(report)
     lines = [f"spectrum report for {args.grid}"]

@@ -22,12 +22,20 @@ capped results (``capped_homology``, ``ReducedSlice`` and the U maps between
 two of them) keep the gradings ``k <= cap - 2``.
 
 A window of slices shares one build.  U_m maps the cells with j_m >= k of a
-slice one to one onto the slice k steps lower on m's component, so
-``slices_top_down`` builds the top slice of a window and ``lower_slice``
-reads every lower one off the one above it instead of building it.  And hat
-is the kernel of U on plus at the O column that hat freezes, a surjection,
-so ``kernel_table`` reads hat's table off the cone of U between two reduced
-plus slices; no hat complex is built or reduced.
+slice one to one onto the slice k steps lower on m's component, so the slice
+k steps lower is the quotient {j_m >= k} of the top slice, and d never
+raises j_m.  ``slice_tower`` builds the top slice of a window and
+Morse-reduces it once, cancelling only pairs of cells with equal j_m (the
+``level`` of ``homalg.reduce_complex``); every lower slice of the window is
+then read off that small complex as the survivors with j_m >= k
+(``ReducedSlice.from_tower``), and U_m between two of them is the projection
+that drops the survivors with j_m = k.  Hat is the kernel of U on plus at
+the O column that hat freezes, a surjection, so ``kernel_table`` reads
+hat's table off the cone of U between two reduced plus slices; no hat
+complex is built or reduced.  The spectrum reads its window this way.
+``homology`` and ``u-map`` walk theirs with ``slices_top_down``, which
+builds the top slice, derives each lower one in full (``lower_slice``) and
+leaves the reduction of each to the caller.
 """
 
 from __future__ import annotations
@@ -308,6 +316,18 @@ def slices_top_down(g: GridDiagram, s: SignAssignment, spec: FlavorSpec, values)
         yield a2, cx
 
 
+def slice_tower(g: GridDiagram, s: SignAssignment, spec: FlavorSpec, alexander2, marking: int) -> IntegerChainComplex:
+    """The uncapped slice ``alexander2`` built and Morse-reduced with the
+    level j_marking, which d never raises (a rectangle through the marking's
+    O lowers it).  Only cells with equal j_marking cancel, so every slice
+    k steps lower on the marking's component can be read off the result
+    (``ReducedSlice.from_tower``); when ``marking`` is the O column that hat
+    freezes, the survivors with j_marking = k, under their same-level
+    differential, are a reduction of hat's slice k steps lower."""
+    cx = build_complex(g, s, spec, alexander2)
+    return reduce_complex(IntegerChainComplex(cx.grading, cx.diff, lambda key: key[1][marking]))[0]
+
+
 def capped_homology(
     g: GridDiagram, s: SignAssignment, spec: FlavorSpec, alexander2, maslov_cap: int | None
 ) -> HomologyTable:
@@ -348,17 +368,25 @@ class UMapResult:
 
 @dataclass
 class ReducedSlice:
-    """One slice, built or read off a built one, and Morse-reduced once with
-    its homotopy equivalences tracked, so it can be the source or the target
-    of a U map.
+    """One slice, Morse-reduced, with homotopy equivalences to its cells, so
+    it can be the source or the target of a U map.
 
     It keeps what U maps and kernel cones read: the gradings of its cells,
     the few-cell reduced complex, ``iota``, ``pi`` and the homology bases.
-    The differential of the built complex is dropped once the reduction
-    returns.  ``pi`` holds only the reduction's log, one flat tuple of
-    original keys and coefficients per cancellation, and replays it on the
-    keys; it keeps no renumbering of the cells.  A slice that is never the
-    target of a U map may skip the log (``pi`` is then None).
+    A slice comes in one of two ways:
+
+    * ``reduce``: a built or derived complex, reduced once with ``iota`` and
+      ``pi`` tracked.  ``grading`` holds every cell of that complex; its
+      differential is dropped once the reduction returns.  ``pi`` holds only
+      the reduction's log, one flat tuple of original keys and coefficients
+      per cancellation, and replays it on the keys.  A slice that is never
+      the target of a U map may skip the log (``pi`` is then None).
+    * ``from_tower``: the survivors of a ``slice_tower`` a few steps higher.
+      Its cells are those survivors, relabelled to this slice, so
+      ``grading`` holds only them and is the reduced complex's own grading;
+      ``iota`` is the identity and ``pi`` the restriction to them.  Between
+      two such slices of one tower, pi o U o iota is U on the survivors,
+      because the tower's reduction respects the level U lowers.
 
     A slice truncated at ``maslov_cap`` keeps homology bases (and so its
     ``table``) only in the gradings ``k <= maslov_cap - 2``, where the
@@ -367,7 +395,7 @@ class ReducedSlice:
     spec: FlavorSpec
     alexander2: tuple
     maslov_cap: int | None
-    grading: dict  # cell of the built complex -> Maslov grading
+    grading: dict  # cell -> Maslov grading: every cell, or the survivors of a tower
     reduced: IntegerChainComplex  # the Morse-reduced complex
     iota: dict  # key of the reduced complex -> chain of cells
     pi: Callable | None  # chain of cells -> chain in the reduced complex
@@ -380,6 +408,21 @@ class ReducedSlice:
         top = exact_below(maslov_cap)
         bases = {k: b for k, b in homology_with_bases(reduced).items() if k < top}
         return ReducedSlice(spec, tuple(alexander2), maslov_cap, cx.grading, reduced, iota, pi, bases)
+
+    @staticmethod
+    def from_tower(tower: IntegerChainComplex, spec, alexander2, marking: int, steps: int) -> "ReducedSlice":
+        """The uncapped slice ``alexander2``, ``steps`` lower on the marking's
+        component than the slice whose ``slice_tower`` is ``tower``: the
+        survivors with j_marking >= steps, relabelled by ``lower_slice``."""
+        # lower_slice empties the diff it reads, so it reads a copy of the tower's
+        cx = lower_slice(IntegerChainComplex(tower.grading, dict(tower.diff)), marking, steps)
+        cells = cx.grading
+
+        def pi(chain: dict) -> dict:
+            return {key: v for key, v in chain.items() if key in cells}
+
+        iota = {key: {key: 1} for key in cells}
+        return ReducedSlice(spec, tuple(alexander2), None, cells, cx, iota, pi, homology_with_bases(cx))
 
     @property
     def table(self) -> HomologyTable:

@@ -19,6 +19,10 @@ can be pushed down to homology: ``iota`` maps each surviving cell into the
 original complex (it is evaluated for the survivors only), and ``pi`` is a
 function that projects an original chain onto the reduced complex by
 replaying the cancellations in order.
+
+A complex may carry a filtration ``level`` that the differential never
+raises; its reduction then cancels only pairs of cells on one level, so it
+also reduces every quotient {level >= L} (see ``reduce_complex``).
 """
 
 from __future__ import annotations
@@ -48,10 +52,17 @@ def chain_add(a: Chain, b: Chain, scale: int = 1) -> Chain:
 
 @dataclass
 class IntegerChainComplex:
-    """Graded free Z-complex with sparse differential ``diff[key] = chain``."""
+    """Graded free Z-complex with sparse differential ``diff[key] = chain``.
+
+    ``level``, if given, is a filtration: a function key -> int such that
+    every entry ``r`` of ``diff[k]`` has ``level(r) <= level(k)``, so the
+    cells with level < L span a subcomplex for every L.  Only
+    ``reduce_complex`` reads it (and checks it); the reduced complex carries
+    the same function."""
 
     grading: dict  # key -> int
     diff: dict  # key -> Chain (keys absent mean zero differential)
+    level: Callable | None = None  # key -> int that d never raises
 
     def basis_at(self, k: int) -> list:
         return [key for key, g in self.grading.items() if g == k]
@@ -147,6 +158,19 @@ def reduce_complex(
     and ``pi`` replays the log in order, sending ``a`` to ``-u*rest`` and
     ``b`` to zero.  Both are chain homotopy equivalences; they are None
     unless requested.
+
+    On a complex with a ``level``, an entry that raises the level raises
+    ``NotAComplex``, and a unit entry whose two cells lie on different
+    levels is dropped when it leaves the queue, so only pairs on one level
+    cancel, in Markowitz order.  Each update then adds the column of a cell
+    on the pivot's level to a column on that level or above, so the reduced
+    complex is filtered by the same level, which it carries.  The
+    cancellations on the levels >= L reduce the quotient {level >= L} on
+    their own, so that quotient of the result is homotopy equivalent to
+    that quotient of ``cx``, and each level of the result to that level of
+    ``cx``.  And ``pi(proj(iota(s)))`` is ``s`` for a survivor ``s`` on a
+    level >= L and zero otherwise, where ``proj`` drops the cells below L:
+    the projection between two quotients needs neither ``iota`` nor ``pi``.
     """
     keys = list(cx.grading)
     index = {k: i for i, k in enumerate(keys)}
@@ -164,6 +188,14 @@ def reduce_complex(
                     rows[r] = [c]
                 else:
                     rows[r].append(c)
+    lev = None  # cell -> its level, on a filtered complex
+    if cx.level is not None:
+        lev = [cx.level(k) for k in keys]
+        for c in read:
+            lc = lev[c]
+            for r in cols[c]:
+                if lev[r] > lc:
+                    raise NotAComplex(f"the differential raises the level at {keys[c]!r}")
     # the queue: priority -> deque of unit entries as flat column, row pairs,
     # and a heap of the priorities that have a deque
     buckets: dict = {}
@@ -195,7 +227,7 @@ def reduce_complex(
             continue
         db = cols[b]
         u = db.get(a, 0)
-        if u != 1 and u != -1:
+        if u != 1 and u != -1 or lev is not None and lev[a] != lev[b]:
             continue
         # cancel the pair (a, b): d(b) = u*a + rest; live columns meet live
         # rows only, so ``r in col`` exactly when ``c`` is in ``rows[r]``
@@ -243,6 +275,7 @@ def reduce_complex(
     reduced = IntegerChainComplex(
         {keys[i]: cx.grading[keys[i]] for i in survivors},
         {keys[i]: {keys[r]: v for r, v in cols[i].items()} for i in survivors if cols[i]},
+        cx.level,
     )
     iota = None
     if track_iota:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from gridhom.gridcore import GridDiagram
 from gridhom.homalg import HomologyTable
-from gridhom.gridcomplex import FlavorSpec, ReducedSlice, alexander2_range, kernel_table, slices_top_down, u_map
+from gridhom.gridcomplex import FlavorSpec, ReducedSlice, alexander2_range, kernel_table, slice_tower, u_map
 from gridhom.signs import SignAssignment
 
 
@@ -86,38 +86,36 @@ class SliceReport:
 
 def spectrum_report(g: GridDiagram, s: SignAssignment, alexander_range=None) -> dict:
     """Per-Alexander hat and plus wedge summaries and U_0; knots only (one
-    Alexander component).
+    Alexander component, so every doubled grading is even).
 
     ``alexander_range`` is an iterable of doubled gradings; by default the
     range spanned by the generators.  The report keeps the caller's order.
 
     A slice's report reads two plus slices, its own and the one below, the
-    target of U_0.  The window of those slices shares one build: the top
-    one is built and every lower one is read off the one above it once that
-    one is reduced (``slices_top_down``).  Each is Morse-reduced once
-    into a ``ReducedSlice``, which gives the plus table, the source of U_0
-    and its target.  Hat is the kernel of U_0 (hat freezes column 0), so its
-    table is read off the cone of U_0 between the two reduced slices
-    (``kernel_table``), and no hat complex is built or reduced.  So the
-    largest slice is built and reduced while nothing else is held, and every
-    later one beside at most one ``ReducedSlice`` of a requested slice, which
-    keeps its cells' gradings but not its differential.
+    target of U_0.  The window of those slices shares one build and one
+    reduction: the top plus slice is built and Morse-reduced with the level
+    j_0 (``slice_tower``), and the slice L steps lower is read off the few
+    survivors as those with j_0 >= L (``ReducedSlice.from_tower``).  That
+    gives each slice's plus table, and U_0 from it to the slice below is the
+    projection that drops its survivors with j_0 = L.  Hat is the kernel of
+    U_0 (hat freezes column 0), so its table is read off the cone of U_0
+    between the two slices (``kernel_table``); no hat complex is built or
+    reduced.  So one slice is built and reduced, untracked, while nothing
+    else is held, and every ``ReducedSlice`` keeps only survivors.
     """
     if g.num_components != 1:
         raise ValueError("spectrum reports are per-component; use a knot grid")
     order = list(alexander2_range(g) if alexander_range is None else alexander_range)
-    wanted = set(order)
+    if any(a2 % 2 for a2 in order):
+        raise ValueError("a knot's doubled Alexander gradings are even")
+    if not order:
+        return {}
     plus = FlavorSpec.make(g, "plus")
-    out: dict[int, SliceReport] = {}
-    held: dict = {}  # a2 -> ReducedSlice of a requested slice, until the slice below it is reduced
-    for (a2,), cx in slices_top_down(g, s, plus, {(a2,) for a2 in wanted} | {(a2 - 2,) for a2 in wanted}):
-        # only a U_0 target needs pi, so the top slice keeps no log
-        here = ReducedSlice.reduce(cx, plus, (a2,), track_pi=a2 + 2 in wanted)
-        if a2 + 2 in held:
-            out[a2 + 2] = _slice_report(held.pop(a2 + 2), here)
-        if a2 in wanted:
-            held[a2] = here
-    return {a2: out[a2] for a2 in order}
+    top = max(order)
+    tower = slice_tower(g, s, plus, (top,), 0)
+    window = {a2 - step for a2 in order for step in (0, 2)}
+    slices = {a2: ReducedSlice.from_tower(tower, plus, (a2,), 0, (top - a2) // 2) for a2 in window}
+    return {a2: _slice_report(slices[a2], slices[a2 - 2]) for a2 in order}
 
 
 def _slice_report(here: ReducedSlice, below: ReducedSlice) -> SliceReport:

@@ -312,16 +312,6 @@ def zn_leq(a: ZnStratum, b: ZnStratum) -> bool:
     )
 
 
-def in_strata(n: int) -> list[tuple[int, ...]]:
-    """Strata of Sym^N(R)/R: one per composition of N."""
-    return list(pt.all_compositions(n))
-
-
-def in_leq(lam, mu) -> bool:
-    """I(lam) lies in the closure of I(mu) iff mu refines lam."""
-    return pt.refines(tuple(mu), tuple(lam))
-
-
 # -- permutohedron face lattice -------------------------------------------------------
 
 

@@ -5,6 +5,8 @@ import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from gridhom import partitions as pt
+from gridhom.cdp import cd_terms
 from gridhom.gridcomplex import FlavorSpec, ReducedSlice, build_complex, u_map
 from gridhom.gridcore import GridDiagram, load_grid
 from gridhom.homalg import IntegerChainComplex
@@ -68,6 +70,40 @@ def associated_graded(cx, filtration):
 def total_rank(table):
     """The sum of the free ranks of a ``HomologyTable``."""
     return sum(r for r, _ in table.groups.values())
+
+
+def in_strata(n: int) -> list[tuple[int, ...]]:
+    """Strata of Sym^N(R)/R: one per composition of N."""
+    return list(pt.all_compositions(n))
+
+
+def in_leq(lam, mu) -> bool:
+    """I(lam) lies in the closure of I(mu) iff mu refines lam."""
+    return pt.refines(tuple(mu), tuple(lam))
+
+
+def cd_differential(s, D):
+    """The CD differential of the domain ``D``: ``cd_terms`` summed by
+    target, as (coefficient, domain) pairs with non-zero coefficients."""
+    out: dict = {}
+    for _, coeff, E in cd_terms(s, D):
+        cur, _ = out.get(E.key, (0, E))
+        out[E.key] = (cur + coeff, E)
+    return [(c, E) for c, E in out.values() if c]
+
+
+def hypercube_piece(n_j: int) -> IntegerChainComplex:
+    """Compositions of N_j with the signed elementary-coarsening differential."""
+    grading = {lam: len(lam) for lam in pt.all_compositions(n_j)}
+    diff: dict = {}
+    for lam in grading:
+        col: dict = {}
+        for lam2, sgn in pt.elementary_coarsenings(lam):
+            col[lam2] = col.get(lam2, 0) + sgn
+        col = {k: v for k, v in col.items() if v}
+        if col:
+            diff[lam] = col
+    return IntegerChainComplex(grading, diff)
 
 
 def recurrence_cells(n, x_sigma, y_sigma, a, b):

@@ -8,7 +8,7 @@ from gridhom import cdp
 from gridhom.domainposet import g_set
 from gridhom.gridcore import GridDiagram
 from gridhom.signs import build_sign_assignment
-from conftest import recurrence_cells
+from conftest import cd_differential, hypercube_piece, recurrence_cells
 
 
 def curated_seeds(g):
@@ -39,7 +39,7 @@ class TestCDDifferential:
     def test_rectangle(self, unknot3, signs3):
         x = unknot3.generator((1, 0, 2))
         rect, y = unknot3.rectangles_from(x)[0]
-        terms = cdp.cd_differential(signs3, rect)
+        terms = cd_differential(signs3, rect)
         # delta(R) = s(R) c_y - s(R) c_x
         assert len(terms) == 2
         by_endpoint = {t.from_sigma: c for c, t in terms}
@@ -48,7 +48,7 @@ class TestCDDifferential:
 
     def test_trivial_domain(self, unknot3, signs3):
         x = unknot3.generator((0, 1, 2))
-        assert cdp.cd_differential(signs3, unknot3.trivial_domain(x)) == []
+        assert cd_differential(signs3, unknot3.trivial_domain(x)) == []
 
     def test_d_squared_on_closures(self, unknot3, signs3):
         rng = random.Random(0)
@@ -133,17 +133,17 @@ class TestDagger:
 
 class TestHypercube:
     def test_small_cases(self):
-        assert cdp.hypercube_piece(0).homology().nonzero() == {0: (1, ())}
-        assert cdp.hypercube_piece(1).homology().nonzero() == {1: (1, ())}
+        assert hypercube_piece(0).homology().nonzero() == {0: (1, ())}
+        assert hypercube_piece(1).homology().nonzero() == {1: (1, ())}
 
     def test_two_is_iso(self):
-        cx = cdp.hypercube_piece(2)
+        cx = hypercube_piece(2)
         assert cx.diff[(1, 1)] in ({(2,): 1}, {(2,): -1})
         assert cx.homology().nonzero() == {}
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_acyclic(self, n):
-        assert cdp.hypercube_piece(n).homology().nonzero() == {}
+        assert hypercube_piece(n).homology().nonzero() == {}
 
 
 class TestGradedPieces:

@@ -205,6 +205,8 @@ class TestVerifiers:
         ["u-map", "trefoil5.grid", "--alexander", "6", "--cap", "1"],
         ["zn", "--n", "2", "--edges", "--dot", "/nonexistent_dir/x.dot"],
         ["homology", "unknot2.grid", "--out", os.path.join(fixture_path("unknot2.grid"), "sub")],
+        ["spectrum", "trefoil5.grid", "--alexander", "1"],  # a knot's doubled gradings are even
+        ["spectrum", "trefoil5.grid", "--alexander", "4", "--alexander", "1"],
     ],
 )
 def test_bad_input_exits_2(argv, capsys):

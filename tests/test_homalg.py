@@ -13,6 +13,7 @@ from gridhom.homalg import (
     reduce_complex,
     smith_normal_form,
 )
+from gridhom.gridcomplex import FlavorSpec, build_complex
 from conftest import NotAFiltration, associated_graded
 
 
@@ -288,3 +289,89 @@ class TestBases:
             "0": {"rank": 1, "torsion": []},
             "2": {"rank": 0, "torsion": [2, 4]},
         }
+
+
+def random_filtered_complex(rng):
+    """Elementary pieces on random levels, a pair's lower cell never above
+    its upper one, mixed by handle slides that keep the filtration."""
+    grading, diff, level = {}, {}, {}
+    for i in range(rng.randint(1, 8)):
+        g, low = rng.randint(0, 3), rng.randint(0, 3)
+        a = f"a{i}"
+        grading[a], level[a] = g, low
+        if rng.random() < 0.7:
+            b = f"b{i}"
+            grading[b], level[b] = g + 1, rng.randint(low, 3)
+            diff[b] = {a: rng.choice((1, -1, 1, 2, 3))}
+    keys = list(grading)
+    for _ in range(25):
+        if len(keys) < 2:
+            break
+        # a becomes a + lam*b: d(a) gains lam*d(b), and every column with a
+        # loses lam*(its a entry) at b; b's level must not exceed a's
+        a, b = rng.sample(keys, 2)
+        if grading[a] != grading[b] or level[b] > level[a]:
+            continue
+        lam = rng.choice((-2, -1, 1, 2))
+        new = chain_add(diff.get(a, {}), diff.get(b, {}), lam)
+        if new:
+            diff[a] = new
+        else:
+            diff.pop(a, None)
+        for c, col in list(diff.items()):
+            if a in col:
+                diff[c] = chain_add(col, {b: col[a]}, -lam)
+    return IntegerChainComplex(grading, diff, level.__getitem__)
+
+
+def restricted(cx, keep, shift=0):
+    """The cells of the filtered ``cx`` whose level passes ``keep``, with the
+    differential among them and gradings lowered by ``shift``, unfiltered."""
+    cells = {k for k in cx.grading if keep(cx.level(k))}
+    return IntegerChainComplex(
+        {k: g - shift for k, g in cx.grading.items() if k in cells},
+        {k: {r: v for r, v in col.items() if r in cells} for k, col in cx.diff.items() if k in cells},
+    )
+
+
+@pytest.fixture(scope="module")
+def trefoil_tower(trefoil5, signs5):
+    """trefoil5 plus 2A=10, reduced with the level j_0."""
+    cx = build_complex(trefoil5, signs5, FlavorSpec.make(trefoil5, "plus"), (10,))
+    return reduce_complex(IntegerChainComplex(cx.grading, cx.diff, lambda key: key[1][0]))[0]
+
+
+class TestFilteredReduction:
+    def test_cross_level_pivot_stays(self):
+        # d(b) = a is the only unit entry, and it lowers the level
+        level = {"a": 0, "b": 1, "c": 0}.__getitem__
+        cx = IntegerChainComplex({"a": 0, "b": 1, "c": 1}, {"b": {"a": 1}, "c": {"a": 2}}, level)
+        red, _, _ = reduce_complex(cx)
+        assert red == cx
+        assert reduce_complex(IntegerChainComplex(cx.grading, cx.diff))[0].grading == {"c": 1}
+
+    def test_raising_entry_rejected(self):
+        cx = IntegerChainComplex({"a": 0, "b": 1}, {"b": {"a": 1}}, {"a": 1, "b": 0}.__getitem__)
+        with pytest.raises(NotAComplex):
+            reduce_complex(cx)
+
+    def test_quotients_and_levels_keep_their_homology(self):
+        rng = random.Random(23)
+        for _ in range(150):
+            cx = random_filtered_complex(rng)
+            assert cx.check_d_squared()
+            red, _, _ = reduce_complex(cx)
+            assert red.level is cx.level
+            for low in range(5):
+                assert restricted(red, lambda lv: lv >= low).homology() == restricted(cx, lambda lv: lv >= low).homology()
+                assert restricted(red, lambda lv: lv == low).homology() == restricted(cx, lambda lv: lv == low).homology()
+
+    @pytest.mark.parametrize("steps", range(8))
+    def test_quotient_is_the_plus_slice_below(self, steps, trefoil_tower, trefoil5, signs5):
+        want = build_complex(trefoil5, signs5, FlavorSpec.make(trefoil5, "plus"), (10 - 2 * steps,)).homology()
+        assert restricted(trefoil_tower, lambda lv: lv >= steps, 2 * steps).homology() == want
+
+    @pytest.mark.parametrize("level", range(8))
+    def test_level_is_the_hat_slice(self, level, trefoil_tower, trefoil5, signs5):
+        want = build_complex(trefoil5, signs5, FlavorSpec.make(trefoil5, "hat"), (10 - 2 * level,)).homology()
+        assert restricted(trefoil_tower, lambda lv: lv == level, 2 * level).homology() == want

@@ -9,7 +9,7 @@ from gridhom import strata
 from gridhom.cdp import PartitionedDomain, differential_events, trivial_decoration
 from gridhom.gridcore import GridDiagram, InvalidGrid
 from gridhom.signs import build_sign_assignment
-from conftest import recurrence_cells
+from conftest import in_leq, in_strata, recurrence_cells
 
 
 class TestDimension:
@@ -91,19 +91,19 @@ class TestZn:
 
     def test_in_strata_counts(self):
         for n in range(1, 9):
-            assert len(strata.in_strata(n)) == 2 ** (n - 1)
+            assert len(in_strata(n)) == 2 ** (n - 1)
 
     def test_in_matches_zn_real_slice(self):
         # I_N sits inside Z_N as the strata with p- = p+ = 0
         for n in (2, 3, 4):
             real = {s.lam for s in strata.zn_strata(n) if s.p_minus == 0 and s.p_plus == 0}
-            assert real == set(strata.in_strata(n))
+            assert real == set(in_strata(n))
             for lam in real:
                 for mu in real:
                     got = strata.zn_leq(
                         strata.ZnStratum(0, n, 0, lam), strata.ZnStratum(0, n, 0, mu)
                     )
-                    assert got == strata.in_leq(lam, mu)
+                    assert got == in_leq(lam, mu)
 
 
 class TestPermutohedron:
