@@ -6,7 +6,8 @@ be written), reported as one line on stderr, and 141 (128 + SIGPIPE, as a
 shell reports a pipe writer killed by the signal) when stdout is closed
 before all output is written, with nothing on stderr.  An ``--alexander``
 slice gives one doubled grading per sliced component: every component for
-plus, hat and tilde, the distinguished one alone for plus-prime.  On links
+plus, hat and tilde, the distinguished one alone for plus-prime; on a knot
+every doubled grading is even, so an odd one is refused.  On links
 every homology flavor needs explicit ``--alexander`` slices, and plus-prime
 also needs ``--cap``: its slices of a link are infinite, and a capped table
 is exact up to grading cap - 2.
@@ -30,8 +31,8 @@ from gridhom.gridcomplex import (
     build_complex,
     capped_homology,
     exact_below,
-    lower_slice,
-    slices_top_down,
+    reduced_slices,
+    slice_tower,
     u_map,
 )
 from gridhom.signs import build_sign_assignment, verify_axioms
@@ -48,14 +49,18 @@ def _load(path: str) -> GridDiagram:
         raise InputError(str(exc)) from None
 
 
-def _parse_slice(text: str, width: int) -> tuple[int, ...]:
-    """A doubled Alexander slice: ``width`` comma separated integers."""
+def _parse_slice(text: str, g: GridDiagram, width: int) -> tuple[int, ...]:
+    """A doubled Alexander slice of ``g``: ``width`` comma separated
+    integers.  A knot's doubled gradings are all even, so an odd one is
+    refused there."""
     try:
         parts = tuple(int(v) for v in text.split(","))
     except ValueError:
         raise InputError(f"Alexander slice {text!r} is not a comma separated list of integers") from None
     if len(parts) != width:
         raise InputError(f"Alexander slice {text!r} has {len(parts)} entries; expected {width}")
+    if g.num_components == 1 and parts[0] % 2:
+        raise InputError(f"--alexander {parts[0]} is odd; a knot's doubled Alexander gradings are even")
     return parts
 
 
@@ -122,7 +127,7 @@ def cmd_generators(args) -> int:
 
 def _alexander_values(args, g: GridDiagram, spec: FlavorSpec) -> list[tuple[int, ...]]:
     if args.alexander:
-        return [_parse_slice(text, len(spec.sliced)) for text in args.alexander]
+        return [_parse_slice(text, g, len(spec.sliced)) for text in args.alexander]
     if g.num_components > 1:
         raise InputError("links need explicit --alexander slices")
     return [(a2,) for a2 in alexander2_range(g)]
@@ -138,7 +143,7 @@ def cmd_homology(args) -> int:
     if args.cap is not None:
         tables = {a2: capped_homology(g, s, spec, a2, args.cap) for a2 in values}
     else:
-        tables = {a2: cx.homology() for a2, cx in slices_top_down(g, s, spec, values)}
+        tables = {a2: sl.table for a2, sl in reduced_slices(g, s, spec, values)}
     obj = {
         "flavor": args.flavor,
         "tables": {_slice_label(k): t.to_json_obj() for k, t in sorted(tables.items())},
@@ -159,16 +164,20 @@ def cmd_u_map(args) -> int:
     g = _load(args.grid)
     if not 0 <= args.marking < g.n:
         raise InputError(f"--marking must lie in 0..{g.n - 1}")
-    a2 = _parse_slice(args.alexander, g.num_components)
+    a2 = _parse_slice(args.alexander, g, g.num_components)
     s = build_sign_assignment(g)
     spec = FlavorSpec.make(g, "plus")
     comp = g.component_of_o[args.marking]
     target = tuple(v - 2 if k == comp else v for k, v in enumerate(a2))
     cap = args.cap
     cx = build_complex(g, s, spec, a2, cap)
-    src = ReducedSlice.reduce(cx, spec, a2, cap, track_pi=False)
+    top = exact_below(cap)
+    if cap is not None and not any(gr < top for gr in cx.grading.values()):
+        raise InputError(f"a cap of {cap} is exact below grading {top}, where the source slice has no cell")
     # the target is the U_marking-quotient of the source, capped two lower
-    dst = ReducedSlice.reduce(lower_slice(cx, args.marking), spec, target, None if cap is None else cap - 2)
+    tower = slice_tower(cx, args.marking)
+    src = ReducedSlice.from_tower(tower, spec, a2, args.marking, 0, cap)
+    dst = ReducedSlice.from_tower(tower, spec, target, args.marking, 1, None if cap is None else cap - 2)
     res = u_map(src, dst, args.marking)
     gradings = sorted(res.matrices)
     obj = {
@@ -393,10 +402,7 @@ def cmd_spectrum(args) -> int:
         raise InputError("spectrum reports need a knot grid (one component)")
     rng = None
     if args.alexander:
-        rng = [_parse_slice(v, 1)[0] for v in args.alexander]
-        odd = [a2 for a2 in rng if a2 % 2]
-        if odd:
-            raise InputError(f"--alexander {odd[0]} is odd; a knot's doubled Alexander gradings are even")
+        rng = [_parse_slice(v, g, 1)[0] for v in args.alexander]
     report = spectra.spectrum_report(g, build_sign_assignment(g), rng)
     obj = spectra.report_to_json_obj(report)
     lines = [f"spectrum report for {args.grid}"]

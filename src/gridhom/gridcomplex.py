@@ -24,18 +24,17 @@ two of them) keep the gradings ``k <= cap - 2``.
 A window of slices shares one build.  U_m maps the cells with j_m >= k of a
 slice one to one onto the slice k steps lower on m's component, so the slice
 k steps lower is the quotient {j_m >= k} of the top slice, and d never
-raises j_m.  ``slice_tower`` builds the top slice of a window and
-Morse-reduces it once, cancelling only pairs of cells with equal j_m (the
-``level`` of ``homalg.reduce_complex``); every lower slice of the window is
-then read off that small complex as the survivors with j_m >= k
-(``ReducedSlice.from_tower``), and U_m between two of them is the projection
-that drops the survivors with j_m = k.  Hat is the kernel of U on plus at
-the O column that hat freezes, a surjection, so ``kernel_table`` reads
-hat's table off the cone of U between two reduced plus slices; no hat
-complex is built or reduced.  The spectrum reads its window this way.
-``homology`` and ``u-map`` walk theirs with ``slices_top_down``, which
-builds the top slice, derives each lower one in full (``lower_slice``) and
-leaves the reduction of each to the caller.
+raises j_m.  The top slice of a window is built and Morse-reduced once,
+cancelling only pairs of cells with equal j_m (``slice_tower``, through the
+``level`` of ``homalg.reduce_complex``); every slice of the window is then
+read off that small complex as the survivors with j_m >= k, relabelled
+(``ReducedSlice.from_tower``), and U_m between two of them is the
+projection that drops the survivors with j_m = k.  ``reduced_slices`` groups
+any set of uncapped slices into such windows, one tower each; ``homology``
+and the spectrum read every uncapped slice through it, and ``u-map`` reads
+its source and target off one tower, capped or not.  When m is the O column
+that hat freezes, the survivors with j_m = k are a reduction of hat's slice
+k steps lower, so the spectrum builds no hat complex.
 """
 
 from __future__ import annotations
@@ -53,7 +52,6 @@ from gridhom.homalg import (
     HomologyTable,
     IntegerChainComplex,
     chain_add,
-    cone_homology,
     homology_with_bases,
     reduce_complex,
     smith_normal_form,
@@ -234,98 +232,39 @@ def build_complex(
     return IntegerChainComplex(grading, diff)
 
 
-def lower_slice(cx: IntegerChainComplex, marking: int, steps: int = 1) -> IntegerChainComplex:
-    """The slice ``steps`` lower on the component of the O column ``marking``,
-    read off the built slice ``cx``.  The column must be one the flavor
-    leaves free, on a component the slice pins.
-
-    U_marking^steps maps the cells (sigma, j) of ``cx`` with
-    ``j[marking] >= steps`` one to one onto the lower slice and commutes
-    with d, so that slice is those cells relabelled (sigma, j - steps e_m),
-    two gradings lower per step, with their columns filtered and relabelled.
-    A slice truncated at cap c gives the lower one truncated at
-    ``c - 2 * steps``.  One pass keeps the order of cells, columns and
-    column entries, which is ``build_complex``'s, so the result equals the
-    built slice item for item and reduces the same way.  The derived keys
-    share one j tuple per distinct j.  The columns of ``cx`` are released as
-    they are read, so ``cx.diff`` is empty afterwards.
-    """
-    drop = 2 * steps
-    lowered: dict = {}  # j of cx -> the j it becomes, one tuple per distinct j
-    keys: dict = {}  # key of cx -> its key in the lower slice
-    grading: dict = {}
-    for key, gr in cx.grading.items():
-        sigma, j = key
-        if j[marking] >= steps:
-            j2 = lowered.get(j)
-            if j2 is None:
-                j2 = lowered[j] = j[:marking] + (j[marking] - steps,) + j[marking + 1 :]
-            keys[key] = key2 = (sigma, j2)
-            grading[key2] = gr - drop
-    diff: dict = {}
-    parent = cx.diff
-    for key, col in parent.items():
-        parent[key] = None
-        key2 = keys.get(key)
-        if key2 is not None:
-            col = {k: v for r, v in col.items() if (k := keys.get(r)) is not None}
-            if col:
-                diff[key2] = col
-    parent.clear()
-    return IntegerChainComplex(grading, diff)
+def slice_tower(cx: IntegerChainComplex, marking: int | None) -> IntegerChainComplex:
+    """The built slice ``cx`` Morse-reduced with the level j_marking, which
+    d never raises (a rectangle through the marking's O lowers it).  Only
+    cells with equal j_marking cancel, so every slice k steps lower on the
+    marking's component can be read off the result
+    (``ReducedSlice.from_tower``), truncated two gradings lower per step if
+    ``cx`` is truncated; when ``marking`` is the O column that hat freezes,
+    the survivors with j_marking = k, under their same-level differential,
+    are a reduction of hat's slice k steps lower.  With ``marking`` None the
+    slice is reduced without a level and only the slice itself can be read
+    off it."""
+    level = None if marking is None else lambda key: key[1][marking]
+    return reduce_complex(IntegerChainComplex(cx.grading, cx.diff, level))[0]
 
 
-def lowering(g: GridDiagram, spec: FlavorSpec, upper, lower) -> tuple[int, int] | None:
-    """``(marking, steps)`` with which ``lower_slice`` reads the slice
-    ``lower`` off the slice ``upper``, or None when it cannot: the slices
-    must differ on one component only, lower there by a positive even
-    amount, and the flavor must leave an O column of that component free
-    (the first such column is the marking)."""
-    moved = [i for i, (u, v) in enumerate(zip(upper, lower)) if u != v]
-    if len(moved) != 1:
-        return None
-    gap = upper[moved[0]] - lower[moved[0]]
-    comp = spec.sliced[moved[0]]
-    free = [c for c, k in enumerate(g.component_of_o) if k == comp and c not in spec.frozen]
-    if gap <= 0 or gap % 2 or not free:
-        return None
-    return free[0], gap // 2
+def reduced_slices(g: GridDiagram, s: SignAssignment, spec: FlavorSpec, values) -> Iterator[tuple]:
+    """``(alexander2, ReducedSlice)`` for each of the uncapped slices
+    ``values``, once each.
 
-
-def slices_top_down(g: GridDiagram, s: SignAssignment, spec: FlavorSpec, values) -> Iterator[tuple]:
-    """``(alexander2, complex)`` for each of the uncapped slices ``values``,
-    once each and highest first.  The first slice is built; each later one
-    is read off the one before it (``lower_slice``) when ``lowering``
-    allows, and built otherwise.
-
-    A yielded slice is used up when the next one is asked for: its columns
-    are released then, read by ``lower_slice`` or dropped before a build.
-    So the caller reduces it first, no slice is derived before its parent's
-    reduction, and one built differential is held at a time.
-    """
-    cx = above = None
+    The slices that agree on every sliced component but the first, and on
+    the parity of the first, are read off one ``slice_tower`` at the highest
+    of them, levelled by the first O column that the flavor leaves free on
+    the first sliced component.  A flavor that leaves that component no free
+    column (tilde) builds and reduces each slice on its own."""
+    comp = spec.sliced[0]
+    marking = next((c for c, k in enumerate(g.component_of_o) if k == comp and c not in spec.frozen), None)
+    groups: dict = {}
     for a2 in sorted(set(values), reverse=True):
-        step = None if cx is None else lowering(g, spec, above, a2)
-        if step is not None:
-            cx = lower_slice(cx, *step)
-        else:
-            if cx is not None:
-                cx.diff.clear()  # release the slice above before building
-            cx = build_complex(g, s, spec, a2)
-        above = a2
-        yield a2, cx
-
-
-def slice_tower(g: GridDiagram, s: SignAssignment, spec: FlavorSpec, alexander2, marking: int) -> IntegerChainComplex:
-    """The uncapped slice ``alexander2`` built and Morse-reduced with the
-    level j_marking, which d never raises (a rectangle through the marking's
-    O lowers it).  Only cells with equal j_marking cancel, so every slice
-    k steps lower on the marking's component can be read off the result
-    (``ReducedSlice.from_tower``); when ``marking`` is the O column that hat
-    freezes, the survivors with j_marking = k, under their same-level
-    differential, are a reduction of hat's slice k steps lower."""
-    cx = build_complex(g, s, spec, alexander2)
-    return reduce_complex(IntegerChainComplex(cx.grading, cx.diff, lambda key: key[1][marking]))[0]
+        groups.setdefault(a2 if marking is None else (a2[1:], a2[0] % 2), []).append(a2)
+    for top, *lower in groups.values():
+        tower = slice_tower(build_complex(g, s, spec, top), marking)
+        for a2 in (top, *lower):
+            yield a2, ReducedSlice.from_tower(tower, spec, a2, marking, (top[0] - a2[0]) // 2)
 
 
 def capped_homology(
@@ -371,22 +310,18 @@ class ReducedSlice:
     """One slice, Morse-reduced, with homotopy equivalences to its cells, so
     it can be the source or the target of a U map.
 
-    It keeps what U maps and kernel cones read: the gradings of its cells,
-    the few-cell reduced complex, ``iota``, ``pi`` and the homology bases.
-    A slice comes in one of two ways:
-
-    * ``reduce``: a built or derived complex, reduced once with ``iota`` and
-      ``pi`` tracked.  ``grading`` holds every cell of that complex; its
-      differential is dropped once the reduction returns.  ``pi`` holds only
-      the reduction's log, one flat tuple of original keys and coefficients
-      per cancellation, and replays it on the keys.  A slice that is never
-      the target of a U map may skip the log (``pi`` is then None).
-    * ``from_tower``: the survivors of a ``slice_tower`` a few steps higher.
-      Its cells are those survivors, relabelled to this slice, so
-      ``grading`` holds only them and is the reduced complex's own grading;
-      ``iota`` is the identity and ``pi`` the restriction to them.  Between
-      two such slices of one tower, pi o U o iota is U on the survivors,
-      because the tower's reduction respects the level U lowers.
+    It keeps what U maps read: the gradings of its cells, the few-cell
+    reduced complex, ``iota`` (key of the reduced complex -> chain of
+    cells), ``pi`` (chain of cells -> chain of the reduced complex) and the
+    homology bases.  The library makes every slice with ``from_tower``, off
+    the survivors of a ``slice_tower`` some steps higher: its cells are
+    those survivors, relabelled to this slice, so ``grading`` is the reduced
+    complex's own grading, ``iota`` is the identity and ``pi`` the
+    restriction to them.  Between two such slices of one tower,
+    pi o U o iota is U on the survivors, because the tower's reduction
+    respects the level U lowers.  A slice reduced some other way (the test
+    oracle reduces a built slice directly) has every built cell in
+    ``grading`` and its own ``iota`` and ``pi``.
 
     A slice truncated at ``maslov_cap`` keeps homology bases (and so its
     ``table``) only in the gradings ``k <= maslov_cap - 2``, where the
@@ -395,34 +330,47 @@ class ReducedSlice:
     spec: FlavorSpec
     alexander2: tuple
     maslov_cap: int | None
-    grading: dict  # cell -> Maslov grading: every cell, or the survivors of a tower
+    grading: dict  # cell -> Maslov grading
     reduced: IntegerChainComplex  # the Morse-reduced complex
     iota: dict  # key of the reduced complex -> chain of cells
-    pi: Callable | None  # chain of cells -> chain in the reduced complex
+    pi: Callable  # chain of cells -> chain in the reduced complex
     bases: dict  # grading -> GradedHomologyBasis of the reduced complex
 
     @staticmethod
-    def reduce(cx, spec, alexander2, maslov_cap=None, track_pi=True) -> "ReducedSlice":
-        """The slice whose built (or derived) complex is ``cx``."""
-        reduced, iota, pi = reduce_complex(cx, track_iota=True, track_pi=track_pi)
-        top = exact_below(maslov_cap)
-        bases = {k: b for k, b in homology_with_bases(reduced).items() if k < top}
-        return ReducedSlice(spec, tuple(alexander2), maslov_cap, cx.grading, reduced, iota, pi, bases)
+    def from_tower(
+        tower: IntegerChainComplex, spec, alexander2, marking: int | None, steps: int, maslov_cap: int | None = None
+    ) -> "ReducedSlice":
+        """The slice ``alexander2``, ``steps`` lower on the marking's
+        component than the slice whose ``slice_tower`` is ``tower``, and
+        truncated at ``maslov_cap`` (two gradings lower per step than the
+        tower's cap).
 
-    @staticmethod
-    def from_tower(tower: IntegerChainComplex, spec, alexander2, marking: int, steps: int) -> "ReducedSlice":
-        """The uncapped slice ``alexander2``, ``steps`` lower on the marking's
-        component than the slice whose ``slice_tower`` is ``tower``: the
-        survivors with j_marking >= steps, relabelled by ``lower_slice``."""
-        # lower_slice empties the diff it reads, so it reads a copy of the tower's
-        cx = lower_slice(IntegerChainComplex(tower.grading, dict(tower.diff)), marking, steps)
-        cells = cx.grading
+        U_marking^steps maps the survivors with j_marking >= steps one to one
+        onto this slice's cells and commutes with d, so they are relabelled
+        (sigma, j - steps e_m), two gradings lower per step, with their
+        columns restricted to them, in the tower's order; ``tower`` is left
+        as it is."""
+        m = marking
+        keys = {key: key for key in tower.grading}  # survivor -> its key in this slice
+        if steps:
+            keys = {(sigma, j): (sigma, j[:m] + (j[m] - steps,) + j[m + 1 :]) for sigma, j in keys if j[m] >= steps}
+        grading = {keys[key]: gr - 2 * steps for key, gr in tower.grading.items() if key in keys}
+        diff: dict = {}
+        for key, col in tower.diff.items():
+            key2 = keys.get(key)
+            if key2 is not None:
+                col = {k: v for r, v in col.items() if (k := keys.get(r)) is not None}
+                if col:
+                    diff[key2] = col
+        cx = IntegerChainComplex(grading, diff)
 
         def pi(chain: dict) -> dict:
-            return {key: v for key, v in chain.items() if key in cells}
+            return {key: v for key, v in chain.items() if key in grading}
 
-        iota = {key: {key: 1} for key in cells}
-        return ReducedSlice(spec, tuple(alexander2), None, cells, cx, iota, pi, homology_with_bases(cx))
+        top = exact_below(maslov_cap)
+        bases = {k: b for k, b in homology_with_bases(cx).items() if k < top}
+        iota = {key: {key: 1} for key in grading}
+        return ReducedSlice(spec, tuple(alexander2), maslov_cap, grading, cx, iota, pi, bases)
 
     @property
     def table(self) -> HomologyTable:
@@ -442,13 +390,9 @@ def u_map(src: ReducedSlice, dst: ReducedSlice, marking: int) -> UMapResult:
 
     ``dst`` is the slice one step lower on the marking's component, capped
     two gradings lower than ``src``: U of a cell of ``src`` that is not zero
-    or a cell of ``dst`` raises ``GridError``, as does a capped ``src`` with
-    no cell in its exact window."""
+    or a cell of ``dst`` raises ``GridError``."""
     if src.spec.flavor != "plus" or dst.spec.flavor != "plus":
         raise ValueError("U maps are computed on the plus flavor")
-    top = exact_below(src.maslov_cap)
-    if src.maslov_cap is not None and not any(gr < top for gr in src.grading.values()):
-        raise GridError(f"a cap of {src.maslov_cap} is exact below grading {top}, where the source slice has no cell")
 
     # U of every cell lands in dst.  U commutes with d because the grid
     # differential is Z[U]-linear; tests/test_gridcomplex.py checks that
@@ -475,17 +419,3 @@ def u_map(src: ReducedSlice, dst: ReducedSlice, marking: int) -> UMapResult:
             matrices[gr] = [list(row) for row in zip(*(target_basis.express(c) for c in images))]
 
     return UMapResult(src.table, dst.table, matrices)
-
-
-def kernel_table(src: ReducedSlice, dst: ReducedSlice, marking: int) -> HomologyTable:
-    """Homology of the kernel of U_marking from the uncapped plus slice
-    ``src`` onto ``dst``, the slice one step lower.  The kernel is the cells
-    with no U power at ``marking``, so on a knot with ``marking`` 0 this is
-    hat's table of ``src``'s slice.
-
-    U_marking is onto ``dst`` on chains, so the kernel's homology is that of
-    the cone of pi_dst o U_marking o iota_src between the two reduced
-    complexes, shifted down one (``cone_homology``); only that few-cell cone
-    is reduced."""
-    f = {key: dst.pi(_u_chain(chain, marking)) for key, chain in src.iota.items()}
-    return cone_homology(src.reduced, dst.reduced, f, -2)

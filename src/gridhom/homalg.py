@@ -14,15 +14,12 @@ columns in insertion order, so the order of cancellations, and with it every
 basis and U-map matrix, follows the insertion order of the complex and never
 the hashes of its keys.
 
-The reduction can optionally track the homotopy equivalence, so chain maps
-can be pushed down to homology: ``iota`` maps each surviving cell into the
-original complex (it is evaluated for the survivors only), and ``pi`` is a
-function that projects an original chain onto the reduced complex by
-replaying the cancellations in order.
-
-A complex may carry a filtration ``level`` that the differential never
-raises; its reduction then cancels only pairs of cells on one level, so it
-also reduces every quotient {level >= L} (see ``reduce_complex``).
+The reduction tracks no homotopy equivalence.  Chain maps are pushed down
+to homology through a filtration instead: a complex may carry a ``level``
+that the differential never raises, and its reduction then cancels only
+pairs of cells on one level, so it also reduces every quotient
+{level >= L}, and the projection between two such quotients of the reduced
+complex is the map they induce (see ``reduce_complex``).
 """
 
 from __future__ import annotations
@@ -95,7 +92,7 @@ class IntegerChainComplex:
                     raise NotAComplex(f"differential does not lower grading by 1 at {key!r}")
 
     def homology(self) -> "HomologyTable":
-        reduced, _, _ = reduce_complex(self)
+        (reduced,) = reduce_complex(self)
         return HomologyTable.from_bases(homology_with_bases(reduced))
 
 
@@ -132,10 +129,9 @@ class HomologyTable:
 # -- Morse reduction -----------------------------------------------------------
 
 
-def reduce_complex(
-    cx: IntegerChainComplex, track_iota: bool = False, track_pi: bool = False
-) -> tuple[IntegerChainComplex, dict | None, Callable[[Chain], Chain] | None]:
-    """Cancel unit pivots; returns (reduced, iota, pi).
+def reduce_complex(cx: IntegerChainComplex) -> tuple[IntegerChainComplex]:
+    """Cancel unit pivots; returns the one-element tuple ``(reduced,)``
+    (the perfbench spans read the reduced complex as ``result[0]``).
 
     The cells are numbered in ``cx.grading`` order and the reduction runs on
     those numbers.  Each row is a list of the columns that met it, in the
@@ -150,15 +146,6 @@ def reduce_complex(
     cancellation order depends only on the insertion order of ``cx.grading``
     and ``cx.diff``, never on hashes.
 
-    ``iota`` maps each surviving key to a chain in the original complex; the
-    cancelled cells get no entry.  ``pi`` is a function from chains of the
-    original complex to chains of the reduced one: each cancellation of
-    ``d(b) = u*a + rest`` is logged on the original keys as one flat tuple
-    ``(a, b, r1, c1, r2, c2, ...)`` with ``-u*rest = c1*r1 + c2*r2 + ...``,
-    and ``pi`` replays the log in order, sending ``a`` to ``-u*rest`` and
-    ``b`` to zero.  Both are chain homotopy equivalences; they are None
-    unless requested.
-
     On a complex with a ``level``, an entry that raises the level raises
     ``NotAComplex``, and a unit entry whose two cells lie on different
     levels is dropped when it leaves the queue, so only pairs on one level
@@ -168,9 +155,9 @@ def reduce_complex(
     cancellations on the levels >= L reduce the quotient {level >= L} on
     their own, so that quotient of the result is homotopy equivalent to
     that quotient of ``cx``, and each level of the result to that level of
-    ``cx``.  And ``pi(proj(iota(s)))`` is ``s`` for a survivor ``s`` on a
-    level >= L and zero otherwise, where ``proj`` drops the cells below L:
-    the projection between two quotients needs neither ``iota`` nor ``pi``.
+    ``cx``.  The homotopy equivalences of the reduction commute with the
+    projection that drops the cells below L, so the projection between two
+    quotients of the result is the map between those quotients of ``cx``.
     """
     keys = list(cx.grading)
     index = {k: i for i, k in enumerate(keys)}
@@ -212,8 +199,6 @@ def reduce_complex(
     heapq.heapify(prios)
 
     alive = [True] * n
-    steps: list | None = [None] * n if track_iota else None  # cell -> [b, factor, ...] added to its iota
-    log: list = []  # (a, b, r, coeff, ...) on the original keys, per cancellation in order
 
     while prios:
         p = prios[0]
@@ -254,16 +239,6 @@ def reduce_complex(
                 else:
                     del col[r]
                     rows[r].remove(c)
-            if track_iota:
-                if steps[c] is None:
-                    steps[c] = [b, factor]
-                else:
-                    steps[c] += (b, factor)
-        if track_pi:
-            entry = [keys[a], keys[b]]
-            for r, v in rest:
-                entry += (keys[r], -u * v)
-            log.append(tuple(entry))
         alive[a] = alive[b] = False
         cols[a] = cols[b] = rows[a] = None
         for c in rows[b] or ():
@@ -277,54 +252,7 @@ def reduce_complex(
         {keys[i]: {keys[r]: v for r, v in cols[i].items()} for i in survivors if cols[i]},
         cx.level,
     )
-    iota = None
-    if track_iota:
-        iota = {keys[i]: {keys[r]: v for r, v in chain.items()} for i, chain in _iota_chains(survivors, steps).items()}
-    if not track_pi:
-        return reduced, iota, None
-
-    def pi(chain: Chain) -> Chain:
-        out = dict(chain)
-        for entry in log:
-            mu = out.pop(entry[0], 0)
-            if mu:
-                for r, v in zip(entry[2::2], entry[3::2]):
-                    w = out.get(r, 0) + mu * v
-                    if w:
-                        out[r] = w
-                    else:
-                        out.pop(r, None)
-            out.pop(entry[1], None)
-        return out
-
-    return reduced, iota, pi
-
-
-def _iota_chains(survivors: list, steps: list) -> dict:
-    """``iota`` of the surviving cells: cell ``c`` starts as ``c`` and adds
-    ``factor * iota(b)`` for each pair ``b, factor`` of the flat list
-    ``steps[c]``, in order.  ``iota(b)`` is final once ``b`` is cancelled,
-    which happens before it enters any ``steps``, so a memoized post-order
-    gives the same chains as updating every affected cell at each
-    cancellation."""
-    done: dict = {}
-    for s in survivors:
-        stack = [s]
-        while stack:
-            c = stack[-1]
-            pairs = steps[c] or ()
-            todo = [b for b in pairs[::2] if b not in done]
-            if todo:
-                stack.extend(todo)
-                continue
-            stack.pop()
-            if c in done:
-                continue
-            chain = {c: 1}
-            for b, factor in zip(pairs[::2], pairs[1::2]):
-                chain = chain_add(chain, done[b], factor)
-            done[c] = chain
-    return {s: done[s] for s in survivors}
+    return (reduced,)
 
 
 # -- Smith normal form -----------------------------------------------------------
@@ -526,29 +454,3 @@ def homology_with_bases(cx: IntegerChainComplex) -> dict[int, GradedHomologyBasi
             keys=keys, free_reps=free_reps, torsion=tors, _rinv=Rinv, _rank=rank, _l2=L2, _free_idx=free_idx
         )
     return out
-
-
-def cone_homology(a: IntegerChainComplex, b: IntegerChainComplex, f: dict, degree: int) -> HomologyTable:
-    """Homology of the mapping cone of the chain map ``f`` (key of ``a`` ->
-    chain of ``b``, changing gradings by ``degree``), shifted down one: a
-    cell of ``a`` keeps its grading and a cell of ``b`` sits ``1 + degree``
-    below its own, so ``d(a) = d_a(a) + f(a)`` and ``d(b) = -d_b(b)``.
-
-    When ``f`` is onto on chains, ``0 -> ker f -> a -> b -> 0`` splits in
-    every grading, so this is the homology of ``ker f`` over Z, torsion
-    included.  It does not change when ``a`` and ``b`` are replaced by
-    homotopy equivalent complexes and ``f`` by the map the equivalences
-    induce, so the kernel of a large surjection can be read off the cone
-    of its Morse-reduced ends."""
-    grading = {(0, k): gr for k, gr in a.grading.items()}
-    grading.update({(1, k): gr - 1 - degree for k, gr in b.grading.items()})
-    diff = {}
-    for k in a.grading:
-        col = {(0, r): v for r, v in a.diff.get(k, {}).items()}
-        col.update({(1, r): v for r, v in f.get(k, {}).items()})
-        if col:
-            diff[(0, k)] = col
-    for k, col in b.diff.items():
-        if col:
-            diff[(1, k)] = {(1, r): -v for r, v in col.items()}
-    return IntegerChainComplex(grading, diff).homology()

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from gridhom.gridcore import GridDiagram
-from gridhom.homalg import HomologyTable
-from gridhom.gridcomplex import FlavorSpec, ReducedSlice, alexander2_range, kernel_table, slice_tower, u_map
+from gridhom.homalg import HomologyTable, IntegerChainComplex
+from gridhom.gridcomplex import FlavorSpec, ReducedSlice, alexander2_range, reduced_slices, u_map
 from gridhom.signs import SignAssignment
 
 
@@ -92,35 +92,34 @@ def spectrum_report(g: GridDiagram, s: SignAssignment, alexander_range=None) -> 
     range spanned by the generators.  The report keeps the caller's order.
 
     A slice's report reads two plus slices, its own and the one below, the
-    target of U_0.  The window of those slices shares one build and one
-    reduction: the top plus slice is built and Morse-reduced with the level
-    j_0 (``slice_tower``), and the slice L steps lower is read off the few
-    survivors as those with j_0 >= L (``ReducedSlice.from_tower``).  That
-    gives each slice's plus table, and U_0 from it to the slice below is the
-    projection that drops its survivors with j_0 = L.  Hat is the kernel of
-    U_0 (hat freezes column 0), so its table is read off the cone of U_0
-    between the two slices (``kernel_table``); no hat complex is built or
-    reduced.  So one slice is built and reduced, untracked, while nothing
-    else is held, and every ``ReducedSlice`` keeps only survivors.
+    target of U_0.  All of them come from one tower (``reduced_slices``): the
+    top plus slice is built and Morse-reduced once with the level j_0, and
+    the slice L steps lower is read off the few survivors as those with
+    j_0 >= L.  That gives each slice's plus table, and U_0 from it to the
+    slice below is the projection that drops its survivors with j_0 = L.
+    Hat freezes column 0, so hat's table is the homology of the kernel of
+    U_0: the slice's survivors with j_0 = L in the tower (0 in the slice's
+    own labels), under their own differential.
+    So one slice is built and reduced, while nothing else is held, and no
+    hat complex is built.
     """
     if g.num_components != 1:
         raise ValueError("spectrum reports are per-component; use a knot grid")
     order = list(alexander2_range(g) if alexander_range is None else alexander_range)
     if any(a2 % 2 for a2 in order):
         raise ValueError("a knot's doubled Alexander gradings are even")
-    if not order:
-        return {}
-    plus = FlavorSpec.make(g, "plus")
-    top = max(order)
-    tower = slice_tower(g, s, plus, (top,), 0)
-    window = {a2 - step for a2 in order for step in (0, 2)}
-    slices = {a2: ReducedSlice.from_tower(tower, plus, (a2,), 0, (top - a2) // 2) for a2 in window}
+    window = {(a2 - step,) for a2 in order for step in (0, 2)}
+    slices = {a2: sl for (a2,), sl in reduced_slices(g, s, FlavorSpec.make(g, "plus"), window)}
     return {a2: _slice_report(slices[a2], slices[a2 - 2]) for a2 in order}
 
 
 def _slice_report(here: ReducedSlice, below: ReducedSlice) -> SliceReport:
     """The report of ``here``'s slice; ``below`` is the slice one step lower."""
-    tables = {"hat": kernel_table(here, below, 0), "plus": here.table}
+    # d never raises j_0, so the survivors with j_0 = 0 span a subcomplex,
+    # the kernel of U_0, and their columns meet no other cell
+    kernel = {key: gr for key, gr in here.grading.items() if not key[1][0]}
+    hat = IntegerChainComplex(kernel, {key: col for key, col in here.reduced.diff.items() if key in kernel})
+    tables = {"hat": hat.homology(), "plus": here.table}
     wedges = {flavor: wedge_decomposition(table) for flavor, table in tables.items()}
     umaps = {}
     if tables["plus"].nonzero():

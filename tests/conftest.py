@@ -1,5 +1,7 @@
+import heapq
 import os
 import sys
+from collections import deque
 
 import pytest
 
@@ -7,9 +9,9 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from gridhom import partitions as pt
 from gridhom.cdp import cd_terms
-from gridhom.gridcomplex import FlavorSpec, ReducedSlice, build_complex, u_map
+from gridhom.gridcomplex import FlavorSpec, ReducedSlice, build_complex, exact_below, u_map
 from gridhom.gridcore import GridDiagram, load_grid
-from gridhom.homalg import IntegerChainComplex
+from gridhom.homalg import IntegerChainComplex, chain_add, homology_with_bases
 from gridhom.signs import build_sign_assignment
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -19,15 +21,154 @@ def fixture_path(name: str) -> str:
     return os.path.join(FIXTURES, name)
 
 
+def reference_reduce(cx):
+    """The Morse reduction of ``cx`` with its homotopy equivalences:
+    (reduced, iota, pi).  It shares no code with ``homalg.reduce_complex``
+    and ignores any ``level``.  It cancels in the library's order (Markowitz
+    priority |column| * |row| when an entry is queued, ties first in, first
+    out) on insertion-ordered ``{column: None}`` rows.  Each ``iota`` step
+    is a ``(b, factor)`` tuple, and ``pi`` replays a log of ``(a, b, pi(a))``
+    dicts on cell ids."""
+    keys = list(cx.grading)
+    index = {k: i for i, k in enumerate(keys)}
+    n = len(keys)
+    cols: list = [None] * n
+    rows: list = [None] * n
+    read = []
+    for k, col in cx.diff.items():
+        if col:
+            c = index[k]
+            read.append(c)
+            cols[c] = col = {index[r]: v for r, v in col.items()}
+            for r in col:
+                if rows[r] is None:
+                    rows[r] = {c: None}
+                else:
+                    rows[r][c] = None
+    buckets: dict = {}
+    for c in read:
+        col = cols[c]
+        for r, v in col.items():
+            if v == 1 or v == -1:
+                p = len(col) * len(rows[r])
+                bucket = buckets.get(p)
+                if bucket is None:
+                    buckets[p] = bucket = deque()
+                bucket.extend((c, r))
+    prios = list(buckets)
+    heapq.heapify(prios)
+
+    alive = [True] * n
+    steps: list = [None] * n
+    cancelled: list = []
+
+    while prios:
+        p = prios[0]
+        bucket = buckets[p]
+        b = bucket.popleft()
+        a = bucket.popleft()
+        if not bucket:
+            heapq.heappop(prios)
+            del buckets[p]
+        if not (alive[a] and alive[b]):
+            continue
+        db = cols[b]
+        u = db.get(a, 0)
+        if u != 1 and u != -1:
+            continue
+        rest = [(r, v) for r, v in db.items() if r != a]
+        for c in [c for c in rows[a] if c != b and alive[c]]:
+            col = cols[c]
+            factor = -col.pop(a) * u
+            for r, v in rest:
+                w = col.get(r, 0) + factor * v
+                if w:
+                    col[r] = w
+                    row = rows[r]
+                    row[c] = None
+                    if w == 1 or w == -1:
+                        p = len(col) * len(row)
+                        bucket = buckets.get(p)
+                        if bucket is None:
+                            buckets[p] = deque((c, r))
+                            heapq.heappush(prios, p)
+                        else:
+                            bucket.extend((c, r))
+                else:
+                    del col[r]
+                    del rows[r][c]
+            if steps[c] is None:
+                steps[c] = [(b, factor)]
+            else:
+                steps[c].append((b, factor))
+        cancelled.append((a, b, {r: -u * v for r, v in rest}))
+        alive[a] = alive[b] = False
+        cols[a] = cols[b] = rows[a] = None
+        for c in rows[b] or ():
+            if cols[c] is not None:
+                cols[c].pop(b, None)
+        rows[b] = None
+
+    survivors = [i for i in range(n) if alive[i]]
+    reduced = IntegerChainComplex(
+        {keys[i]: cx.grading[keys[i]] for i in survivors},
+        {keys[i]: {keys[r]: v for r, v in cols[i].items()} for i in survivors if cols[i]},
+    )
+    iota = {keys[i]: {keys[r]: v for r, v in chain.items()} for i, chain in reference_iota(survivors, steps).items()}
+
+    def pi(chain):
+        out = {index[k]: v for k, v in chain.items()}
+        for a, b, pi_a in cancelled:
+            mu = out.pop(a, 0)
+            if mu:
+                for r, v in pi_a.items():
+                    w = out.get(r, 0) + mu * v
+                    if w:
+                        out[r] = w
+                    else:
+                        out.pop(r, None)
+            out.pop(b, None)
+        return {keys[i]: v for i, v in out.items()}
+
+    return reduced, iota, pi
+
+
+def reference_iota(survivors, steps):
+    """``iota`` of the survivors: each cell plus ``factor * iota(b)`` for its
+    steps in order, memoized in post-order."""
+    done: dict = {}
+    for s in survivors:
+        stack = [s]
+        while stack:
+            c = stack[-1]
+            todo = [b for b, _ in steps[c] or () if b not in done]
+            if todo:
+                stack.extend(todo)
+                continue
+            stack.pop()
+            if c in done:
+                continue
+            chain = {c: 1}
+            for b, factor in steps[c] or ():
+                chain = chain_add(chain, done[b], factor)
+            done[c] = chain
+    return {s: done[s] for s in survivors}
+
+
 def reduced_slice(g, s, spec, alexander2, maslov_cap=None):
-    """The ``ReducedSlice`` of a directly built slice."""
-    return ReducedSlice.reduce(build_complex(g, s, spec, alexander2, maslov_cap), spec, alexander2, maslov_cap)
+    """The ``ReducedSlice`` of a directly built slice, reduced by
+    ``reference_reduce``; ``grading`` holds every built cell."""
+    cx = build_complex(g, s, spec, alexander2, maslov_cap)
+    reduced, iota, pi = reference_reduce(cx)
+    top = exact_below(maslov_cap)
+    bases = {k: b for k, b in homology_with_bases(reduced).items() if k < top}
+    return ReducedSlice(spec, tuple(alexander2), maslov_cap, cx.grading, reduced, iota, pi, bases)
 
 
 def plus_u_map(g, s, marking, alexander2, maslov_cap=None):
     """U_marking from the plus slice ``alexander2`` (truncated at
     ``maslov_cap``) to the slice below it (truncated two gradings lower),
-    both built directly."""
+    both built directly and reduced by ``reference_reduce``."""
     spec = FlavorSpec.make(g, "plus")
     comp = g.component_of_o[marking]
     target = tuple(v - 2 if k == comp else v for k, v in enumerate(alexander2))

@@ -70,8 +70,9 @@ class TestHomology:
 
 
 class TestSharedBuilds:
-    """``homology`` reads a slice off the one above it and ``u-map`` its
-    target off its source; the answers are those of direct builds."""
+    """``homology`` reads its uncapped slices off shared towers and ``u-map``
+    its source and target off one tower; the answers are those of direct
+    builds."""
 
     @pytest.mark.parametrize("grid, flavor, slices", [
         ("trefoil5", "plus", ["6", "-2", "2", "4", "2"]),  # unsorted, with a gap and a repeat
@@ -92,6 +93,7 @@ class TestSharedBuilds:
 
     @pytest.mark.parametrize("grid, marking, a2, cap", [
         ("trefoil5", 0, "6", None), ("trefoil5", 2, "4", 6), ("hopf4", 1, "2,2", None), ("hopf4", 2, "2,2", 6),
+        *(("trefoil5", m, str(a2), None) for m in range(5) for a2 in range(-2, 11, 2) if (m, a2) != (0, 6)),
     ])
     def test_u_map(self, grid, marking, a2, cap, capsys):
         g = load_grid(fixture_path(f"{grid}.grid"))
@@ -207,6 +209,8 @@ class TestVerifiers:
         ["homology", "unknot2.grid", "--out", os.path.join(fixture_path("unknot2.grid"), "sub")],
         ["spectrum", "trefoil5.grid", "--alexander", "1"],  # a knot's doubled gradings are even
         ["spectrum", "trefoil5.grid", "--alexander", "4", "--alexander", "1"],
+        ["homology", "trefoil5.grid", "--flavor", "hat", "--alexander=1"],
+        ["u-map", "trefoil5.grid", "--alexander", "1"],
     ],
 )
 def test_bad_input_exits_2(argv, capsys):

