@@ -31,6 +31,7 @@ from gridhom.gridcomplex import (
     build_complex,
     capped_homology,
     exact_below,
+    lowest_cell_grading,
     reduced_slices,
     slice_tower,
     u_map,
@@ -170,10 +171,10 @@ def cmd_u_map(args) -> int:
     comp = g.component_of_o[args.marking]
     target = tuple(v - 2 if k == comp else v for k, v in enumerate(a2))
     cap = args.cap
-    cx = build_complex(g, s, spec, a2, cap)
     top = exact_below(cap)
-    if cap is not None and not any(gr < top for gr in cx.grading.values()):
+    if cap is not None and lowest_cell_grading(g, spec, a2) >= top:
         raise InputError(f"a cap of {cap} is exact below grading {top}, where the source slice has no cell")
+    cx = build_complex(g, s, spec, a2, cap)
     # the target is the U_marking-quotient of the source, capped two lower
     tower = slice_tower(cx, args.marking)
     src = ReducedSlice.from_tower(tower, spec, a2, args.marking, 0, cap)

@@ -21,10 +21,19 @@ Maslov cap.  A capped slice has exact homology only below ``cap - 1``, so
 capped results (``capped_homology``, ``ReducedSlice`` and the U maps between
 two of them) keep the gradings ``k <= cap - 2``.
 
+A slice is never built cell by cell before anything cancels.  The grid
+complex is free over Z[U] on the generators, with an entry s(r) U^o(r) per
+rectangle, and cancelling one of its constant +-1 entries cancels every pair
+of cells that entry gives in every slice at once, and commutes with every U
+map.  So ``build_complex`` Morse-reduces the generator complex of a slice
+over Z[U] (``generator_complex``, ``homalg.UPoly``) and writes out only the
+survivors' cells: a reduction of the slice, with its U maps.
+
 A window of slices shares one build.  U_m maps the cells with j_m >= k of a
 slice one to one onto the slice k steps lower on m's component, so the slice
 k steps lower is the quotient {j_m >= k} of the top slice, and d never
-raises j_m.  The top slice of a window is built and Morse-reduced once,
+raises j_m; that holds as well for the slice written out of a reduced
+generator complex.  The top slice of a window is built and Morse-reduced once,
 cancelling only pairs of cells with equal j_m (``slice_tower``, through the
 ``level`` of ``homalg.reduce_complex``); every slice of the window is then
 read off that small complex as the survivors with j_m >= k, relabelled
@@ -51,6 +60,7 @@ from gridhom.gridcore import GridDiagram, GridError
 from gridhom.homalg import (
     HomologyTable,
     IntegerChainComplex,
+    UPoly,
     chain_add,
     homology_with_bases,
     reduce_complex,
@@ -115,7 +125,8 @@ def build_complex(
     alexander2,
     maslov_cap: int | None = None,
 ) -> IntegerChainComplex:
-    """Chain complex of one Alexander slice, truncated at ``maslov_cap``.
+    """Chain complex of one Alexander slice, truncated at ``maslov_cap``,
+    Morse-reduced over Z[U] before it is written out cell by cell.
 
     ``alexander2`` is a tuple of doubled Alexander gradings, one for each
     component in ``spec.sliced``: every component for plus, hat and tilde,
@@ -125,111 +136,231 @@ def build_complex(
     without a cap this raises ``UnboundedSlice``.  A slice truncated at a
     cap has its homology exact below ``cap - 1``.
 
+    Three steps.  ``generator_complex`` builds the free complex over Z[U]
+    on the generators with cells in the slice, one entry per target
+    generator.  ``reduce_complex`` cancels its constant +-1 entries; each
+    such cancellation cancels, at once, every pair of cells it gives in
+    the slice, and commutes with every U map.  ``GeneratorComplex.expand``
+    then writes the slice of the few survivors out, cell by cell.  So the
+    result is a reduction of the slice, with the slice's homology, and
+    U_m still maps its cells with j_m >= k one to one onto the same
+    reduction of the slice k steps lower (``slice_tower``).  Under a cap a
+    cancelled pair can straddle it; the cell at the cap is then dropped
+    with its partner above, which changes homology only at the cap.  A
+    flavor with no free O column (tilde) keeps int coefficients, and its
+    generator complex is the slice itself.
+    """
+    gens = generator_complex(g, s, spec, alexander2, maslov_cap)
+    (reduced,) = reduce_complex(gens.complex)
+    return gens.expand(reduced)
+
+
+@dataclass
+class GeneratorComplex:
+    """One slice's generators as a free complex over Z[U], and the slice
+    written out of it or out of its reduction.
+
+    ``complex`` has a key sigma, graded by M(x^sigma), for each generator
+    x^sigma with a cell in the slice before any Maslov cap, and
+    ``diff[sigma][tau]`` is the sum of s(r) U^o(r) over the rectangles r
+    from x^sigma to x^tau that the flavor keeps: no avoided X and no O in a
+    frozen column.  U^o is a ``UPoly`` exponent with ``width`` bits per
+    column; with no free column (tilde) the entries are ints.  The
+    generators of every Alexander grading above the slice span a
+    subcomplex (a rectangle only raises a pinned component's grading), so
+    this is the quotient by it, and a complex."""
+
+    g: GridDiagram
+    complex: IntegerChainComplex
+    free_cols: list  # per component, the O columns whose U power may be non-zero
+    pinned: dict  # sliced component -> doubled Alexander grading
+    maslov_cap: int | None
+    width: int | None  # bits per column of a packed exponent; None for int entries
+
+    def expand(self, cx: IntegerChainComplex) -> IntegerChainComplex:
+        """The slice of ``cx``, which is ``complex`` or a reduction of it.
+
+        Each key sigma of ``cx`` gives the cells (sigma, j) of the slice,
+        in its order.  A cell (sigma, j) has an arrow c to (tau, j - e) for
+        each monomial c U^e of ``cx.diff[sigma][tau]``, tested on bit masks
+        (no O where j is zero) and looked up.  Every diff entry stores the
+        key object that ``grading`` holds for its cell, so all columns that
+        mention a cell share one key."""
+        n = self.g.n
+        cap, free_cols, pinned = self.maslov_cap, self.free_cols, self.pinned
+        # weak compositions of (total, parts), listed once for all generators
+        compositions = functools.cache(lambda total, parts: list(pt.weak_compositions(total, parts)))
+
+        grading: dict = {}
+        for sigma in cx.grading:
+            x = self.g.generator(sigma)
+            if cap is not None and x.maslov > cap:
+                continue
+            budget = None if cap is None else (cap - x.maslov) // 2
+            per_comp: list[list[tuple[int, ...]]] = []
+            for k, cols in enumerate(free_cols):
+                if k not in pinned:
+                    # unconstrained component: bounded only by the Maslov cap
+                    options = []
+                    for total in range(budget + 1):
+                        options.extend(compositions(total, len(cols)))
+                    per_comp.append(options)
+                    continue
+                # an over-budget gap leaves no option, so no cell
+                gap = (pinned[k] - x.alexander2[k]) // 2
+                per_comp.append(compositions(gap, len(cols)) if budget is None or gap <= budget else [])
+            for choice in itertools.product(*per_comp):
+                j = [0] * n
+                for cols, part in zip(free_cols, choice):
+                    for c, v in zip(cols, part):
+                        j[c] = v
+                gr = x.maslov + 2 * sum(j)
+                if cap is None or gr <= cap:
+                    grading[(sigma, tuple(j))] = gr
+
+        # cells[sigma][j] is the key the grading holds for the cell (sigma, j);
+        # diff columns store these keys, so each cell has one key object.  The
+        # grading lists each generator's cells together, so walking cells keeps
+        # its order, which the Morse reduction's tie-breaks depend on.
+        cells: dict = {}
+        for key in grading:
+            cells.setdefault(key[0], {})[key[1]] = key
+
+        width = self.width
+        field = 0 if width is None else (1 << width) - 1
+        monomials: dict = {}  # packed exponent -> (o_vec or None, its bit mask)
+        zero_cols: dict = {}  # j -> bit mask of the columns c with j[c] == 0
+        diff: dict = {}
+        for sigma, by_j in cells.items():
+            # the monomials leaving sigma towards a generator with cells
+            arrows = []
+            for tau, entry in cx.diff.get(sigma, {}).items():
+                targets = cells.get(tau)
+                if targets is None:
+                    continue
+                for e, coeff in entry.items() if width is not None else ((0, entry),):
+                    mono = monomials.get(e)
+                    if mono is None:
+                        o_vec = tuple(e >> (width * c) & field for c in range(n)) if e else None
+                        o_mask = sum(1 << c for c, v in enumerate(o_vec) if v) if e else 0
+                        mono = monomials[e] = (o_vec, o_mask)
+                    arrows.append((targets, *mono, coeff))
+            for j, key in by_j.items():
+                zeros = zero_cols.get(j)
+                if zeros is None:
+                    zeros = zero_cols[j] = sum(1 << c for c, v in enumerate(j) if not v)
+                col: dict = {}
+                for targets, o_vec, o_mask, coeff in arrows:
+                    if o_mask & zeros:
+                        continue  # an O where j has no U power: the target key would go negative
+                    key2 = targets.get(j if o_vec is None else tuple(map(sub, j, o_vec)))
+                    if key2 is None:
+                        continue
+                    coeff = col.get(key2, 0) + coeff
+                    if coeff:
+                        col[key2] = coeff
+                    else:
+                        del col[key2]
+                if col:
+                    diff[key] = col
+        return IntegerChainComplex(grading, diff)
+
+
+def _slice_generators(g: GridDiagram, spec: FlavorSpec, alexander2) -> tuple[dict, list, Iterator]:
+    """``(pinned, free_cols, generators)`` of a slice: sliced component ->
+    doubled Alexander grading; per component, the O columns whose U power
+    may be non-zero; and an iterator over the generators with a cell in the
+    slice before any Maslov cap, in the order of the slice walk.
+
     Only the slice's generators are walked and graded: each pinned
     component's grading is bounded by the slice from above (U powers only
-    raise it), and from below where the component has no free O column.
-
-    The differential is built per generator sigma from one fresh
-    ``rectangle_infos`` call, kept only while sigma's cells are built.  Its
-    rectangles are filtered once: no avoided X, no O in a frozen column, a
-    target generator with cells in the slice.  Each cell (sigma, j) then
-    skips a rectangle with an O where j is zero, tested on bit masks, and
-    otherwise subtracts the rectangle's O markings from j and looks the
-    result up.  Every diff entry stores the key object that ``grading``
-    holds for its cell, so all columns that mention a cell share one key.
-    Each arrow asks ``s.of`` for its sign once, the first time it lands in
-    the slice, and keeps it for the other cells of sigma; ``s`` itself
-    stores no signs.
-    """
+    raise it), and from below where the component has no free O column."""
     g._require_canonical()
-    n = g.n
-    comp_of_o = g.component_of_o
-    frozen, avoid = spec.frozen, spec.avoid
     alexander2 = tuple(alexander2)
     if len(alexander2) != len(spec.sliced):
         raise ValueError(f"a {spec.flavor} slice needs {len(spec.sliced)} entries, one per sliced component")
+    pinned = dict(zip(spec.sliced, alexander2))
+    comp_of_o = g.component_of_o
+    free_cols = [[c for c in range(g.n) if comp_of_o[c] == k and c not in spec.frozen] for k in range(g.num_components)]
+    lower = {k: v for k, v in pinned.items() if not free_cols[k]}
+    # an odd gap leaves no cell
+    generators = (
+        x for x in g.generators(lower, pinned) if all((v - x.alexander2[k]) % 2 == 0 for k, v in pinned.items())
+    )
+    return pinned, free_cols, generators
+
+
+def lowest_cell_grading(g: GridDiagram, spec: FlavorSpec, alexander2) -> float:
+    """The least Maslov grading of a cell of the slice ``alexander2``
+    (infinity if it has none), before any cap and before any reduction:
+    a generator's least cell spends its gaps and nothing more."""
+    pinned, _, generators = _slice_generators(g, spec, alexander2)
+    return min(
+        (x.maslov + sum(v - x.alexander2[k] for k, v in pinned.items()) for x in generators),
+        default=math.inf,
+    )
+
+
+def generator_complex(
+    g: GridDiagram,
+    s: SignAssignment,
+    spec: FlavorSpec,
+    alexander2,
+    maslov_cap: int | None = None,
+) -> GeneratorComplex:
+    """The generator complex of the slice ``alexander2`` (see
+    ``build_complex`` for the slice and ``GeneratorComplex`` for the
+    complex); ``expand`` of its ``complex`` is the slice, unreduced.
+
+    The rectangles leaving each generator come from one fresh
+    ``rectangle_infos`` call, and each kept rectangle between two of them
+    asks ``s.of`` for its sign once; ``s`` itself stores no signs."""
     if maslov_cap is None and len(spec.sliced) < g.num_components:
         raise UnboundedSlice(f"{spec.flavor} slices of links are infinite; give a maslov_cap")
-    pinned = dict(zip(spec.sliced, alexander2))
-    # per component, the O columns whose U-power j_c may be non-zero
-    free_cols = [[c for c in range(n) if comp_of_o[c] == k and c not in frozen] for k in range(g.num_components)]
-    # weak compositions of (total, parts), listed once for all generators
-    compositions = functools.cache(lambda total, parts: list(pt.weak_compositions(total, parts)))
+    pinned, free_cols, generators = _slice_generators(g, spec, alexander2)
+    frozen, avoid = spec.frozen, spec.avoid
+    # an exponent's total degree is at most half the Maslov span plus one,
+    # below n * n, so its fields never carry
+    width = (g.n * g.n).bit_length() if any(free_cols) else None
 
-    lower = {k: v for k, v in pinned.items() if not free_cols[k]}
-    grading: dict = {}
-    for x in g.generators(lower, pinned):
-        if maslov_cap is not None and x.maslov > maslov_cap:
-            continue
-        budget = None if maslov_cap is None else (maslov_cap - x.maslov) // 2
-        per_comp: list[list[tuple[int, ...]]] = []
-        for k, cols in enumerate(free_cols):
-            if k not in pinned:
-                # unconstrained component: bounded only by the Maslov cap
-                options = []
-                for total in range(budget + 1):
-                    options.extend(compositions(total, len(cols)))
-                per_comp.append(options)
-                continue
-            # an odd or over-budget gap leaves no option, so no cell
-            gap2 = pinned[k] - x.alexander2[k]
-            fits = gap2 % 2 == 0 and (budget is None or gap2 // 2 <= budget)
-            per_comp.append(compositions(gap2 // 2, len(cols)) if fits else [])
-        for choice in itertools.product(*per_comp):
-            j = [0] * n
-            for cols, part in zip(free_cols, choice):
-                for c, v in zip(cols, part):
-                    j[c] = v
-            gr = x.maslov + 2 * sum(j)
-            if maslov_cap is None or gr <= maslov_cap:
-                grading[(x.sigma, tuple(j))] = gr
-
-    # cells[sigma][j] is the key the grading holds for the cell (sigma, j);
-    # diff columns store these keys, so each cell has one key object.  The
-    # grading lists each generator's cells together, so walking cells keeps
-    # its order, which the Morse reduction's tie-breaks depend on.
-    cells: dict = {}
-    for key in grading:
-        cells.setdefault(key[0], {})[key[1]] = key
-
-    zero_cols: dict = {}  # j -> bit mask of the columns c with j[c] == 0
+    grading = {x.sigma: x.maslov for x in generators}
+    # sigma -> the key ``grading`` holds for it; diff columns store these
+    # keys, so all columns that mention a generator share one key object
+    keys = {sigma: sigma for sigma in grading}
+    packed: dict = {}  # o_vec -> its packed exponent
     diff: dict = {}
-    for sigma, by_j in cells.items():
-        # the rectangles leaving sigma that can give an arrow in this slice:
-        # no avoided X, no O in a frozen column and a target generator with
-        # cells; the last entry is the arrow's sign, 0 until it first lands
-        arrows = []
+    for sigma in grading:
+        col: dict = {}
         for info in g.rectangle_infos(sigma):
-            targets = cells.get(info.to_sigma)
-            if targets is None or any(info.x_vec[c] for c in avoid):
+            tau = keys.get(info.to_sigma)
+            if tau is None or any(info.x_vec[c] for c in avoid):
                 continue
             o_vec = info.o_vec
             if any(o_vec[c] for c in frozen):
                 continue
-            o_mask = sum(1 << c for c, v in enumerate(o_vec) if v)
-            arrows.append([targets, o_vec if o_mask else None, o_mask, info, 0])
-        for j, key in by_j.items():
-            zeros = zero_cols.get(j)
-            if zeros is None:
-                zeros = zero_cols[j] = sum(1 << c for c, v in enumerate(j) if not v)
-            col: dict = {}
-            for arrow in arrows:
-                targets, o_vec, o_mask, info, sign = arrow
-                if o_mask & zeros:
-                    continue  # an O where j has no U power: the target key would go negative
-                key2 = targets.get(j if o_vec is None else tuple(map(sub, j, o_vec)))
-                if key2 is None:
-                    continue
-                if not sign:
-                    sign = arrow[4] = s.of(info)
-                coeff = col.get(key2, 0) + sign
+            sign = s.of(info)
+            if width is None:
+                coeff = col.get(tau, 0) + sign
                 if coeff:
-                    col[key2] = coeff
+                    col[tau] = coeff
                 else:
-                    del col[key2]
-            if col:
-                diff[key] = col
-    return IntegerChainComplex(grading, diff)
+                    del col[tau]
+                continue
+            e = packed.get(o_vec)
+            if e is None:
+                e = packed[o_vec] = sum(v << (width * c) for c, v in enumerate(o_vec))
+            entry = col.get(tau)
+            if entry is None:
+                col[tau] = UPoly({e: sign})
+            elif coeff := entry.get(e, 0) + sign:
+                entry[e] = coeff
+            else:
+                del entry[e]
+                if not entry:
+                    del col[tau]
+        if col:
+            diff[sigma] = col
+    return GeneratorComplex(g, IntegerChainComplex(grading, diff), free_cols, pinned, maslov_cap, width)
 
 
 def slice_tower(cx: IntegerChainComplex, marking: int | None) -> IntegerChainComplex:

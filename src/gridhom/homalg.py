@@ -1,10 +1,20 @@
-"""Finitely generated free integer chain complexes.
+"""Finitely generated free chain complexes over Z, or over Z[U].
 
 A complex is a basis (opaque hashable keys, each with an integer grading) and
 a sparse differential lowering the grading by one.  Homology is computed by
 first cancelling unit-coefficient pairs (algebraic Morse reduction, which
 keeps integer homology on the nose and shrinks the grid complexes by orders
 of magnitude) and then running Smith normal form on what is left.
+
+The coefficients of a complex are ints, or ``UPoly`` polynomials in
+commuting U variables over Z.  Over Z[U] the reduction takes only the
+constant entries +-1 as units.  That suffices for the grid complex over
+Z[U] because it is homogeneous: an entry from a generator to one of Maslov
+grading one lower carries monomials of total U-degree 0 alone, so an entry
+with a non-zero constant term is a constant.  Cancelling a constant unit
+is Z[U]-linear, so the reduction commutes with every U map, and with
+setting any U power to a number (``gridcomplex`` expands each Alexander
+slice off the reduced complex).
 
 The reduction runs on integer cell ids numbered in insertion order.  Its
 pivot rule is Markowitz's: each unit entry is queued with the product of its
@@ -47,9 +57,63 @@ def chain_add(a: Chain, b: Chain, scale: int = 1) -> Chain:
     return out
 
 
+class UPoly(dict):
+    """A polynomial in commuting U variables over Z: exponent -> non-zero
+    int coefficient.  An exponent is a non-negative int, and exponents
+    multiply by addition, so a vector of U powers packed into fields wide
+    enough never to carry is one exponent; 0 is the constant term.
+
+    It is as much of a ring as ``reduce_complex`` uses: ``+``, ``*`` and
+    unary ``-`` (with ints as constants), truth (a sum that cancels is
+    empty, so false), and ``==`` with an int, true only for that constant:
+    1 + U is not ``== 1``."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __eq__(self, other):
+        if isinstance(other, int):
+            return len(self) == 1 and self.get(0) == other if other else not self
+        return dict.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __neg__(self) -> "UPoly":
+        return UPoly({e: -c for e, c in self.items()})
+
+    def __add__(self, other) -> "UPoly":
+        out = UPoly(self)
+        for e, c in (other.items() if isinstance(other, dict) else ((0, other),)):
+            w = out.get(e, 0) + c
+            if w:
+                out[e] = w
+            else:
+                out.pop(e, None)
+        return out
+
+    __radd__ = __add__
+
+    def __mul__(self, other) -> "UPoly":
+        out = UPoly()
+        for e2, c2 in (other.items() if isinstance(other, dict) else ((0, other),)):
+            for e1, c1 in self.items():
+                e = e1 + e2
+                w = out.get(e, 0) + c1 * c2
+                if w:
+                    out[e] = w
+                else:
+                    out.pop(e, None)
+        return out
+
+    __rmul__ = __mul__
+
+
 @dataclass
 class IntegerChainComplex:
-    """Graded free Z-complex with sparse differential ``diff[key] = chain``.
+    """Graded free complex with sparse differential ``diff[key] = chain``,
+    over Z (int coefficients) or over Z[U] (``UPoly`` coefficients, each U
+    of degree -2, so an entry need not join keys one grading apart).
 
     ``level``, if given, is a filtration: a function key -> int such that
     every entry ``r`` of ``diff[k]`` has ``level(r) <= level(k)``, so the
@@ -132,6 +196,13 @@ class HomologyTable:
 def reduce_complex(cx: IntegerChainComplex) -> tuple[IntegerChainComplex]:
     """Cancel unit pivots; returns the one-element tuple ``(reduced,)``
     (the perfbench spans read the reduced complex as ``result[0]``).
+
+    The coefficients are ints or ``UPoly``; a unit is an entry ``== 1`` or
+    ``== -1``, a constant +-1 over Z[U].  On a homogeneous complex over
+    Z[U], such as the grid's generator complex, every entry with a non-zero
+    constant term is a constant, so no invertible entry is missed (see the
+    module docstring); the result is a Z[U]-complex homotopy equivalent to
+    ``cx``.
 
     The cells are numbered in ``cx.grading`` order and the reduction runs on
     those numbers.  Each row is a list of the columns that met it, in the

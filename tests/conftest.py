@@ -9,9 +9,9 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from gridhom import partitions as pt
 from gridhom.cdp import cd_terms
-from gridhom.gridcomplex import FlavorSpec, ReducedSlice, build_complex, exact_below, u_map
+from gridhom.gridcomplex import FlavorSpec, ReducedSlice, exact_below, generator_complex, u_map
 from gridhom.gridcore import GridDiagram, load_grid
-from gridhom.homalg import IntegerChainComplex, chain_add, homology_with_bases
+from gridhom.homalg import HomologyTable, IntegerChainComplex, chain_add, homology_with_bases
 from gridhom.signs import build_sign_assignment
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -155,10 +155,28 @@ def reference_iota(survivors, steps):
     return {s: done[s] for s in survivors}
 
 
+def raw_slice(g, s, spec, alexander2, maslov_cap=None):
+    """The slice as built, unreduced: its generator complex over Z[U]
+    written out cell by cell, with no Morse reduction before it."""
+    gens = generator_complex(g, s, spec, alexander2, maslov_cap)
+    return gens.expand(gens.complex)
+
+
+def raw_table(g, s, spec, alexander2, maslov_cap=None):
+    """The homology of ``raw_slice`` in the gradings below
+    ``top = exact_below(maslov_cap)``, read off its cells of grading
+    <= ``top``, which is all those gradings need."""
+    cx = raw_slice(g, s, spec, alexander2, maslov_cap)
+    top = exact_below(maslov_cap)
+    keep = {key: gr for key, gr in cx.grading.items() if gr <= top}
+    table = IntegerChainComplex(keep, {key: col for key, col in cx.diff.items() if key in keep}).homology()
+    return HomologyTable({k: v for k, v in table.groups.items() if k < top})
+
+
 def reduced_slice(g, s, spec, alexander2, maslov_cap=None):
-    """The ``ReducedSlice`` of a directly built slice, reduced by
-    ``reference_reduce``; ``grading`` holds every built cell."""
-    cx = build_complex(g, s, spec, alexander2, maslov_cap)
+    """The ``ReducedSlice`` of a directly built slice, unreduced before and
+    reduced by ``reference_reduce``; ``grading`` holds every built cell."""
+    cx = raw_slice(g, s, spec, alexander2, maslov_cap)
     reduced, iota, pi = reference_reduce(cx)
     top = exact_below(maslov_cap)
     bases = {k: b for k, b in homology_with_bases(reduced).items() if k < top}

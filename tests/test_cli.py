@@ -7,10 +7,10 @@ import pytest
 
 import gridhom
 from gridhom.cli import main
-from gridhom.gridcomplex import FlavorSpec, capped_homology
+from gridhom.gridcomplex import FlavorSpec
 from gridhom.gridcore import load_grid
 from gridhom.signs import build_sign_assignment
-from conftest import fixture_path, plus_u_map
+from conftest import fixture_path, plus_u_map, raw_table
 
 
 def run(capsys, *argv):
@@ -89,7 +89,7 @@ class TestSharedBuilds:
         tables = json.loads(out)["tables"]
         for a in slices:
             a2 = tuple(int(v) for v in a.split(","))
-            assert tables[a.replace(",", "_")] == capped_homology(g, s, spec, a2, None).to_json_obj(), a
+            assert tables[a.replace(",", "_")] == raw_table(g, s, spec, a2).to_json_obj(), a
 
     @pytest.mark.parametrize("grid, marking, a2, cap", [
         ("trefoil5", 0, "6", None), ("trefoil5", 2, "4", 6), ("hopf4", 1, "2,2", None), ("hopf4", 2, "2,2", 6),

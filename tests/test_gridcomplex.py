@@ -9,7 +9,7 @@ import pytest
 from gridhom import gridcomplex
 from gridhom.cli import main
 from gridhom.gridcore import GridDiagram, GridError, canonicalize, load_grid
-from gridhom.homalg import IntegerChainComplex, reduce_complex
+from gridhom.homalg import IntegerChainComplex, UPoly, reduce_complex
 from gridhom.signs import build_sign_assignment
 from gridhom.gridcomplex import (
     FlavorSpec,
@@ -18,12 +18,13 @@ from gridhom.gridcomplex import (
     alexander2_range,
     build_complex,
     capped_homology,
+    generator_complex,
     reduced_slices,
     slice_tower,
     u_map,
 )
 from gridhom.spectra import spectrum_report
-from conftest import associated_graded, fixture_path, plus_u_map, reduced_slice, total_rank
+from conftest import associated_graded, fixture_path, plus_u_map, raw_slice, raw_table, reduced_slice, total_rank
 
 
 def nonzero_tables(g, s, flavor, a2_values):
@@ -84,7 +85,7 @@ class TestUnknot:
 
         spec = FlavorSpec.make(unknot2, "plus")
         for a2 in (0, 2, 4, 6):
-            cx = build_complex(unknot2, signs2, spec, (a2,))
+            cx = raw_slice(unknot2, signs2, spec, (a2,))
             expected = 0
             for x in unknot2.generators():
                 gap2 = a2 - x.alexander2[0]
@@ -123,7 +124,7 @@ class TestUMap:
         assert set(vars(sl)) == {"spec", "alexander2", "maslov_cap", "grading", "reduced", "iota", "pi", "bases"}
         held = [v for k, v in vars(sl).items() if k != "reduced"] + [cell.cell_contents for cell in sl.pi.__closure__]
         assert not any(isinstance(v, IntegerChainComplex) for v in held)
-        cx = build_complex(trefoil5, signs5, spec, (6,), cap)
+        cx = raw_slice(trefoil5, signs5, spec, (6,), cap)
         assert cx.diff and list(sl.grading.items()) == list(cx.grading.items())
         # the one complex it keeps is the few-cell reduced one, never the built one
         (reduced,) = reduce_complex(cx)
@@ -173,7 +174,8 @@ class TestUMap:
 
     def test_capped_u_map_needs_a_cell_in_its_window(self, trefoil5, signs5, capsys):
         # the slice 2A=6 has gradings 0..6; a cap of 1 is exact below 0.  The
-        # check reads the built source cells, so the u-map command makes it
+        # u-map command makes the check, on the slice before any reduction:
+        # at a cap of 2 the reduced source keeps no cell below 1
         argv = ["u-map", fixture_path("trefoil5.grid"), "--alexander", "6", "--cap"]
         assert main([*argv, "1"]) == 2
         assert "where the source slice has no cell" in capsys.readouterr().err
@@ -189,8 +191,8 @@ def assert_u_is_a_chain_map(g, s, marking, alexander2, cap=None):
     spec = FlavorSpec.make(g, "plus")
     comp = g.component_of_o[marking]
     lower = tuple(v - 2 if k == comp else v for k, v in enumerate(alexander2))
-    src = build_complex(g, s, spec, alexander2, cap)
-    dst = build_complex(g, s, spec, lower, None if cap is None else cap - 2)
+    src = raw_slice(g, s, spec, alexander2, cap)
+    dst = raw_slice(g, s, spec, lower, None if cap is None else cap - 2)
 
     def u(chain):
         out = {}
@@ -214,7 +216,7 @@ def assert_hat_choice_invariance(g, s):
         spec = dataclasses.replace(FlavorSpec.make(g, "hat"), frozen=(marking,))
         table, cells = {}, set()
         for a2 in a2_range(g):
-            cx = build_complex(g, s, spec, a2)
+            cx = raw_slice(g, s, spec, a2)
             cells.update(cx.grading)
             nz = cx.homology().nonzero()
             if nz:
@@ -349,7 +351,7 @@ class TestPlusPrimeLinks:
         spec = FlavorSpec.make(hopf4, "plus_prime")
         comp_special = hopf4.component_of_o[hopf4.o_row.index(hopf4.x_row[3])]
         other = 1 - comp_special
-        cx = build_complex(hopf4, signs_hopf, spec, (2,), maslov_cap=6)
+        cx = raw_slice(hopf4, signs_hopf, spec, (2,), maslov_cap=6)
         assert cx.check_d_squared()
 
         def other_a2(key):
@@ -370,7 +372,7 @@ class TestPlusPrimeLinks:
             a2_vec = [0, 0]
             a2_vec[comp_special] = 2
             a2_vec[other] = vals.pop()
-            full = build_complex(hopf4, signs_hopf, plus, tuple(a2_vec), maslov_cap=6)
+            full = raw_slice(hopf4, signs_hopf, plus, tuple(a2_vec), maslov_cap=6)
             for key, col in piece.diff.items():
                 assert full.diff.get(key, {}) == col
 
@@ -556,22 +558,35 @@ class RecordingSigns:
     def __init__(self, signs):
         self.signs = signs
         self.asked = set()
+        self.calls = 0
 
     def of(self, info):
         self.asked.add(info.key)
+        self.calls += 1
         return self.signs.of(info)
 
 
 def assert_same_build(g, s, spec, alexander2, cap=None):
+    """The slice's generator complex, unreduced and written out cell by
+    cell, is the reference slice item for item and in the same order;
+    returns it."""
     ref_signs, lib_signs = RecordingSigns(s), RecordingSigns(s)
     ref = reference_complex(g, ref_signs, spec, alexander2, cap)
-    lib = build_complex(g, lib_signs, spec, alexander2, cap)
+    gens = generator_complex(g, lib_signs, spec, alexander2, cap)
+    lib = gens.expand(gens.complex)
     assert list(lib.grading.items()) == list(ref.grading.items())
     assert lib.diff == ref.diff
     for key, col in ref.diff.items():
         assert list(lib.diff[key].items()) == list(col.items()), key
-    # the same rectangles are signed, so a fresh table makes the same lifts
-    assert lib_signs.asked == ref_signs.asked
+    # the generator complex signs each rectangle it keeps between two of its
+    # generators once: every rectangle the reference signs, and those whose
+    # arrows miss the slice's cells
+    assert ref_signs.asked <= lib_signs.asked
+    assert lib_signs.calls == len(lib_signs.asked)
+    window = gens.complex.grading
+    for sigma, (i, j), _ in lib_signs.asked:
+        tau = sigma[:i] + (sigma[j],) + sigma[i + 1 : j] + (sigma[i],) + sigma[j + 1 :]
+        assert sigma in window and tau in window
     return lib
 
 
@@ -608,6 +623,102 @@ class TestBuildReference:
             assert_same_build(t25, signs7, spec, (a2,))
 
 
+# -- the generator complex over Z[U], reduced before a slice is written out ----
+
+# per fixture, the slices whose generator complexes are checked: a knot's
+# top slice holds every generator (t25's 2A = 4 about half of them, to keep
+# Tier-1 short); tilde pins every grading, so each of its slices is its own
+ZU_SLICES = {"unknot2": (6,), "unknot3": (4,), "trefoil5": (8,), "hopf4": (4, 4), "t25": (4,)}
+
+
+def zu_slices(g, name, flavor):
+    """The slices of ``g`` whose generator complexes the tests check, with
+    a cap where the slice is infinite."""
+    top = ZU_SLICES[name]
+    if flavor == "tilde":
+        return [(a2, None) for a2 in a2_range(g) if all(a <= b for a, b in zip(a2, top))]
+    if flavor == "plus_prime":
+        special = g.component_of_o[g.o_row.index(g.x_row[g.n - 1])]
+        return [((top[special],), 6 if g.num_components > 1 else None)]
+    return [(top, None)]
+
+
+class TestGeneratorComplex:
+    """``build_complex`` Morse-reduces a slice's generator complex over Z[U]
+    before it writes the slice out.  Unreduced and written out, that complex
+    is the slice (``TestBuildReference``); these check the complex itself
+    and that the reduction keeps every table."""
+
+    @pytest.mark.parametrize("name", list(ZU_SLICES))
+    @pytest.mark.parametrize("flavor", gridcomplex.FLAVORS)
+    def test_d_squared_over_zu(self, name, flavor, request):
+        g = request.getfixturevalue(name)
+        s = build_sign_assignment(g)
+        spec = FlavorSpec.make(g, flavor)
+        for a2, cap in zu_slices(g, name, flavor):
+            gens = generator_complex(g, s, spec, a2, cap)
+            cx = gens.complex
+            assert cx.grading and cx.check_d_squared(), (a2, cap)
+            entries = [v for col in cx.diff.values() for v in col.values()]
+            assert all(isinstance(v, int if flavor == "tilde" else UPoly) for v in entries)
+            # homogeneous: every monomial from sigma to tau has the U-degree
+            # (M(tau) - M(sigma) + 1) / 2, so an entry with a constant term is
+            # a constant, and only constants are units
+            if gens.width is None:
+                continue
+            field = (1 << gens.width) - 1
+            for sigma, col in cx.diff.items():
+                for tau, entry in col.items():
+                    degree = (cx.grading[tau] - cx.grading[sigma] + 1) // 2
+                    for e in entry:
+                        assert sum(e >> (gens.width * c) & field for c in range(g.n)) == degree
+                    assert entry.get(0) in (None, 1, -1) and (0 not in entry or len(entry) == 1)
+
+    @pytest.mark.parametrize("flavor", gridcomplex.FLAVORS)
+    @pytest.mark.parametrize("name", ["unknot2", "unknot3", "trefoil5", "hopf4"])
+    def test_reduced_and_raw_tables_agree(self, name, flavor, request):
+        g = request.getfixturevalue(name)
+        s = build_sign_assignment(g)
+        spec = FlavorSpec.make(g, flavor)
+        if flavor == "plus_prime":
+            special = g.component_of_o[g.o_row.index(g.x_row[g.n - 1])]
+            slices = sorted({(a2[special],) for a2 in a2_range(g)})
+            # on a knot plus_prime is plus (test_plus_prime_equals_plus_for_knots)
+            caps = (2, 4, 6) if g.num_components > 1 else (None,)
+        else:
+            slices, caps = a2_range(g), (None, 2, 4, 6)
+        for a2 in slices:
+            # a knot's slice above 2A = 6 capped at 6 or below leaves hundreds
+            # of raw cells unpaired just below the cap, and its raw table runs
+            # dense matrices over them (12 s for trefoil5 plus 2A = 8 at 6)
+            for cap in caps if g.num_components > 1 or a2[0] <= 6 else (None,):
+                raw = raw_slice(g, s, spec, a2, cap)
+                reduced = build_complex(g, s, spec, a2, cap)
+                assert reduced.check_d_squared(), (a2, cap)
+                assert capped_homology(g, s, spec, a2, cap) == raw_table(g, s, spec, a2, cap), (a2, cap)
+                if cap is None:
+                    assert reduced.homology() == raw.homology(), a2
+
+    @pytest.mark.parametrize("flavor", ["plus", "hat", "tilde"])
+    def test_t25_reduced_and_raw_tables_agree(self, flavor, t25, signs7, t25_hat):
+        spec = FlavorSpec.make(t25, flavor)
+        for a2 in range(-4, 5, 2):
+            raw = t25_hat[a2] if flavor == "hat" else raw_slice(t25, signs7, spec, (a2,))
+            reduced = build_complex(t25, signs7, spec, (a2,))
+            assert reduced.homology() == raw.homology(), a2
+        assert len(reduced.grading) < len(raw.grading)  # at 2A = 4
+
+    def test_lowest_cell_grading(self, trefoil5, signs5, hopf4, signs_hopf):
+        for g, s, flavor, slices in (
+            (trefoil5, signs5, "plus", [(a2,) for a2 in range(-4, 11, 2)] + [(3,)]),
+            (hopf4, signs_hopf, "hat", a2_range(hopf4)),
+        ):
+            spec = FlavorSpec.make(g, flavor)
+            for a2 in slices:
+                grades = raw_slice(g, s, spec, a2).grading.values()
+                assert gridcomplex.lowest_cell_grading(g, spec, a2) == min(grades, default=math.inf), a2
+
+
 def free_marking(g, spec, comp):
     """The first O column of the component ``comp`` that the flavor leaves free."""
     return next(c for c, k in enumerate(g.component_of_o) if k == comp and c not in spec.frozen)
@@ -615,9 +726,10 @@ def free_marking(g, spec, comp):
 
 def assert_towers_match_builds(g, s, flavor, slices, monkeypatch):
     """Read ``slices`` with ``reduced_slices``, compare each table with its
-    direct build's, and return the slices built, in the order built."""
+    direct, unreduced build's, and return the slices built, in the order
+    built."""
     spec = FlavorSpec.make(g, flavor)
-    want = {a2: build_complex(g, s, spec, a2).homology() for a2 in slices}
+    want = {a2: raw_slice(g, s, spec, a2).homology() for a2 in slices}
     built = []
 
     def counting(g, s, spec, alexander2, maslov_cap=None):
@@ -633,8 +745,8 @@ def assert_towers_match_builds(g, s, flavor, slices, monkeypatch):
 
 def assert_read_off(g, s, flavor, upper, lower, cap):
     """The slices ``upper`` and ``lower`` read off the tower of ``upper``
-    built under ``cap`` have the tables of their direct builds under the cap
-    two lower per step."""
+    built under ``cap`` have the tables of their direct, unreduced builds
+    under the cap two lower per step."""
     spec = FlavorSpec.make(g, flavor)
     (moved,) = [i for i, (u, v) in enumerate(zip(upper, lower)) if u != v]
     marking = free_marking(g, spec, spec.sliced[moved])
@@ -642,7 +754,7 @@ def assert_read_off(g, s, flavor, upper, lower, cap):
     tower = slice_tower(build_complex(g, s, spec, upper, cap), marking)
     for a2, k in ((upper, 0), (lower, steps)):
         c = None if cap is None else cap - 2 * k
-        assert ReducedSlice.from_tower(tower, spec, a2, marking, k, c).table == capped_homology(g, s, spec, a2, c)
+        assert ReducedSlice.from_tower(tower, spec, a2, marking, k, c).table == raw_table(g, s, spec, a2, c)
 
 
 class TestLowerSlice:
@@ -717,9 +829,10 @@ class TestLowerSlice:
 
 @pytest.fixture(scope="module")
 def t25_hat(t25, signs7):
-    """The t25 hat slices 2A = -4..4, built once for the tests that read them."""
+    """The t25 hat slices 2A = -4..4, built unreduced once for the tests
+    that read them."""
     spec = FlavorSpec.make(t25, "hat")
-    return {a2: build_complex(t25, signs7, spec, (a2,)) for a2 in range(-4, 5, 2)}
+    return {a2: raw_slice(t25, signs7, spec, (a2,)) for a2 in range(-4, 5, 2)}
 
 
 def assert_level_is_hat(g, s, slices, hat_table):
@@ -746,12 +859,12 @@ class TestKernelCone:
 
     def test_unknot2(self, unknot2, signs2):
         hat = FlavorSpec.make(unknot2, "hat")
-        oracle = lambda a2: capped_homology(unknot2, signs2, hat, (a2,), None)  # noqa: E731
+        oracle = lambda a2: raw_table(unknot2, signs2, hat, (a2,))  # noqa: E731
         assert assert_level_is_hat(unknot2, signs2, range(-2, 5, 2), oracle) == 1  # A = 0
 
     def test_trefoil5(self, trefoil5, signs5):
         hat = FlavorSpec.make(trefoil5, "hat")
-        oracle = lambda a2: capped_homology(trefoil5, signs5, hat, (a2,), None)  # noqa: E731
+        oracle = lambda a2: raw_table(trefoil5, signs5, hat, (a2,))  # noqa: E731
         assert assert_level_is_hat(trefoil5, signs5, alexander2_range(trefoil5), oracle) == 3  # A = -1, 0 and 1
 
     def test_t25(self, t25, signs7, t25_hat):

@@ -7,13 +7,14 @@ from gridhom.homalg import (
     HomologyTable,
     IntegerChainComplex,
     NotAComplex,
+    UPoly,
     chain_add,
     homology_with_bases,
     reduce_complex,
     smith_normal_form,
 )
-from gridhom.gridcomplex import FlavorSpec, build_complex
-from conftest import NotAFiltration, associated_graded, reference_reduce
+from gridhom.gridcomplex import FlavorSpec
+from conftest import NotAFiltration, associated_graded, raw_slice, reference_reduce
 
 
 def invariant_factors(factors):
@@ -293,8 +294,8 @@ def restricted(cx, keep, shift=0):
 
 @pytest.fixture(scope="module")
 def trefoil_tower(trefoil5, signs5):
-    """trefoil5 plus 2A=10, reduced with the level j_0."""
-    cx = build_complex(trefoil5, signs5, FlavorSpec.make(trefoil5, "plus"), (10,))
+    """trefoil5 plus 2A=10, unreduced before, reduced with the level j_0."""
+    cx = raw_slice(trefoil5, signs5, FlavorSpec.make(trefoil5, "plus"), (10,))
     return reduce_complex(IntegerChainComplex(cx.grading, cx.diff, lambda key: key[1][0]))[0]
 
 
@@ -325,10 +326,56 @@ class TestFilteredReduction:
 
     @pytest.mark.parametrize("steps", range(8))
     def test_quotient_is_the_plus_slice_below(self, steps, trefoil_tower, trefoil5, signs5):
-        want = build_complex(trefoil5, signs5, FlavorSpec.make(trefoil5, "plus"), (10 - 2 * steps,)).homology()
+        want = raw_slice(trefoil5, signs5, FlavorSpec.make(trefoil5, "plus"), (10 - 2 * steps,)).homology()
         assert restricted(trefoil_tower, lambda lv: lv >= steps, 2 * steps).homology() == want
 
     @pytest.mark.parametrize("level", range(8))
     def test_level_is_the_hat_slice(self, level, trefoil_tower, trefoil5, signs5):
-        want = build_complex(trefoil5, signs5, FlavorSpec.make(trefoil5, "hat"), (10 - 2 * level,)).homology()
+        want = raw_slice(trefoil5, signs5, FlavorSpec.make(trefoil5, "hat"), (10 - 2 * level,)).homology()
         assert restricted(trefoil_tower, lambda lv: lv == level, 2 * level).homology() == want
+
+
+# two U variables packed four bits apart, as gridcomplex packs one per O column
+U0, U1 = UPoly({1: 1}), UPoly({1 << 4: 1})
+
+
+class TestUPoly:
+    def test_only_a_constant_is_a_unit(self):
+        assert UPoly({0: 1}) == 1 and UPoly({0: -1}) == -1
+        assert not (UPoly({0: 1}) != 1)
+        one_plus_u = 1 + U0
+        assert one_plus_u != 1 and not one_plus_u == 1
+        assert one_plus_u.get(0) == 1  # its constant term is 1 all the same
+        assert -one_plus_u != -1
+        assert U0 != 1 and U0 != 0 and UPoly({0: 2}) != 1
+
+    def test_a_sum_that_cancels_is_zero(self):
+        zero = (U0 + U1 + 3) + -(U1 + U0 + 3)
+        assert not zero and zero == 0 and zero == UPoly()
+        assert U0 and U0 + (-U0) == 0
+
+    def test_products_shift_exponents(self):
+        assert (U0 + U1) * (U0 + -U1) == UPoly({2: 1, 2 << 4: -1})
+        assert (1 + U0) * (1 + U0) == UPoly({0: 1, 1: 2, 2: 1})
+        assert U0 * U1 == UPoly({1 + (1 << 4): 1})
+        assert 3 * U0 == U0 * 3 == UPoly({1: 3}) and 0 * U0 == 0
+        assert -U0 * U0 == UPoly({2: -1})
+
+    def test_reduction_cancels_constant_units_only(self):
+        # d(b) = (1 + U0) a is no unit, so nothing cancels; d(c) = a does
+        cx = IntegerChainComplex({"a": 0, "b": 1, "c": 1}, {"b": {"a": 1 + U0}})
+        (red,) = reduce_complex(cx)
+        assert red.grading == cx.grading and red.diff == cx.diff
+        cx.diff["c"] = {"a": UPoly({0: 1})}
+        (red,) = reduce_complex(cx)
+        assert red.grading == {"b": 1}
+
+    def test_reduction_over_zu_keeps_u_powers(self):
+        # d(b) = a + U0 e, d(c) = U1 a: cancelling (a, b) leaves d(c) = -U0 U1 e
+        cx = IntegerChainComplex(
+            {"a": 0, "b": 1, "c": 1, "e": 0},
+            {"b": {"a": UPoly({0: 1}), "e": U0}, "c": {"a": U1}},
+        )
+        (red,) = reduce_complex(cx)
+        assert red.grading == {"c": 1, "e": 0}
+        assert red.diff == {"c": {"e": UPoly({1 + (1 << 4): -1})}}

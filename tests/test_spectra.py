@@ -4,7 +4,7 @@ from gridhom import gridcomplex
 from gridhom.homalg import HomologyTable, reduce_complex
 from gridhom.gridcomplex import FlavorSpec, build_complex
 from gridhom.spectra import report_to_json_obj, spectrum_report, wedge_decomposition
-from conftest import plus_u_map, reference_reduce
+from conftest import plus_u_map, raw_slice, reference_reduce
 
 
 def table(entries, torsion=None):
@@ -94,7 +94,7 @@ class TestSharedSlices:
         for a2 in order:
             for flavor in ("hat", "plus"):
                 spec = FlavorSpec.make(trefoil5, flavor)
-                assert rep[a2].tables[flavor] == build_complex(trefoil5, signs5, spec, (a2,)).homology()
+                assert rep[a2].tables[flavor] == raw_slice(trefoil5, signs5, spec, (a2,)).homology()
             res = plus_u_map(trefoil5, signs5, 0, (a2,))
             gradings = sorted(set(res.matrices) | set(rep[a2].tables["plus"].groups))
             assert rep[a2].u_maps[0] == {
@@ -130,8 +130,8 @@ class TestSharedSlices:
     @pytest.mark.parametrize("a2", [4, 6, 8, 10])
     def test_tracking_leaves_reduction_unchanged(self, a2, trefoil5, signs5):
         # the oracle's tracked reduction, which u_map tests read, cancels as
-        # the library's untracked one does
-        cx = build_complex(trefoil5, signs5, FlavorSpec.make(trefoil5, "plus"), (a2,))
+        # the library's untracked one does, on the unreduced slice it reads
+        cx = raw_slice(trefoil5, signs5, FlavorSpec.make(trefoil5, "plus"), (a2,))
         (plain,) = reduce_complex(cx)
         tracked, iota, pi = reference_reduce(cx)
         assert list(tracked.grading.items()) == list(plain.grading.items())
