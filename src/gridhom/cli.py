@@ -9,8 +9,9 @@ slice gives one doubled grading per sliced component: every component for
 plus, hat and tilde, the distinguished one alone for plus-prime; on a knot
 every doubled grading is even, so an odd one is refused.  On links
 every homology flavor needs explicit ``--alexander`` slices, and plus-prime
-also needs ``--cap``: its slices of a link are infinite, and a capped table
-is exact up to grading cap - 2.
+also needs ``--cap``: its slices of a link are infinite.  A capped table or
+U map is exact up to grading cap - 2, and is read off no cell at or above
+the cap.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from gridhom.gridcomplex import (
     ReducedSlice,
     alexander2_range,
     build_complex,
-    capped_homology,
     exact_below,
     lowest_cell_grading,
     reduced_slices,
@@ -141,10 +141,7 @@ def cmd_homology(args) -> int:
     if args.cap is None and len(spec.sliced) < g.num_components:
         raise InputError(f"{args.flavor} slices of a link are infinite; give --cap")
     s = build_sign_assignment(g)
-    if args.cap is not None:
-        tables = {a2: capped_homology(g, s, spec, a2, args.cap) for a2 in values}
-    else:
-        tables = {a2: sl.table for a2, sl in reduced_slices(g, s, spec, values)}
+    tables = {a2: sl.table for a2, sl in reduced_slices(g, s, spec, values, args.cap)}
     obj = {
         "flavor": args.flavor,
         "tables": {_slice_label(k): t.to_json_obj() for k, t in sorted(tables.items())},

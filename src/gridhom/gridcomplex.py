@@ -18,8 +18,8 @@ arXiv:math/0607691; MOST, arXiv:math/0610559):
 A slice that pins every component is finite.  plus_prime slices of links
 leave a component free, so they are infinite and are computed only under a
 Maslov cap.  A capped slice has exact homology only below ``cap - 1``, so
-capped results (``capped_homology``, ``ReducedSlice`` and the U maps between
-two of them) keep the gradings ``k <= cap - 2``.
+capped results (a ``ReducedSlice`` and the U maps between two of them) keep
+the gradings ``k <= cap - 2``, and read no cell of grading >= the cap.
 
 A slice is never built cell by cell before anything cancels.  The grid
 complex is free over Z[U] on the generators, with an entry s(r) U^o(r) per
@@ -37,13 +37,15 @@ generator complex.  The top slice of a window is built and Morse-reduced once,
 cancelling only pairs of cells with equal j_m (``slice_tower``, through the
 ``level`` of ``homalg.reduce_complex``); every slice of the window is then
 read off that small complex as the survivors with j_m >= k, relabelled
-(``ReducedSlice.from_tower``), and U_m between two of them is the
-projection that drops the survivors with j_m = k.  ``reduced_slices`` groups
-any set of uncapped slices into such windows, one tower each; ``homology``
-and the spectrum read every uncapped slice through it, and ``u-map`` reads
-its source and target off one tower, capped or not.  When m is the O column
-that hat freezes, the survivors with j_m = k are a reduction of hat's slice
-k steps lower, so the spectrum builds no hat complex.
+(``ReducedSlice.from_tower``), and U_m between two of them relabels each
+survivor with j_m > k and drops those with j_m = k.  ``reduced_slices``
+groups any set of uncapped slices into such windows, one tower each, and
+gives each capped slice an unlevelled tower of its own; ``homology`` and the
+spectrum read every slice through it, and ``u-map`` reads its source and
+target off one tower, capped or not.  So ``from_tower`` is the one place a
+slice is read, and the one place a cap truncates its homology.  When m is
+the O column that hat freezes, the survivors with j_m = k are a reduction
+of hat's slice k steps lower, so the spectrum builds no hat complex.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from operator import sub
 
@@ -61,7 +63,6 @@ from gridhom.homalg import (
     HomologyTable,
     IntegerChainComplex,
     UPoly,
-    chain_add,
     homology_with_bases,
     reduce_complex,
     smith_normal_form,
@@ -378,34 +379,29 @@ def slice_tower(cx: IntegerChainComplex, marking: int | None) -> IntegerChainCom
     return reduce_complex(IntegerChainComplex(cx.grading, cx.diff, level))[0]
 
 
-def reduced_slices(g: GridDiagram, s: SignAssignment, spec: FlavorSpec, values) -> Iterator[tuple]:
-    """``(alexander2, ReducedSlice)`` for each of the uncapped slices
-    ``values``, once each.
+def reduced_slices(
+    g: GridDiagram, s: SignAssignment, spec: FlavorSpec, values, maslov_cap: int | None = None
+) -> Iterator[tuple]:
+    """``(alexander2, ReducedSlice)`` for each of the slices ``values``, once
+    each, truncated at ``maslov_cap`` if one is given.
 
-    The slices that agree on every sliced component but the first, and on
-    the parity of the first, are read off one ``slice_tower`` at the highest
-    of them, levelled by the first O column that the flavor leaves free on
-    the first sliced component.  A flavor that leaves that component no free
-    column (tilde) builds and reduces each slice on its own."""
+    Uncapped, the slices that agree on every sliced component but the
+    first, and on the parity of the first, are read off one ``slice_tower``
+    at the highest of them, levelled by the first O column that the flavor
+    leaves free on the first sliced component.  A flavor that leaves that
+    component no free column (tilde), and every slice under a cap (a slice
+    read k steps down a capped tower would be capped 2k lower), is built
+    and reduced on its own, with no level."""
     comp = spec.sliced[0]
-    marking = next((c for c, k in enumerate(g.component_of_o) if k == comp and c not in spec.frozen), None)
+    free = [c for c, k in enumerate(g.component_of_o) if k == comp and c not in spec.frozen]
+    marking = free[0] if free and maslov_cap is None else None
     groups: dict = {}
     for a2 in sorted(set(values), reverse=True):
         groups.setdefault(a2 if marking is None else (a2[1:], a2[0] % 2), []).append(a2)
     for top, *lower in groups.values():
-        tower = slice_tower(build_complex(g, s, spec, top), marking)
+        tower = slice_tower(build_complex(g, s, spec, top, maslov_cap), marking)
         for a2 in (top, *lower):
-            yield a2, ReducedSlice.from_tower(tower, spec, a2, marking, (top[0] - a2[0]) // 2)
-
-
-def capped_homology(
-    g: GridDiagram, s: SignAssignment, spec: FlavorSpec, alexander2, maslov_cap: int | None
-) -> HomologyTable:
-    """Homology of the slice truncated at ``maslov_cap`` (if any), in the
-    gradings below ``exact_below(maslov_cap)`` only."""
-    table = build_complex(g, s, spec, alexander2, maslov_cap).homology()
-    top = exact_below(maslov_cap)
-    return HomologyTable({k: v for k, v in table.groups.items() if k < top})
+            yield a2, ReducedSlice.from_tower(tower, spec, a2, marking, (top[0] - a2[0]) // 2, maslov_cap)
 
 
 @dataclass
@@ -438,34 +434,19 @@ class UMapResult:
 
 @dataclass
 class ReducedSlice:
-    """One slice, Morse-reduced, with homotopy equivalences to its cells, so
-    it can be the source or the target of a U map.
+    """One slice as the survivors of a ``slice_tower``, so it can be the
+    source or the target of a U map.
 
-    It keeps what U maps read: the gradings of its cells, the few-cell
-    reduced complex, ``iota`` (key of the reduced complex -> chain of
-    cells), ``pi`` (chain of cells -> chain of the reduced complex) and the
-    homology bases.  The library makes every slice with ``from_tower``, off
-    the survivors of a ``slice_tower`` some steps higher: its cells are
-    those survivors, relabelled to this slice, so ``grading`` is the reduced
-    complex's own grading, ``iota`` is the identity and ``pi`` the
-    restriction to them.  Between two such slices of one tower,
-    pi o U o iota is U on the survivors, because the tower's reduction
-    respects the level U lowers.  A slice reduced some other way (the test
-    oracle reduces a built slice directly) has every built cell in
-    ``grading`` and its own ``iota`` and ``pi``.
-
-    A slice truncated at ``maslov_cap`` keeps homology bases (and so its
-    ``table``) only in the gradings ``k <= maslov_cap - 2``, where the
+    ``reduced`` is the few-cell complex of the survivors, relabelled to this
+    slice; ``bases`` are its homology bases.  A slice truncated at a Maslov
+    cap keeps no survivor of grading >= the cap, and keeps bases (and so
+    its ``table``) only in the gradings ``k <= cap - 2``, where the
     truncation is exact."""
 
     spec: FlavorSpec
     alexander2: tuple
-    maslov_cap: int | None
-    grading: dict  # cell -> Maslov grading
-    reduced: IntegerChainComplex  # the Morse-reduced complex
-    iota: dict  # key of the reduced complex -> chain of cells
-    pi: Callable  # chain of cells -> chain in the reduced complex
-    bases: dict  # grading -> GradedHomologyBasis of the reduced complex
+    reduced: IntegerChainComplex  # the survivors, relabelled to this slice
+    bases: dict  # grading -> GradedHomologyBasis of ``reduced``
 
     @staticmethod
     def from_tower(
@@ -474,15 +455,21 @@ class ReducedSlice:
         """The slice ``alexander2``, ``steps`` lower on the marking's
         component than the slice whose ``slice_tower`` is ``tower``, and
         truncated at ``maslov_cap`` (two gradings lower per step than the
-        tower's cap).
+        tower's cap).  Every slice the library reads, capped or not, is
+        read here.
 
         U_marking^steps maps the survivors with j_marking >= steps one to one
         onto this slice's cells and commutes with d, so they are relabelled
         (sigma, j - steps e_m), two gradings lower per step, with their
         columns restricted to them, in the tower's order; ``tower`` is left
-        as it is."""
+        as it is.  Under a cap the survivors of grading >= the cap are
+        dropped: d lowers the grading, so the rest span a subcomplex, and
+        its homology at k <= cap - 2 is the slice's, read off no cell above
+        cap - 1."""
         m = marking
-        keys = {key: key for key in tower.grading}  # survivor -> its key in this slice
+        top = exact_below(maslov_cap)
+        # survivor -> its key in this slice
+        keys = {key: key for key, gr in tower.grading.items() if gr - 2 * steps <= top}
         if steps:
             keys = {(sigma, j): (sigma, j[:m] + (j[m] - steps,) + j[m + 1 :]) for sigma, j in keys if j[m] >= steps}
         grading = {keys[key]: gr - 2 * steps for key, gr in tower.grading.items() if key in keys}
@@ -494,14 +481,8 @@ class ReducedSlice:
                 if col:
                     diff[key2] = col
         cx = IntegerChainComplex(grading, diff)
-
-        def pi(chain: dict) -> dict:
-            return {key: v for key, v in chain.items() if key in grading}
-
-        top = exact_below(maslov_cap)
         bases = {k: b for k, b in homology_with_bases(cx).items() if k < top}
-        iota = {key: {key: 1} for key in grading}
-        return ReducedSlice(spec, tuple(alexander2), maslov_cap, grading, cx, iota, pi, bases)
+        return ReducedSlice(spec, tuple(alexander2), cx, bases)
 
     @property
     def table(self) -> HomologyTable:
@@ -519,28 +500,26 @@ def u_map(src: ReducedSlice, dst: ReducedSlice, marking: int) -> UMapResult:
     """The degree -2 map U_marking from the plus slice ``src`` to ``dst``,
     on homology in the gradings of ``src.bases``.
 
-    ``dst`` is the slice one step lower on the marking's component, capped
-    two gradings lower than ``src``: U of a cell of ``src`` that is not zero
+    ``dst`` is the slice one step lower on the marking's component, read
+    off the same tower and capped two gradings lower than ``src``.  Each
+    free representative is a chain of survivors; U maps it, by relabelling,
+    to a chain of ``dst``'s survivors, because the tower's reduction
+    respects the level U lowers.  U of a cell of ``src`` that is not zero
     or a cell of ``dst`` raises ``GridError``."""
     if src.spec.flavor != "plus" or dst.spec.flavor != "plus":
         raise ValueError("U maps are computed on the plus flavor")
 
     # U of every cell lands in dst.  U commutes with d because the grid
     # differential is Z[U]-linear; tests/test_gridcomplex.py checks that
-    for sigma, j in src.grading:
-        if j[marking] and (sigma, j[:marking] + (j[marking] - 1,) + j[marking + 1 :]) not in dst.grading:
+    for sigma, j in src.reduced.grading:
+        if j[marking] and (sigma, j[:marking] + (j[marking] - 1,) + j[marking + 1 :]) not in dst.reduced.grading:
             raise GridError(f"U_{marking} of {(sigma, j)} is not a cell of the target slice")
 
     matrices: dict = {}
     for gr, basis in src.bases.items():
         if not basis.free_reps:
             continue
-        images = []
-        for rep in basis.free_reps:
-            lifted: dict = {}
-            for rkey, rv in rep.items():
-                lifted = chain_add(lifted, src.iota[rkey], rv)
-            images.append(dst.pi(_u_chain(lifted, marking)))
+        images = [_u_chain(rep, marking) for rep in basis.free_reps]
         target_basis = dst.bases.get(gr - 2)
         if target_basis is None:
             if any(images):

@@ -117,7 +117,7 @@ def _slice_report(here: ReducedSlice, below: ReducedSlice) -> SliceReport:
     """The report of ``here``'s slice; ``below`` is the slice one step lower."""
     # d never raises j_0, so the survivors with j_0 = 0 span a subcomplex,
     # the kernel of U_0, and their columns meet no other cell
-    kernel = {key: gr for key, gr in here.grading.items() if not key[1][0]}
+    kernel = {key: gr for key, gr in here.reduced.grading.items() if not key[1][0]}
     hat = IntegerChainComplex(kernel, {key: col for key, col in here.reduced.diff.items() if key in kernel})
     tables = {"hat": hat.homology(), "plus": here.table}
     wedges = {flavor: wedge_decomposition(table) for flavor, table in tables.items()}

@@ -9,7 +9,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from gridhom import partitions as pt
 from gridhom.cdp import cd_terms
-from gridhom.gridcomplex import FlavorSpec, ReducedSlice, exact_below, generator_complex, u_map
+from gridhom.gridcomplex import FlavorSpec, UMapResult, exact_below, generator_complex
 from gridhom.gridcore import GridDiagram, load_grid
 from gridhom.homalg import HomologyTable, IntegerChainComplex, chain_add, homology_with_bases
 from gridhom.signs import build_sign_assignment
@@ -174,25 +174,52 @@ def raw_table(g, s, spec, alexander2, maslov_cap=None):
 
 
 def reduced_slice(g, s, spec, alexander2, maslov_cap=None):
-    """The ``ReducedSlice`` of a directly built slice, unreduced before and
-    reduced by ``reference_reduce``; ``grading`` holds every built cell."""
+    """A directly built slice reduced by ``reference_reduce``, as
+    ``(cells, iota, pi, bases)``: the grading of every built cell, the
+    homotopy equivalences and the reduced complex's homology bases below
+    ``exact_below(maslov_cap)``."""
     cx = raw_slice(g, s, spec, alexander2, maslov_cap)
     reduced, iota, pi = reference_reduce(cx)
     top = exact_below(maslov_cap)
     bases = {k: b for k, b in homology_with_bases(reduced).items() if k < top}
-    return ReducedSlice(spec, tuple(alexander2), maslov_cap, cx.grading, reduced, iota, pi, bases)
+    return cx.grading, iota, pi, bases
 
 
 def plus_u_map(g, s, marking, alexander2, maslov_cap=None):
     """U_marking from the plus slice ``alexander2`` (truncated at
     ``maslov_cap``) to the slice below it (truncated two gradings lower),
-    both built directly and reduced by ``reference_reduce``."""
+    both built directly and reduced by ``reference_reduce``: each free
+    representative is lifted to the built cells by ``iota``, mapped by U
+    and projected by the target's ``pi``.  It shares no reduction and no
+    U map with the library."""
     spec = FlavorSpec.make(g, "plus")
     comp = g.component_of_o[marking]
     target = tuple(v - 2 if k == comp else v for k, v in enumerate(alexander2))
-    src = reduced_slice(g, s, spec, tuple(alexander2), maslov_cap)
-    dst = reduced_slice(g, s, spec, target, None if maslov_cap is None else maslov_cap - 2)
-    return u_map(src, dst, marking)
+    _, iota, _, src_bases = reduced_slice(g, s, spec, tuple(alexander2), maslov_cap)
+    cells, _, pi, dst_bases = reduced_slice(g, s, spec, target, None if maslov_cap is None else maslov_cap - 2)
+    matrices = {}
+    for gr, basis in src_bases.items():
+        if not basis.free_reps:
+            continue
+        images = []
+        for rep in basis.free_reps:
+            lifted: dict = {}
+            for rkey, rv in rep.items():
+                lifted = chain_add(lifted, iota[rkey], rv)
+            image = {}
+            for (sigma, j), v in lifted.items():
+                if j[marking]:
+                    key = (sigma, j[:marking] + (j[marking] - 1,) + j[marking + 1 :])
+                    assert key in cells, key
+                    image[key] = v
+            images.append(pi(image))
+        target_basis = dst_bases.get(gr - 2)
+        if target_basis is None:
+            assert not any(images)
+            matrices[gr] = []
+        else:
+            matrices[gr] = [list(row) for row in zip(*(target_basis.express(c) for c in images))]
+    return UMapResult(HomologyTable.from_bases(src_bases), HomologyTable.from_bases(dst_bases), matrices)
 
 
 class NotAFiltration(Exception):

@@ -70,26 +70,32 @@ class TestHomology:
 
 
 class TestSharedBuilds:
-    """``homology`` reads its uncapped slices off shared towers and ``u-map``
-    its source and target off one tower; the answers are those of direct
-    builds."""
+    """``homology`` reads its uncapped slices off shared towers, and each
+    capped slice off a tower of its own; ``u-map`` reads its source and
+    target off one tower.  The answers are those of direct builds."""
 
-    @pytest.mark.parametrize("grid, flavor, slices", [
-        ("trefoil5", "plus", ["6", "-2", "2", "4", "2"]),  # unsorted, with a gap and a repeat
-        ("hopf4", "hat", ["2,0", "0,0", "2,-2", "-2,-2", "0,-2"]),  # some slices move two components
-        ("hopf4", "tilde", ["2,0", "0,0"]),  # tilde leaves no O column free, so every slice is built
+    @pytest.mark.parametrize("grid, flavor, slices, cap", [
+        # unsorted, with a gap and a repeat
+        pytest.param("trefoil5", "plus", ["6", "-2", "2", "4", "2"], None, id="trefoil5-plus-slices0"),
+        # some slices move two components
+        pytest.param("hopf4", "hat", ["2,0", "0,0", "2,-2", "-2,-2", "0,-2"], None, id="hopf4-hat-slices1"),
+        # tilde leaves no O column free, so every slice is built
+        pytest.param("hopf4", "tilde", ["2,0", "0,0"], None, id="hopf4-tilde-slices2"),
+        pytest.param("trefoil5", "plus", ["6", "-2", "2", "4", "2"], 6, id="trefoil5-plus-cap6"),
+        # infinite slices of a link
+        pytest.param("hopf4", "plus-prime", ["4", "-2", "2", "0"], 6, id="hopf4-plus-prime-cap6"),
     ])
-    def test_homology(self, grid, flavor, slices, capsys):
+    def test_homology(self, grid, flavor, slices, cap, capsys):
         g = load_grid(fixture_path(f"{grid}.grid"))
         s = build_sign_assignment(g)
-        spec = FlavorSpec.make(g, flavor)
+        spec = FlavorSpec.make(g, flavor.replace("-", "_"))
         code, out = run(capsys, "--json", "homology", fixture_path(f"{grid}.grid"), "--flavor", flavor,
-                        *(f"--alexander={a}" for a in slices))
+                        *(f"--alexander={a}" for a in slices), *([] if cap is None else ["--cap", str(cap)]))
         assert code == 0
         tables = json.loads(out)["tables"]
         for a in slices:
             a2 = tuple(int(v) for v in a.split(","))
-            assert tables[a.replace(",", "_")] == raw_table(g, s, spec, a2).to_json_obj(), a
+            assert tables[a.replace(",", "_")] == raw_table(g, s, spec, a2, cap).to_json_obj(), a
 
     @pytest.mark.parametrize("grid, marking, a2, cap", [
         ("trefoil5", 0, "6", None), ("trefoil5", 2, "4", 6), ("hopf4", 1, "2,2", None), ("hopf4", 2, "2,2", 6),

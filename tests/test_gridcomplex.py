@@ -17,14 +17,13 @@ from gridhom.gridcomplex import (
     UnboundedSlice,
     alexander2_range,
     build_complex,
-    capped_homology,
     generator_complex,
     reduced_slices,
     slice_tower,
     u_map,
 )
 from gridhom.spectra import spectrum_report
-from conftest import associated_graded, fixture_path, plus_u_map, raw_slice, raw_table, reduced_slice, total_rank
+from conftest import associated_graded, fixture_path, plus_u_map, raw_slice, raw_table, total_rank
 
 
 def nonzero_tables(g, s, flavor, a2_values):
@@ -120,28 +119,31 @@ class TestUMap:
     @pytest.mark.parametrize("cap", [None, 6])
     def test_reduced_slice_holds_no_differential(self, cap, trefoil5, signs5):
         spec = FlavorSpec.make(trefoil5, "plus")
-        sl = reduced_slice(trefoil5, signs5, spec, (6,), cap)
-        assert set(vars(sl)) == {"spec", "alexander2", "maslov_cap", "grading", "reduced", "iota", "pi", "bases"}
-        held = [v for k, v in vars(sl).items() if k != "reduced"] + [cell.cell_contents for cell in sl.pi.__closure__]
-        assert not any(isinstance(v, IntegerChainComplex) for v in held)
-        cx = raw_slice(trefoil5, signs5, spec, (6,), cap)
-        assert cx.diff and list(sl.grading.items()) == list(cx.grading.items())
-        # the one complex it keeps is the few-cell reduced one, never the built one
-        (reduced,) = reduce_complex(cx)
-        assert len(reduced.grading) < len(cx.grading)
-        assert list(sl.reduced.grading.items()) == list(reduced.grading.items())
-        assert sl.reduced.diff == reduced.diff
+        ((_, sl),) = reduced_slices(trefoil5, signs5, spec, [(6,)], cap)
+        assert set(vars(sl)) == {"spec", "alexander2", "reduced", "bases"}
+        assert not any(isinstance(v, IntegerChainComplex) for k, v in vars(sl).items() if k != "reduced")
+        # the one complex it keeps is its tower's survivors below the cap,
+        # never the built slice
+        tower = slice_tower(build_complex(trefoil5, signs5, spec, (6,), cap), 0 if cap is None else None)
+        kept = {key: gr for key, gr in tower.grading.items() if cap is None or gr < cap}
+        assert list(sl.reduced.grading.items()) == list(kept.items())
+        assert sl.reduced.diff == {key: col for key, col in tower.diff.items() if key in kept}
+        assert len(kept) < len(raw_slice(trefoil5, signs5, spec, (6,), cap).grading)
+        if cap is not None:
+            assert len(kept) < len(tower.grading)  # survivors at the cap were dropped
 
     def test_u_map_rejects_wrong_target(self, trefoil5, signs5):
         spec = FlavorSpec.make(trefoil5, "plus")
-        src = reduced_slice(trefoil5, signs5, spec, (6,))
-        wrong = reduced_slice(trefoil5, signs5, spec, (2,))
+        slices = dict(reduced_slices(trefoil5, signs5, spec, [(6,), (2,)]))
         with pytest.raises(GridError, match="not a cell of the target slice"):
-            u_map(src, wrong, 0)
-        capped = reduced_slice(trefoil5, signs5, spec, (6,), maslov_cap=6)
-        too_low = reduced_slice(trefoil5, signs5, spec, (4,), maslov_cap=2)
+            u_map(slices[(6,)], slices[(2,)], 0)
+        tower = slice_tower(build_complex(trefoil5, signs5, spec, (6,), 8), 0)
+        capped = ReducedSlice.from_tower(tower, spec, (6,), 0, 0, 8)
+        too_low = ReducedSlice.from_tower(tower, spec, (4,), 0, 1, 2)
         with pytest.raises(GridError, match="not a cell of the target slice"):
             u_map(capped, too_low, 0)
+        below = ReducedSlice.from_tower(tower, spec, (4,), 0, 1, 6)
+        assert u_map(capped, below, 0).matrices == plus_u_map(trefoil5, signs5, 0, (6,), 8).matrices == {6: [[1]]}
 
     @pytest.mark.parametrize("cap", [4, 5, 6, 8])
     def test_capped_u_map_is_the_uncapped_map_in_its_window(self, cap, trefoil5, signs5):
@@ -182,6 +184,13 @@ class TestUMap:
         assert main(["--json", *argv, "2"]) == 0
         assert json.loads(capsys.readouterr().out)["matrices"] == {}
         assert plus_u_map(trefoil5, signs5, 0, (6,), maslov_cap=2).matrices == {}
+
+
+def capped_table(g, s, spec, alexander2, maslov_cap):
+    """The table of the slice ``alexander2`` read by ``reduced_slices``
+    under ``maslov_cap``."""
+    ((_, sl),) = reduced_slices(g, s, spec, [alexander2], maslov_cap)
+    return sl.table
 
 
 def assert_u_is_a_chain_map(g, s, marking, alexander2, cap=None):
@@ -381,7 +390,7 @@ class TestPlusPrimeLinks:
         # two agreeing capped tables do not certify an infinite slice
         spec = FlavorSpec.make(hopf4, "plus_prime")
         for cap in (6, 8, 10):
-            assert capped_homology(hopf4, signs_hopf, spec, (4,), cap).nonzero() == {3: (1, ())}
+            assert capped_table(hopf4, signs_hopf, spec, (4,), cap).nonzero() == {3: (1, ())}
         with pytest.raises(UnboundedSlice):
             build_complex(hopf4, signs_hopf, spec, (4,))
 
@@ -399,14 +408,14 @@ class TestTables:
     def test_homology_table_wrapper(self, unknot2, signs2):
         spec = FlavorSpec.make(unknot2, "plus")
         for a2, want in (((0,), {0: (1, ())}), ((2,), {2: (1, ())})):
-            assert capped_homology(unknot2, signs2, spec, a2, maslov_cap=6).nonzero() == want
+            assert capped_table(unknot2, signs2, spec, a2, maslov_cap=6).nonzero() == want
             assert build_complex(unknot2, signs2, spec, a2).homology().nonzero() == want
 
     def test_capped_table_truncates(self, unknot2, signs2):
         spec = FlavorSpec.make(unknot2, "plus")
-        table = capped_homology(unknot2, signs2, spec, (4,), maslov_cap=3)
+        table = capped_table(unknot2, signs2, spec, (4,), maslov_cap=3)
         assert table.nonzero() == {}
-        assert capped_homology(unknot2, signs2, spec, (4,), maslov_cap=6).nonzero() == {4: (1, ())}
+        assert capped_table(unknot2, signs2, spec, (4,), maslov_cap=6).nonzero() == {4: (1, ())}
 
     def test_cap_stability(self, trefoil5, signs5):
         # raising the cap only changes rows above cap - 2
@@ -695,7 +704,7 @@ class TestGeneratorComplex:
                 raw = raw_slice(g, s, spec, a2, cap)
                 reduced = build_complex(g, s, spec, a2, cap)
                 assert reduced.check_d_squared(), (a2, cap)
-                assert capped_homology(g, s, spec, a2, cap) == raw_table(g, s, spec, a2, cap), (a2, cap)
+                assert capped_table(g, s, spec, a2, cap) == raw_table(g, s, spec, a2, cap), (a2, cap)
                 if cap is None:
                     assert reduced.homology() == raw.homology(), a2
 
