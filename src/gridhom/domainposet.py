@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from operator import le, sub
 
-from gridhom.gridcore import Generator, GridDiagram, columns_within, inversions, quadrant_counts
+from gridhom.gridcore import Generator, GridDiagram, columns_within, quadrant_counts
 
 Perm = tuple[int, ...]
 
@@ -39,28 +39,6 @@ def bruhat_leq(sigma: Perm, tau: Perm) -> bool:
             if cs > ct:
                 return False
     return True
-
-
-def descents(sigma: Perm) -> list[int]:
-    return [p for p in range(len(sigma) - 1) if sigma[p] > sigma[p + 1]]
-
-
-def _swap(sigma: Perm, p: int) -> Perm:
-    out = list(sigma)
-    out[p], out[p + 1] = out[p + 1], out[p]
-    return tuple(out)
-
-
-def reduced_words(sigma: Perm) -> list[tuple[int, ...]]:
-    """All reduced words (sequences of adjacent swap positions, applied left
-    to right starting from the identity)."""
-    if not inversions(sigma):
-        return [()]
-    out = []
-    for p in descents(sigma):
-        for word in reduced_words(_swap(sigma, p)):
-            out.append(word + (p,))
-    return out
 
 
 def g_minimum(g: GridDiagram, a, b, y: Generator) -> Generator:

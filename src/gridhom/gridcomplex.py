@@ -139,17 +139,15 @@ def build_complex(
 
     Three steps.  ``generator_complex`` builds the free complex over Z[U]
     on the generators with cells in the slice, one entry per target
-    generator.  ``reduce_complex`` cancels its constant +-1 entries; each
-    such cancellation cancels, at once, every pair of cells it gives in
-    the slice, and commutes with every U map.  ``GeneratorComplex.expand``
+    generator.  ``reduce_complex`` cancels its unit entries, the ints +-1;
+    each such cancellation cancels, at once, every pair of cells it gives
+    in the slice, and commutes with every U map.  ``GeneratorComplex.expand``
     then writes the slice of the few survivors out, cell by cell.  So the
     result is a reduction of the slice, with the slice's homology, and
     U_m still maps its cells with j_m >= k one to one onto the same
     reduction of the slice k steps lower (``slice_tower``).  Under a cap a
     cancelled pair can straddle it; the cell at the cap is then dropped
-    with its partner above, which changes homology only at the cap.  A
-    flavor with no free O column (tilde) keeps int coefficients, and its
-    generator complex is the slice itself.
+    with its partner above, which changes homology only at the cap.
     """
     gens = generator_complex(g, s, spec, alexander2, maslov_cap)
     (reduced,) = reduce_complex(gens.complex)
@@ -165,8 +163,8 @@ class GeneratorComplex:
     x^sigma with a cell in the slice before any Maslov cap, and
     ``diff[sigma][tau]`` is the sum of s(r) U^o(r) over the rectangles r
     from x^sigma to x^tau that the flavor keeps: no avoided X and no O in a
-    frozen column.  U^o is a ``UPoly`` exponent with ``width`` bits per
-    column; with no free column (tilde) the entries are ints.  The
+    frozen column.  An entry without U powers is an int, any other a
+    ``UPoly`` whose exponents pack o(r) in ``width`` bits per column.  The
     generators of every Alexander grading above the slice span a
     subcomplex (a rectangle only raises a pinned component's grading), so
     this is the quotient by it, and a complex."""
@@ -176,7 +174,7 @@ class GeneratorComplex:
     free_cols: list  # per component, the O columns whose U power may be non-zero
     pinned: dict  # sliced component -> doubled Alexander grading
     maslov_cap: int | None
-    width: int | None  # bits per column of a packed exponent; None for int entries
+    width: int  # bits per column of a packed exponent
 
     def expand(self, cx: IntegerChainComplex) -> IntegerChainComplex:
         """The slice of ``cx``, which is ``complex`` or a reduction of it.
@@ -228,7 +226,7 @@ class GeneratorComplex:
             cells.setdefault(key[0], {})[key[1]] = key
 
         width = self.width
-        field = 0 if width is None else (1 << width) - 1
+        field = (1 << width) - 1
         monomials: dict = {}  # packed exponent -> (o_vec or None, its bit mask)
         zero_cols: dict = {}  # j -> bit mask of the columns c with j[c] == 0
         diff: dict = {}
@@ -239,7 +237,7 @@ class GeneratorComplex:
                 targets = cells.get(tau)
                 if targets is None:
                     continue
-                for e, coeff in entry.items() if width is not None else ((0, entry),):
+                for e, coeff in entry.items() if isinstance(entry, UPoly) else ((0, entry),):
                     mono = monomials.get(e)
                     if mono is None:
                         o_vec = tuple(e >> (width * c) & field for c in range(n)) if e else None
@@ -322,7 +320,7 @@ def generator_complex(
     frozen, avoid = spec.frozen, spec.avoid
     # an exponent's total degree is at most half the Maslov span plus one,
     # below n * n, so its fields never carry
-    width = (g.n * g.n).bit_length() if any(free_cols) else None
+    width = (g.n * g.n).bit_length()
 
     grading = {x.sigma: x.maslov for x in generators}
     # sigma -> the key ``grading`` holds for it; diff columns store these
@@ -340,16 +338,15 @@ def generator_complex(
             if any(o_vec[c] for c in frozen):
                 continue
             sign = s.of(info)
-            if width is None:
-                coeff = col.get(tau, 0) + sign
-                if coeff:
+            e = packed.get(o_vec)
+            if e is None:
+                e = packed[o_vec] = sum(v << (width * c) for c, v in enumerate(o_vec))
+            if not e:  # a constant entry is an int
+                if coeff := col.get(tau, 0) + sign:
                     col[tau] = coeff
                 else:
                     del col[tau]
                 continue
-            e = packed.get(o_vec)
-            if e is None:
-                e = packed[o_vec] = sum(v << (width * c) for c, v in enumerate(o_vec))
             entry = col.get(tau)
             if entry is None:
                 col[tau] = UPoly({e: sign})

@@ -63,10 +63,6 @@ class EndpointMismatch(GridError):
     """Attempt to compose domains whose endpoints do not match."""
 
 
-class NotPositive(GridError):
-    """Operation requires a positive domain."""
-
-
 class _MarkingTable(NamedTuple):
     """Point counts against one marking set P, by column.
 
@@ -701,32 +697,6 @@ class GridDomain:
         ``self - other`` running from ``self.from`` to ``other.from``."""
         a, b = tuple(map(sub, self.a_vec, other.a_vec)), tuple(map(sub, self.b_vec, other.b_vec))
         return GridDomain(self.diagram, self.from_sigma, other.from_sigma, a, b)
-
-    def decompose_into_rectangles(self) -> list["GridDomain"]:
-        """One decomposition D = R_1 * ... * R_k with k = mu(D).
-
-        Greedy: repeatedly split a rectangle off the front, preferring the
-        rightmost/topmost bottom-left corner, ties broken lexicographically on
-        the rectangle identifier.  Deterministic.
-        """
-        if not self.is_positive():
-            raise NotPositive("decompose_into_rectangles requires a positive domain")
-        g = self.diagram
-        out: list[GridDomain] = []
-        current = self
-        while not current.is_trivial():
-            candidates = []
-            for info in g.rectangle_infos(current.from_sigma):
-                rect = info.domain(g)
-                rest = current.subtract(rect)
-                if rest.is_positive():
-                    candidates.append((info, rect, rest))
-            if not candidates:
-                raise GridError("positive domain with mu > 0 admits no rectangle split")
-            candidates.sort(key=lambda t: (-t[0].col0, -t[0].row0, t[0].pair, t[0].role))
-            _, rect, current = candidates[0]
-            out.append(rect)
-        return out
 
 
 # -- canonicalization and parsing ---------------------------------------------

@@ -6,15 +6,15 @@ first cancelling unit-coefficient pairs (algebraic Morse reduction, which
 keeps integer homology on the nose and shrinks the grid complexes by orders
 of magnitude) and then running Smith normal form on what is left.
 
-The coefficients of a complex are ints, or ``UPoly`` polynomials in
-commuting U variables over Z.  Over Z[U] the reduction takes only the
-constant entries +-1 as units.  That suffices for the grid complex over
-Z[U] because it is homogeneous: an entry from a generator to one of Maslov
-grading one lower carries monomials of total U-degree 0 alone, so an entry
-with a non-zero constant term is a constant.  Cancelling a constant unit
-is Z[U]-linear, so the reduction commutes with every U map, and with
-setting any U power to a number (``gridcomplex`` expands each Alexander
-slice off the reduced complex).
+A coefficient is a constant, stored as an int, or a ``UPoly``: a
+polynomial of positive degree in commuting U variables over Z.  The
+reduction takes the ints +-1, and nothing else, as units.  That suffices
+for the grid complex over Z[U] because it is homogeneous: the entries
+between two generators all have one U-degree, so an entry with a constant
+term is a constant, and every update of the reduction keeps a constant an
+int.  Cancelling a unit is Z[U]-linear, so the reduction commutes with
+every U map, and with setting any U power to a number (``gridcomplex``
+expands each Alexander slice off the reduced complex).
 
 The reduction runs on integer cell ids numbered in insertion order.  Its
 pivot rule is Markowitz's: each unit entry is queued with the product of its
@@ -61,23 +61,15 @@ class UPoly(dict):
     """A polynomial in commuting U variables over Z: exponent -> non-zero
     int coefficient.  An exponent is a non-negative int, and exponents
     multiply by addition, so a vector of U powers packed into fields wide
-    enough never to carry is one exponent; 0 is the constant term.
+    enough never to carry is one exponent; 0 is the constant term.  A
+    ``UPoly`` never equals an int, so a complex stores its constants as
+    ints and its ``UPoly`` entries have positive degree.
 
     It is as much of a ring as ``reduce_complex`` uses: ``+``, ``*`` and
-    unary ``-`` (with ints as constants), truth (a sum that cancels is
-    empty, so false), and ``==`` with an int, true only for that constant:
-    1 + U is not ``== 1``."""
+    unary ``-`` (with ints as constants), and truth (a sum that cancels is
+    empty, so false)."""
 
     __slots__ = ()
-    __hash__ = None
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return len(self) == 1 and self.get(0) == other if other else not self
-        return dict.__eq__(self, other)
-
-    def __ne__(self, other):
-        return not self == other
 
     def __neg__(self) -> "UPoly":
         return UPoly({e: -c for e, c in self.items()})
@@ -112,8 +104,9 @@ class UPoly(dict):
 @dataclass
 class IntegerChainComplex:
     """Graded free complex with sparse differential ``diff[key] = chain``,
-    over Z (int coefficients) or over Z[U] (``UPoly`` coefficients, each U
-    of degree -2, so an entry need not join keys one grading apart).
+    over Z (int coefficients) or over Z[U] (int constants and ``UPoly``
+    entries of positive degree, each U of degree -2, so an entry need not
+    join keys one grading apart).
 
     ``level``, if given, is a filtration: a function key -> int such that
     every entry ``r`` of ``diff[k]`` has ``level(r) <= level(k)``, so the
@@ -197,12 +190,11 @@ def reduce_complex(cx: IntegerChainComplex) -> tuple[IntegerChainComplex]:
     """Cancel unit pivots; returns the one-element tuple ``(reduced,)``
     (the perfbench spans read the reduced complex as ``result[0]``).
 
-    The coefficients are ints or ``UPoly``; a unit is an entry ``== 1`` or
-    ``== -1``, a constant +-1 over Z[U].  On a homogeneous complex over
-    Z[U], such as the grid's generator complex, every entry with a non-zero
-    constant term is a constant, so no invertible entry is missed (see the
-    module docstring); the result is a Z[U]-complex homotopy equivalent to
-    ``cx``.
+    The coefficients are ints or ``UPoly``; a unit is an int +-1.  On a
+    homogeneous complex over Z[U], such as the grid's generator complex,
+    every entry with a constant term is an int, so no invertible entry is
+    missed (see the module docstring); the result is a Z[U]-complex
+    homotopy equivalent to ``cx``.
 
     The cells are numbered in ``cx.grading`` order and the reduction runs on
     those numbers.  Each row is a list of the columns that met it, in the

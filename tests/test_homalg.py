@@ -340,33 +340,36 @@ U0, U1 = UPoly({1: 1}), UPoly({1 << 4: 1})
 
 
 class TestUPoly:
+    """A constant entry is an int and a ``UPoly`` has positive degree, so
+    the units are the ints +-1 and a ``UPoly`` is never equal to an int."""
+
     def test_only_a_constant_is_a_unit(self):
-        assert UPoly({0: 1}) == 1 and UPoly({0: -1}) == -1
-        assert not (UPoly({0: 1}) != 1)
+        values = [1, -1, 2, 0, UPoly({0: 1}), UPoly({0: -1}), 1 + U0, -1 + -U0, U0, -U0]
+        assert [v for v in values if v == 1 or v == -1] == [1, -1]
+        assert UPoly({0: 1}) != 1 and not UPoly({0: 1}) == 1 and UPoly({0: -1}) != -1
         one_plus_u = 1 + U0
-        assert one_plus_u != 1 and not one_plus_u == 1
         assert one_plus_u.get(0) == 1  # its constant term is 1 all the same
-        assert -one_plus_u != -1
-        assert U0 != 1 and U0 != 0 and UPoly({0: 2}) != 1
+        assert U0 != 1 and U0 != 0 and UPoly({0: 2}) != 2
 
     def test_a_sum_that_cancels_is_zero(self):
         zero = (U0 + U1 + 3) + -(U1 + U0 + 3)
-        assert not zero and zero == 0 and zero == UPoly()
-        assert U0 and U0 + (-U0) == 0
+        assert not zero and zero == UPoly() and zero != 0
+        assert U0 and not U0 + (-U0)
 
     def test_products_shift_exponents(self):
         assert (U0 + U1) * (U0 + -U1) == UPoly({2: 1, 2 << 4: -1})
         assert (1 + U0) * (1 + U0) == UPoly({0: 1, 1: 2, 2: 1})
         assert U0 * U1 == UPoly({1 + (1 << 4): 1})
-        assert 3 * U0 == U0 * 3 == UPoly({1: 3}) and 0 * U0 == 0
+        assert 3 * U0 == U0 * 3 == UPoly({1: 3}) and not 0 * U0
         assert -U0 * U0 == UPoly({2: -1})
 
     def test_reduction_cancels_constant_units_only(self):
-        # d(b) = (1 + U0) a is no unit, so nothing cancels; d(c) = a does
-        cx = IntegerChainComplex({"a": 0, "b": 1, "c": 1}, {"b": {"a": 1 + U0}})
+        # d(b) = (1 + U0) a is no unit, nor is a constant stored as a UPoly,
+        # so nothing cancels; d(c) = a, with the int 1, does
+        cx = IntegerChainComplex({"a": 0, "b": 1, "c": 1}, {"b": {"a": 1 + U0}, "c": {"a": UPoly({0: 1})}})
         (red,) = reduce_complex(cx)
         assert red.grading == cx.grading and red.diff == cx.diff
-        cx.diff["c"] = {"a": UPoly({0: 1})}
+        cx.diff["c"] = {"a": 1}
         (red,) = reduce_complex(cx)
         assert red.grading == {"b": 1}
 
@@ -374,7 +377,7 @@ class TestUPoly:
         # d(b) = a + U0 e, d(c) = U1 a: cancelling (a, b) leaves d(c) = -U0 U1 e
         cx = IntegerChainComplex(
             {"a": 0, "b": 1, "c": 1, "e": 0},
-            {"b": {"a": UPoly({0: 1}), "e": U0}, "c": {"a": U1}},
+            {"b": {"a": 1, "e": U0}, "c": {"a": U1}},
         )
         (red,) = reduce_complex(cx)
         assert red.grading == {"c": 1, "e": 0}

@@ -1,4 +1,4 @@
-"""An oracle for the T(2,7) tilde golden file that shares no code with gridhom.
+"""Oracles for the T(2,7) golden files that share no code with gridhom.
 
 ``fixtures/expected/t27_tilde.json`` is the output of
 ``gridhom --json homology fixtures/t27.grid --flavor tilde`` on a grid of
@@ -7,13 +7,22 @@ V^{tensor (n-1)}, V = Z_{(0,0)} + Z_{(+1,+2)} in (Maslov, 2A); hat homology of
 T(2,7) is one Z in each Alexander grading A = -3..3, on a single diagonal.
 So the total rank of the slices, read upward in A, is the coefficient list
 of (1+q)^8 (1+q+...+q^6), and each slice lies in one Maslov grading, one
-above that of the slice before.  The check reads only the JSON file.
+above that of the slice before.
+
+``fixtures/expected/t27_spectrum_m6_4.json`` is the output of
+``gridhom --json spectrum fixtures/t27.grid`` at 2A = -6, -4, ..., 4.  T(2,7)
+is alternating with signature -6, so its hat homology is thin: one
+torsion-free Z in each Alexander grading A, at Maslov grading A - 3.
+
+The checks read only the JSON files.
 """
 
 import json
 import os
 
-GOLDEN = os.path.join(os.path.dirname(__file__), "..", "fixtures", "expected", "t27_tilde.json")
+EXPECTED = os.path.join(os.path.dirname(__file__), "..", "fixtures", "expected")
+GOLDEN = os.path.join(EXPECTED, "t27_tilde.json")
+SPECTRUM = os.path.join(EXPECTED, "t27_spectrum_m6_4.json")
 
 
 def poly_mul(p, q):
@@ -59,3 +68,11 @@ def test_each_slice_is_one_maslov_grading_one_above_the_last():
         assert len(groups) == 1
         maslovs.extend(int(m) for m in groups)
     assert maslovs == list(range(maslovs[0], maslovs[0] + len(maslovs)))
+
+
+def test_spectrum_hat_is_one_z_at_maslov_a_minus_3():
+    with open(SPECTRUM) as fh:
+        data = json.load(fh)
+    assert sorted(int(a) for a in data) == list(range(-3, 3))
+    for a, entry in data.items():
+        assert entry["hat"]["homology"] == {str(int(a) - 3): {"rank": 1, "torsion": []}}
