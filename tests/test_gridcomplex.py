@@ -670,13 +670,16 @@ class TestGeneratorComplex:
             assert cx.grading and cx.check_d_squared(), (a2, cap)
             # homogeneous: every monomial from sigma to tau has the U-degree
             # (M(tau) - M(sigma) + 1) / 2, so an entry is a constant, stored as
-            # an int, or a UPoly of positive degree, and only ints are units
+            # an int, or a UPoly of positive degree; on these grids every
+            # constant is +-1, a unit that reduce_complex can cancel
             field = (1 << gens.width) - 1
             for sigma, col in cx.diff.items():
                 for tau, entry in col.items():
                     degree = (cx.grading[tau] - cx.grading[sigma] + 1) // 2
                     assert isinstance(entry, int) == (degree == 0), (sigma, tau, entry)
-                    if degree:
+                    if not degree:
+                        assert entry in (1, -1), (sigma, tau, entry)
+                    else:
                         assert isinstance(entry, UPoly) and entry and degree > 0
                         for e in entry:
                             assert sum(e >> (gens.width * c) & field for c in range(g.n)) == degree
