@@ -312,12 +312,16 @@ def generator_complex(
     complex); ``expand`` of its ``complex`` is the slice, unreduced.
 
     The rectangles leaving each generator come from one fresh
-    ``rectangle_infos`` call, and each kept rectangle between two of them
-    asks ``s.of`` for its sign once; ``s`` itself stores no signs."""
+    ``rectangle_infos`` call.  The flavor's avoided X and frozen O columns
+    are bit sets, so a rectangle is kept after one AND with each of its
+    marking masks, and its packed exponent is looked up by its ``o_mask``.
+    Each kept rectangle between two generators of the slice asks ``s.of``
+    for its sign once; ``s`` itself stores no signs."""
     if maslov_cap is None and len(spec.sliced) < g.num_components:
         raise UnboundedSlice(f"{spec.flavor} slices of links are infinite; give a maslov_cap")
     pinned, free_cols, generators = _slice_generators(g, spec, alexander2)
-    frozen, avoid = spec.frozen, spec.avoid
+    frozen = sum(1 << c for c in spec.frozen)
+    avoid = sum(1 << c for c in spec.avoid)
     # an exponent's total degree is at most half the Maslov span plus one,
     # below n * n, so its fields never carry
     width = (g.n * g.n).bit_length()
@@ -326,21 +330,18 @@ def generator_complex(
     # sigma -> the key ``grading`` holds for it; diff columns store these
     # keys, so all columns that mention a generator share one key object
     keys = {sigma: sigma for sigma in grading}
-    packed: dict = {}  # o_vec -> its packed exponent
+    packed: dict = {}  # o_mask -> its packed exponent
     diff: dict = {}
     for sigma in grading:
         col: dict = {}
         for info in g.rectangle_infos(sigma):
             tau = keys.get(info.to_sigma)
-            if tau is None or any(info.x_vec[c] for c in avoid):
-                continue
-            o_vec = info.o_vec
-            if any(o_vec[c] for c in frozen):
+            if tau is None or info.x_mask & avoid or info.o_mask & frozen:
                 continue
             sign = s.of(info)
-            e = packed.get(o_vec)
+            e = packed.get(info.o_mask)
             if e is None:
-                e = packed[o_vec] = sum(v << (width * c) for c, v in enumerate(o_vec))
+                e = packed[info.o_mask] = sum(1 << width * c for c in range(g.n) if info.o_mask >> c & 1)
             if not e:  # a constant entry is an int
                 if coeff := col.get(tau, 0) + sign:
                     col[tau] = coeff

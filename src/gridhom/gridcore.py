@@ -24,10 +24,12 @@ graded on every ``generator`` call and kept by no one here.  The doubled
 Alexander grading of each component is a sum of one table entry per column,
 so ``generators(lo, hi)`` walks only the permutations within its bounds.
 
-Empty rectangles are ``RectInfo`` records, found in O(n^2) per generator and
-built afresh on every ``rectangle_infos``/``rectangle_infos_into`` call: the
-diagram keeps their box data, not the records, so their memory lasts as long
-as the caller holds them.
+Empty rectangles are ``RectInfo`` records, found in O(n^2) per generator by
+one AND of row bit sets per candidate, and built afresh on every
+``rectangle_infos``/``rectangle_infos_into`` call: the diagram keeps their
+box data and a table of cyclic row arcs, not the records, so their memory
+lasts as long as the caller holds them.  A record's O and X markings are bit
+sets of columns.
 
 A domain from x to y is pinned by its ends and its data in the last column
 and the top row (``GridDomain``): with ``Q_z(c, r) = #{i > c : z_i > r}``,
@@ -92,8 +94,13 @@ class _MarkingTable(NamedTuple):
 
 
 def inversions(sigma: Perm) -> int:
-    """``#{i < j : sigma[i] > sigma[j]}``."""
-    return sum(u > v for u, v in itertools.combinations(sigma, 2))
+    """``#{i < j : sigma[i] > sigma[j]}``: for each value, the smaller
+    values to its right, counted in a bit set of the values seen."""
+    seen = count = 0
+    for v in reversed(sigma):
+        count += (seen & (1 << v) - 1).bit_count()
+        seen |= 1 << v
+    return count
 
 
 def quadrant_counts(sigma: Perm) -> list[int]:
@@ -161,8 +168,9 @@ class GridDiagram:
     n: int
     o_row: Perm
     x_row: Perm
-    # The one per-diagram cache: the marking data of a rectangle's box (n^4
-    # at most).  Generators, rectangle records and domains are built on every
+    # The per-diagram caches of rectangle data: the marking data of a
+    # rectangle's box (n^4 at most) here, and the n^2 row arcs of ``_arcs``.
+    # Generators, rectangle records and domains are built on every
     # call and kept by no one here; a caller that revisits them keeps a table
     # of its own.
     _box_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -340,67 +348,82 @@ class GridDiagram:
 
     # -- rectangles -----------------------------------------------------------
 
+    @cached_property
+    def _arcs(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+        """``_arcs[a] = (up, down)`` with ``up[b]`` the bit set of the rows
+        ``a, a+1, ..., b-1`` mod n, the rows of a rectangle from row a up to
+        row b (empty for a == b), and ``down[b]`` those from row b up to a."""
+        n = self.n
+        arcs = [[sum(1 << (a + k) % n for k in range((b - a) % n)) for b in range(n)] for a in range(n)]
+        return tuple((tuple(arcs[a]), tuple(arc[a] for arc in arcs)) for a in range(n))
+
+    def _row_prefix(self, sigma: Perm) -> list[int]:
+        """``prefix[k]``: the bit set of the rows of the points of x^sigma in
+        the columns before k, so ``prefix[j] ^ prefix[i + 1]`` holds the rows
+        of the points strictly between columns i and j."""
+        prefix = [0]
+        for v in sigma:
+            prefix.append(prefix[-1] | 1 << v)
+        return prefix
+
     def rectangle_infos(self, sigma: Perm) -> list["RectInfo"]:
         """The empty rectangles leaving x^sigma that avoid the top-right cell,
         as fresh records: for each column pair i < j, the one with its
         bottom-left corner in column i (role 0), then the one with it in
         column j (role 1).
 
-        With ``d[k] = (sigma[k] - sigma[i]) % n`` the role-0 rectangle spans
-        row offsets ``0..d[j]-1`` over the columns strictly between i and j,
-        so a point there blocks it iff ``d[k] < d[j]``; the role-1 rectangle
-        spans the complementary rows over the columns outside ``[i, j]``, so a
-        point there blocks it iff ``d[k] > d[j]``.  A sweep of j to the right
-        keeps the least offset between, and suffix maxima give the largest
-        outside.  Only role 1 covers the last column, so only it can cover the
-        top-right cell.  The records share their box data (``_box``).
+        Emptiness is one AND of row bit sets (``_row_prefix``, ``_arcs``).
+        The role-0 rectangle spans the rows ``sigma[i]`` up to ``sigma[j]``
+        over the columns strictly between i and j, so it is empty iff no
+        point there has a row in that arc.  The role-1 rectangle spans the
+        rows ``sigma[j]`` up to ``sigma[i]`` over the columns outside
+        ``[i, j]``.  Only role 1 covers the last column, so only it can
+        cover the top-right cell: row n-1 joins the rows it must miss, with
+        the rows of the points outside and ``sigma[i]``, which lies outside
+        its arc.  The records share their box data (``_box``).
         """
         self._require_canonical()
         sigma = tuple(sigma)
         n, boxes, new = self.n, self._box_cache, tuple.__new__  # new(RectInfo, fields) skips its Python-level __new__
+        arcs, prefix = self._arcs, self._row_prefix(sigma)
+        rows, top = prefix[n], 1 << (n - 1)
         infos = []
         for i in range(n - 1):
             si = sigma[i]
-            d = [(v - si) % n for v in sigma]
-            outside = [0] * (n + 1)  # outside[k]: the largest d over the columns < i or >= k
-            outside[n] = max(d[:i], default=0)
-            for k in range(n - 1, i, -1):
-                outside[k] = max(outside[k + 1], d[k])
-            between = n  # the least d over the columns strictly between i and j
+            (up, down), low = arcs[si], prefix[i + 1]
             for j in range(i + 1, n):
-                h = d[j]
                 sj = sigma[j]
-                role0 = h < between
-                role1 = outside[j + 1] < h and (n - 1 - sj) % n >= n - h  # rows miss n-1
+                between = prefix[j] ^ low
+                role0 = not between & up[sj]
+                role1 = not (rows ^ between ^ 1 << sj | top) & down[sj]
                 if role0 or role1:
                     pair = (i, j)
                     tau = sigma[:i] + (sj,) + sigma[i + 1 : j] + (si,) + sigma[j + 1 :]
+                    h = (sj - si) % n
                     if role0:
                         shape = (i, j - i, si, h)
-                        box = boxes.get(shape) or self._box(shape)
-                        infos.append(new(RectInfo, (sigma, tau, pair, 0) + shape + box))
+                        infos.append(new(RectInfo, (sigma, tau, pair, 0) + (boxes.get(shape) or self._box(shape))))
                     if role1:
                         shape = (j, n - (j - i), sj, n - h)
-                        box = boxes.get(shape) or self._box(shape)
-                        infos.append(new(RectInfo, (sigma, tau, pair, 1) + shape + box))
-                if h < between:
-                    between = h
+                        infos.append(new(RectInfo, (sigma, tau, pair, 1) + (boxes.get(shape) or self._box(shape))))
         return infos
 
     def _box(self, shape: tuple[int, int, int, int]) -> tuple:
-        """The fields of ``RectInfo`` from ``o_vec`` on, for the box
+        """The fields of ``RectInfo`` from ``col0`` on, for the box
         ``shape = (col0, width, row0, height)`` of cells
         ``col0..col0+width-1 x row0..row0+height-1`` mod n, built and stored
-        in ``_box_cache``; the sweeps call it only after a cache miss."""
+        in ``_box_cache``; the sweeps call it only after a cache miss.  A box
+        meets each column's O and X at most once, so its markings are the
+        bit sets of the columns whose marking it covers."""
         col0, width, row0, height = shape
         n = self.n
         cols = [(c - col0) % n < width for c in range(n)]
         rows = [(r - row0) % n < height for r in range(n)]
-        o_vec = tuple(int(inside and rows[r]) for inside, r in zip(cols, self.o_row))
-        x_vec = tuple(int(inside and rows[r]) for inside, r in zip(cols, self.x_row))
+        o_mask = sum(1 << c for c, r in enumerate(self.o_row) if cols[c] and rows[r])
+        x_mask = sum(1 << c for c, r in enumerate(self.x_row) if cols[c] and rows[r])
         a_vec = tuple(int(cols[n - 1] and inside) for inside in rows[:-1])
         b_vec = tuple(int(rows[n - 1] and inside) for inside in cols[:-1])
-        box = self._box_cache[shape] = (o_vec, x_vec, cols[n - 1], rows[n - 1], a_vec, b_vec)
+        box = self._box_cache[shape] = shape + (o_mask, x_mask, cols[n - 1], rows[n - 1], a_vec, b_vec)
         return box
 
     def rectangles_from(self, x: Generator) -> list[tuple["GridDomain", Generator]]:
@@ -415,44 +438,37 @@ class GridDiagram:
         column pair i < j, the records of ``rectangle_infos(z)`` with that
         pair, z being y with columns i and j swapped, in the same order.
 
-        With ``e[k] = (y[k] - y[i]) % n`` the role-0 rectangle of z spans
-        row offsets ``e[j]..n-1`` over the columns strictly between i and j,
-        so a point there blocks it iff ``e[k] > e[j]``; the role-1 rectangle
-        spans offsets ``0..e[j]-1`` over the columns outside ``[i, j]``, so a
-        point there blocks it iff ``e[k] < e[j]``.  This is the sweep of
-        ``rectangle_infos`` with the inequalities reversed: the largest
-        offset between, and suffix minima for the least outside.
+        This is the sweep of ``rectangle_infos`` with the arcs reversed: the
+        role-0 rectangle of z spans the rows ``y[j]`` up to ``y[i]`` over the
+        columns strictly between i and j, and the role-1 rectangle the rows
+        ``y[i]`` up to ``y[j]`` over the columns outside ``[i, j]``, which
+        must also miss row n-1.
         """
         self._require_canonical()
         y = tuple(y_sigma)
         n, boxes, new = self.n, self._box_cache, tuple.__new__  # new(RectInfo, fields) skips its Python-level __new__
+        arcs, prefix = self._arcs, self._row_prefix(y)
+        top = 1 << (n - 1)
         infos = []
         for i in range(n - 1):
             si = y[i]
-            e = [(v - si) % n for v in y]
-            outside = [n] * (n + 1)  # outside[k]: the least e over the columns < i or >= k
-            outside[n] = min(e[:i], default=n)
-            for k in range(n - 1, i, -1):
-                outside[k] = min(outside[k + 1], e[k])
-            between = 0  # the largest e over the columns strictly between i and j
+            (up, down), low = arcs[si], prefix[i + 1]
+            others = prefix[n] ^ 1 << si
             for j in range(i + 1, n):
-                h = e[j]
                 sj = y[j]
-                role0 = h > between
-                role1 = outside[j + 1] > h and (n - 1 - si) % n >= h  # rows miss n-1
+                between = prefix[j] ^ low
+                role0 = not between & down[sj]
+                role1 = not (others ^ between | top) & up[sj]
                 if role0 or role1:
                     pair = (i, j)
                     z = y[:i] + (sj,) + y[i + 1 : j] + (si,) + y[j + 1 :]
+                    h = (sj - si) % n
                     if role0:
                         shape = (i, j - i, sj, n - h)
-                        box = boxes.get(shape) or self._box(shape)
-                        infos.append(new(RectInfo, (z, y, pair, 0) + shape + box))
+                        infos.append(new(RectInfo, (z, y, pair, 0) + (boxes.get(shape) or self._box(shape))))
                     if role1:
                         shape = (j, n - (j - i), si, h)
-                        box = boxes.get(shape) or self._box(shape)
-                        infos.append(new(RectInfo, (z, y, pair, 1) + shape + box))
-                if h > between:
-                    between = h
+                        infos.append(new(RectInfo, (z, y, pair, 1) + (boxes.get(shape) or self._box(shape))))
         return infos
 
     def rectangles_into(self, y: Generator) -> list[tuple["GridDomain", Generator]]:
@@ -560,9 +576,11 @@ class RectInfo(NamedTuple):
     The cells covered are ``col0..col0+width-1 x row0..row0+height-1`` mod n.
     A tuple record, built afresh by every ``rectangle_infos`` and
     ``rectangle_infos_into`` call and kept by no cache of the diagram;
-    records of one box share its vectors.  ``a_vec``/``b_vec`` are the
-    rectangle's data as a ``GridDomain`` stores it, so ``domain`` passes them
-    on and paints no cell.
+    records of one box share its data.  An empty rectangle covers each
+    column's O and X at most once, so its markings are bit sets of columns
+    (``o_mask``, ``x_mask``).  ``a_vec``/``b_vec`` are the rectangle's data as
+    a ``GridDomain`` stores it, so ``domain`` passes them on and paints no
+    cell.
     """
 
     from_sigma: Perm
@@ -573,8 +591,8 @@ class RectInfo(NamedTuple):
     width: int
     row0: int
     height: int
-    o_vec: tuple[int, ...]
-    x_vec: tuple[int, ...]
+    o_mask: int  # bit c set iff the rectangle covers the O of column c
+    x_mask: int  # bit c set iff the rectangle covers the X of column c
     meets_last_column: bool  # covers a cell of column n-1
     meets_top_row: bool  # covers a cell of row n-1
     a_vec: tuple[int, ...]  # the domain's multiplicities in the rightmost column, rows 0..n-2
@@ -582,7 +600,9 @@ class RectInfo(NamedTuple):
 
     @property
     def key(self) -> tuple:
-        """Identifier used by sign assignments."""
+        """``(from_sigma, pair, role)``, which tells the rectangles of one
+        grid apart: a key for the tables that callers keep of their own,
+        such as a table of signs.  The library keys nothing by it."""
         return (self.from_sigma, self.pair, self.role)
 
     def domain(self, g: GridDiagram) -> "GridDomain":

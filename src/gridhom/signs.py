@@ -33,25 +33,41 @@ vectors, turns it into
     rho(e_bl - e_tr) u_sigma  =  lambda * u_{sigma (i j)},   u_sigma = rho(L(sigma)^rev) v0,
 
 for a fixed v0 != 0; each u_sigma is nonzero because rho(L(sigma)^rev) is
-invertible, so lambda is read off one entry.  Each u_sigma is d Gaussian
-integers, kept as 2d integers (real and imaginary parts), on which every
-gamma is a signed permutation; u_sigma follows from its parent's along the
-reduced word, since L(sigma)^rev = (e_p - e_{p+1}) L(parent)^rev.  A ratio
-that is not a nonzero real number raises ``Unsatisfiable``.  Each u_sigma is
+invertible.  Each u_sigma is d Gaussian integers, kept as 2d integer
+coordinates (real and imaginary parts), and follows from its parent's along
+the reduced word, since L(sigma)^rev = (e_p - e_{p+1}) L(parent)^rev; it is
 kept divided by the positive gcd of its entries, which keeps every lambda's
-sign, so its entries lie in {0, +-1} (checked up to n = 9); equal vectors
-share one tuple (60,480 distinct ones for the 9! permutations at n = 9).
-The u_sigma are kept, one per permutation reached; rectangle signs are not:
-each ``of`` call applies one gamma pair to u_sigma and compares the result
-with u_tau, so a caller that revisits a rectangle keeps the sign in a table
-of its own.
+sign.
+
+Bit sets.  On the coordinates, every gamma (``_gammas``) sends coordinate
+t XOR f to t with a sign: X or Y flips a factor, Y also swaps real and
+imaginary parts.  So a u_sigma with entries in {0, +-1} is kept as two bit
+sets (P, N) of its +1 and -1 coordinates, coordinate t at bit 4t, and a
+gamma is at most two block swaps (one per bit of f) and one masked swap of P
+and N.  The entries of rho(e_p - e_{p+1}) u are differences of two entries
+in {0, +-1}; the table builder halves them when every nonzero one is +-2,
+and raises ``Unsatisfiable`` on a zero vector or on a scaled entry outside
+{0, +-1} (not met on any grid up to n = 9), so every stored u_sigma has
+entries in {0, +-1}.  Equal vectors share one pair (60,480 distinct ones
+for the 9! permutations at n = 9).
+
+Exactness.  With one digit per 4 bits, P - N is u_sigma as one balanced
+base-16 integer.  If w = rho(e_i - e_j) u_sigma equals lambda * u_tau, then
+lambda = w_k / u_k at a coordinate with u_k = +-1, so lambda is a nonzero
+integer with |lambda| <= 2, and every digit of w and of lambda * u_tau lies
+in [-2, 2].  Integers with digits that small determine their digits, so the
+vector identity holds exactly when the integers satisfy it: ``edge_sign``
+takes one ``divmod`` of the two and asks for no remainder and a quotient of
+0 < |lambda| <= 2, raising ``Unsatisfiable`` otherwise.  The u_sigma are
+kept, one per permutation reached; rectangle signs are not: each ``of`` call
+applies two gammas to u_sigma and compares the result with u_tau, so a
+caller that revisits a rectangle keeps the sign in a table of its own.
 ``verify_axioms`` re-checks the axioms exhaustively; nothing is trusted on
 faith.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from operator import add
 
@@ -87,27 +103,37 @@ def _gammas(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
 
 class _Spinors:
     """Lazy table of u_sigma = rho(L(sigma)^rev) v0, one fixed Pin lift L,
-    each scaled by a positive number to coprime entries; equal vectors are
-    stored once."""
+    each scaled by a positive number to entries in {0, +-1} and kept as two
+    bit sets ``(P, N)`` of its +1 and -1 coordinates, coordinate t at bit
+    4t; equal vectors are stored once."""
 
     def __init__(self, n: int):
-        gammas = _gammas(n)
-        # rho(e_i - e_j) for every ordered pair, one (src_i, sgn_i, src_j, -sgn_j) per coordinate
-        self._act = {
-            (i, j): tuple(zip(gammas[i][0], gammas[i][1], gammas[j][0], [-v for v in gammas[j][1]]))
-            for i in range(n)
-            for j in range(n)
-            if i != j
-        }
-        v0 = (1,) + (0,) * ((2 << n // 2) - 1)
-        self._table: dict[tuple, tuple] = {tuple(range(n)): v0}
-        self._shared: dict[tuple, tuple] = {v0: v0}  # each distinct u_sigma, keyed by itself
+        size = 2 << n // 2  # coordinates
+        self._gammas = []  # per k: the block swaps of rho(e_k), then its sign mask
+        for src, sgn in _gammas(n):
+            f = src[0]
+            if src != tuple(t ^ f for t in range(size)):
+                raise Unsatisfiable("a gamma is not an XOR of the coordinate index")
+            swaps = tuple(
+                (4 << b, sum(1 << 4 * t for t in range(size) if not t >> b & 1))
+                for b in range(f.bit_length())
+                if f >> b & 1
+            )
+            self._gammas.append((swaps, sum(1 << 4 * t for t in range(size) if sgn[t] < 0)))
+        self._table: dict[tuple, tuple[int, int]] = {tuple(range(n)): (1, 0)}
+        self._shared: dict[tuple, tuple] = {(1, 0): (1, 0)}  # each distinct u_sigma, keyed by itself
 
-    def _apply(self, i: int, j: int, u: tuple) -> tuple:
-        """rho(e_i - e_j) u."""
-        return tuple(s * u[p] + t * u[q] for p, s, q, t in self._act[i, j])
+    def _gamma(self, k: int, u: tuple[int, int]) -> tuple[int, int]:
+        """rho(e_k) u: coordinate t of the result is sgn[t] * u[t ^ f]."""
+        p, q = u
+        swaps, negate = self._gammas[k]
+        for shift, low in swaps:
+            p = (p & low) << shift | p >> shift & low
+            q = (q & low) << shift | q >> shift & low
+        d = (p ^ q) & negate
+        return p ^ d, q ^ d
 
-    def spinor(self, sigma: tuple) -> tuple:
+    def spinor(self, sigma: tuple) -> tuple[int, int]:
         found = self._table.get(sigma)
         if found is not None:
             return found
@@ -126,24 +152,32 @@ class _Spinors:
             if got is None:
                 stack.append(parent)
                 continue
-            u = self._apply(p, p + 1, got)
-            k = math.gcd(*u)
-            if k > 1:
-                u = tuple(v // k for v in u)
+            # rho(e_p - e_{p+1}) u: each coordinate is a - b with a, b in {0, +-1}
+            (pa, na), (pb, nb) = self._gamma(p, got), self._gamma(p + 1, got)
+            odd = (pa | na) ^ (pb | nb)  # the coordinates +-1
+            plus2, minus2 = pa & nb, na & pb
+            if plus2 | minus2:
+                if odd:
+                    raise Unsatisfiable("a scaled spinor has an entry outside {0, +-1}")
+                u = (plus2, minus2)  # halved
+            elif odd:
+                u = ((pa | nb) & odd, (na | pb) & odd)
+            else:
+                raise Unsatisfiable("a spinor vanished")
             self._table[top] = self._shared.setdefault(u, u)
             stack.pop()
         return self._table[sigma]
 
     def edge_sign(self, sigma: tuple, tau: tuple, i: int, j: int) -> int:
         """Sign of lambda in L(sigma)*(e_i - e_j) = lambda * L(tau), tau = sigma (i j)."""
-        w = self._apply(i, j, self.spinor(sigma))
-        u = self.spinor(tau)
-        k = next(k for k, v in enumerate(u) if v)
-        num, den = w[k], u[k]
-        # a real lambda scales real and imaginary parts alike
-        if not num or [den * a for a in w] != [num * b for b in u]:
-            raise Unsatisfiable("Pin lift comparison failed; the ratio is not a nonzero real")
-        return 1 if (num > 0) == (den > 0) else -1
+        u = self.spinor(sigma)
+        (pa, na), (pb, nb) = self._gamma(i, u), self._gamma(j, u)
+        pt, nt = self.spinor(tau)
+        # w = rho(e_i - e_j) u_sigma and u_tau as balanced base-16 integers
+        lam, rest = divmod(pa - na - pb + nb, pt - nt)
+        if rest or not lam or not -2 <= lam <= 2:
+            raise Unsatisfiable("Pin lift comparison failed; the ratio is not +-1 or +-2")
+        return 1 if lam > 0 else -1
 
 
 @dataclass

@@ -537,9 +537,9 @@ def reference_complex(g, s, spec, alexander2, cap=None):
     for (sigma, j), gr in grading.items():
         col = {}
         for info in g.rectangle_infos(sigma):
-            if any(info.x_vec[c] for c in forbidden):
+            if any(info.x_mask >> c & 1 for c in forbidden):
                 continue
-            key2 = (info.to_sigma, tuple(a - b for a, b in zip(j, info.o_vec)))
+            key2 = (info.to_sigma, tuple(v - (info.o_mask >> c & 1) for c, v in enumerate(j)))
             if key2 not in grading:
                 continue
             coeff = col.get(key2, 0) + s.of(info)

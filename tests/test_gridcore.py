@@ -13,11 +13,13 @@ from gridhom.gridcore import (
     EndpointMismatch,
     RectInfo,
     canonicalize,
+    inversions,
+    load_grid,
     parse_grid_json,
     parse_grid_text,
 )
 from gridhom.gridcomplex import alexander2_range
-from conftest import meets_boundary_condition, recurrence_cells
+from conftest import fixture_path, meets_boundary_condition, recurrence_cells
 
 
 def cell(d, c, r):
@@ -123,8 +125,8 @@ def reference_rect_infos(g, sigma):
                 ):
                     continue
                 rowset = set(rows)
-                o_vec = tuple(1 if c in cols and g.o_row[c] in rowset else 0 for c in range(n))
-                x_vec = tuple(1 if c in cols and g.x_row[c] in rowset else 0 for c in range(n))
+                o_mask = sum(1 << c for c in cols if g.o_row[c] in rowset)
+                x_mask = sum(1 << c for c in cols if g.x_row[c] in rowset)
                 tau = list(sigma)
                 tau[i], tau[j] = tau[j], tau[i]
                 infos.append(
@@ -137,8 +139,8 @@ def reference_rect_infos(g, sigma):
                         width=w,
                         row0=r0,
                         height=h,
-                        o_vec=o_vec,
-                        x_vec=x_vec,
+                        o_mask=o_mask,
+                        x_mask=x_mask,
                         meets_last_column=n - 1 in cols,
                         meets_top_row=n - 1 in rowset,
                         a_vec=tuple(int(n - 1 in cols and r in rowset) for r in range(n - 1)),
@@ -240,6 +242,29 @@ class TestRectangles:
         for sigma in itertools.permutations(range(g.n)):
             assert g.rectangle_infos(sigma) == reference_rect_infos(g, sigma)
 
+    @pytest.mark.parametrize("name", ["t25", "n8", "t27"])
+    def test_sweeps_match_reference_at_n7_to_9(self, name):
+        """Both sweeps against the candidate-by-candidate reference on
+        seeded generators of grids past the random ones' n <= 6: t25 (n=7),
+        a seeded n=8 grid and t27 (n=9)."""
+        rng = random.Random(30)
+        if name == "n8":
+            o = rng.sample(range(8), 8)
+            x = o[1:] + o[:1]  # a cyclic shift of the O rows: no shared cell
+            g = canonicalize(GridDiagram(8, tuple(o), tuple(x)))
+        else:
+            g = load_grid(fixture_path(f"{name}.grid"))
+        for _ in range(40):
+            sigma = tuple(rng.sample(range(g.n), g.n))
+            assert g.rectangle_infos(sigma) == reference_rect_infos(g, sigma), sigma
+            # into y: for each pair, the reference records of z = y (i j) with that pair
+            expected = []
+            for i, j in itertools.combinations(range(g.n), 2):
+                z = list(sigma)
+                z[i], z[j] = z[j], z[i]
+                expected += [info for info in reference_rect_infos(g, tuple(z)) if info.pair == (i, j)]
+            assert g.rectangle_infos_into(sigma) == expected, sigma
+
     def test_unknot_counts(self, unknot2):
         counts = {s: len(unknot2.rectangle_infos(s)) for s in [(0, 1), (1, 0)]}
         # the rectangle through the forbidden corner is excluded
@@ -296,6 +321,11 @@ def assert_into_matches_transposed_records(g):
 
 
 class TestGradings:
+    @pytest.mark.parametrize("n", range(7))
+    def test_inversions_count_pairs(self, n):
+        for sigma in itertools.permutations(range(n)):
+            assert inversions(sigma) == sum(sigma[a] > sigma[b] for a, b in itertools.combinations(range(n), 2))
+
     def test_maslov_unknot_values(self, unknot2):
         # the generator with both coordinates next to the O markings
         assert unknot2.generator((1, 0)).maslov == 0
@@ -356,7 +386,7 @@ class TestGradings:
     def test_empty_rectangle_preserves_alexander(self, unknot3):
         for x in unknot3.generators():
             for info in unknot3.rectangle_infos(x.sigma):
-                if any(info.x_vec) or any(info.o_vec):
+                if info.x_mask or info.o_mask:
                     continue
                 y = unknot3.generator(info.to_sigma)
                 assert x.alexander2 == y.alexander2

@@ -9,6 +9,7 @@ from gridhom.signs import (
     SHAPE_CLASSES,
     AxiomReport,
     GaugeTwist,
+    Unsatisfiable,
     _gammas,
     _Spinors,
     build_sign_assignment,
@@ -145,17 +146,62 @@ def unscaled_edge_signs(n, sigmas):
     return out
 
 
-def test_scaled_spinor_signs_at_n7():
-    # the Clifford oracle stops at n = 6; here the scaled, shared table of
-    # _Spinors must give the signs of the unscaled walk on a seeded sample
-    n, rng = 7, random.Random(7)
-    sigmas = {tuple(rng.sample(range(n), n)) for _ in range(2000)}
+def decoded(u, size):
+    """The entries of a spinor ``(P, N)`` of ``_Spinors``: coordinate t is
+    the 4-bit digit t of P less that of N."""
+    p, q = u
+    assert not (p | q) >> 4 * size
+    return tuple((p >> 4 * t & 15) - (q >> 4 * t & 15) for t in range(size))
+
+
+def assert_scaled_signs(n, count):
+    """The scaled, shared table of ``_Spinors`` gives the signs of the
+    unscaled walk on ``count`` seeded permutations, and every entry of the
+    table is in {0, +-1}."""
+    rng = random.Random(n)
+    sigmas = {tuple(rng.sample(range(n), n)) for _ in range(count)}
     spinors = _Spinors(n)
     for (sigma, i, j), sign in unscaled_edge_signs(n, sigmas).items():
         tau = list(sigma)
         tau[i], tau[j] = tau[j], tau[i]
         assert spinors.edge_sign(sigma, tuple(tau), i, j) == sign, (sigma, i, j)
-    assert all(set(u) <= {-1, 0, 1} for u in spinors._table.values())
+    size = 2 << n // 2
+    assert all(set(decoded(u, size)) <= {-1, 0, 1} and not u[0] & u[1] for u in spinors._table.values())
+
+
+def test_scaled_spinor_signs_at_n7():
+    # the Clifford oracle stops at n = 6
+    assert_scaled_signs(7, 2000)
+
+
+@pytest.mark.parametrize("n,count", [(8, 100), (9, 50)])
+def test_scaled_spinor_signs_at_n8_and_n9(n, count):
+    assert_scaled_signs(n, count)
+
+
+def test_flipped_gamma_sign_raises():
+    """A sign flipped on one coordinate of one gamma breaks rho; walking
+    every spinor and edge at n = 4 then raises ``Unsatisfiable`` for each of
+    the 32 flips, and each of the three checks (a
+    vanished spinor, a scaled entry outside {0, +-1}, a ratio other than +-1
+    or +-2) fires for some flip."""
+    n, seen = 4, set()
+    for k, t in itertools.product(range(n), range(2 << n // 2)):
+        spinors = _Spinors(n)
+        swaps, negate = spinors._gammas[k]
+        spinors._gammas[k] = (swaps, negate ^ 1 << 4 * t)
+        with pytest.raises(Unsatisfiable) as err:
+            for sigma in itertools.permutations(range(n)):
+                for i, j in itertools.permutations(range(n), 2):
+                    tau = list(sigma)
+                    tau[i], tau[j] = tau[j], tau[i]
+                    spinors.edge_sign(sigma, tuple(tau), i, j)
+        seen.add(str(err.value).split(";")[0])
+    assert seen == {
+        "a spinor vanished",
+        "a scaled spinor has an entry outside {0, +-1}",
+        "Pin lift comparison failed",
+    }
 
 
 @pytest.mark.parametrize("name", ["unknot2", "trefoil5", "hopf4"])
