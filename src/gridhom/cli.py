@@ -226,12 +226,13 @@ def cmd_poset_verify(args) -> int:
     bound = args.bound
     interval_failures = 0
     checks = 0
+    identity = g.generator(tuple(range(g.n)))
     for y in gens:
         for a in itertools.product(range(bound + 1), repeat=g.n - 1):
             for b in itertools.product(range(bound + 1), repeat=g.n - 1):
                 m = domainposet.g_minimum(g, a, b, y)
                 G = domainposet.g_set(g, a, b, y)
-                I = domainposet.interval(g, m, g.generator(tuple(range(g.n))))
+                I = domainposet.interval(g, m, identity)
                 checks += 1
                 if G != I:
                     interval_failures += 1
@@ -303,7 +304,9 @@ def cmd_strata(args) -> int:
     g = _load(args.grid)
     s = build_sign_assignment(g)
     if args.seed is None:
-        row_j = next(j for j in range(g.n) if g.o_row[j] != g.n - 1)
+        row_j = next((j for j in range(g.n) if g.o_row[j] != g.n - 1), None)
+        if row_j is None:
+            raise InputError("strata needs an O outside the top row for its default seed; pass --seed")
         args.seed = json.dumps({"domain": f"H{row_j}"})
     seed = _parse_seed(g, args.seed)
     descs = strata.enumerate_strata(s, seed.domain, seed.n_vec, seed.lambdas, args.max_codim)

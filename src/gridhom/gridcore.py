@@ -25,11 +25,8 @@ Alexander grading of each component is a sum of one table entry per column,
 so ``generators(lo, hi)`` walks only the permutations within its bounds.
 
 Empty rectangles are ``RectInfo`` records, found in O(n^2) per generator by
-one AND of row bit sets per candidate, and built afresh on every
-``rectangle_infos``/``rectangle_infos_into`` call: the diagram keeps their
-box data and a table of cyclic row arcs, not the records, so their memory
-lasts as long as the caller holds them.  A record's O and X markings are bit
-sets of columns.
+one sweep for both directions (``GridDiagram._sweep``) and built afresh on
+every call: the diagram keeps their box data, not the records.
 
 A domain from x to y is pinned by its ends and its data in the last column
 and the top row (``GridDomain``): with ``Q_z(c, r) = #{i > c : z_i > r}``,
@@ -349,63 +346,68 @@ class GridDiagram:
     # -- rectangles -----------------------------------------------------------
 
     @cached_property
-    def _arcs(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-        """``_arcs[a] = (up, down)`` with ``up[b]`` the bit set of the rows
+    def _arcs(self) -> tuple:
+        """``_arcs[into][a]``: ``(up, down)`` leaving (``into`` false) and
+        ``(down, up)`` entering, with ``up[b]`` the bit set of the rows
         ``a, a+1, ..., b-1`` mod n, the rows of a rectangle from row a up to
         row b (empty for a == b), and ``down[b]`` those from row b up to a."""
         n = self.n
         arcs = [[sum(1 << (a + k) % n for k in range((b - a) % n)) for b in range(n)] for a in range(n)]
-        return tuple((tuple(arcs[a]), tuple(arc[a] for arc in arcs)) for a in range(n))
-
-    def _row_prefix(self, sigma: Perm) -> list[int]:
-        """``prefix[k]``: the bit set of the rows of the points of x^sigma in
-        the columns before k, so ``prefix[j] ^ prefix[i + 1]`` holds the rows
-        of the points strictly between columns i and j."""
-        prefix = [0]
-        for v in sigma:
-            prefix.append(prefix[-1] | 1 << v)
-        return prefix
+        ups, downs = [tuple(arc) for arc in arcs], [tuple(arc[a] for arc in arcs) for a in range(n)]
+        return tuple(zip(ups, downs)), tuple(zip(downs, ups))
 
     def rectangle_infos(self, sigma: Perm) -> list["RectInfo"]:
-        """The empty rectangles leaving x^sigma that avoid the top-right cell,
-        as fresh records: for each column pair i < j, the one with its
-        bottom-left corner in column i (role 0), then the one with it in
-        column j (role 1).
+        """The empty rectangles leaving x^sigma that avoid the top-right cell (``_sweep``)."""
+        return self._sweep(sigma, False)
 
-        Emptiness is one AND of row bit sets (``_row_prefix``, ``_arcs``).
-        The role-0 rectangle spans the rows ``sigma[i]`` up to ``sigma[j]``
-        over the columns strictly between i and j, so it is empty iff no
-        point there has a row in that arc.  The role-1 rectangle spans the
-        rows ``sigma[j]`` up to ``sigma[i]`` over the columns outside
-        ``[i, j]``.  Only role 1 covers the last column, so only it can
-        cover the top-right cell: row n-1 joins the rows it must miss, with
-        the rows of the points outside and ``sigma[i]``, which lies outside
-        its arc.  The records share their box data (``_box``).
+    def rectangle_infos_into(self, y_sigma: Perm) -> list["RectInfo"]:
+        """The empty rectangles entering x^y_sigma that avoid the top-right cell (``_sweep``)."""
+        return self._sweep(y_sigma, True)
+
+    def _sweep(self, p: Perm, into: bool) -> list["RectInfo"]:
+        """The empty rectangles leaving x^p (entering it if ``into``) that
+        avoid the top-right cell, as fresh records sharing their box data
+        (``_box``): for each column pair i < j, the one with its bottom-left
+        corner in column i (role 0), then the one with it in column j.
+
+        The records into p with pair (i, j) are those leaving q, p with
+        columns i and j swapped, and q agrees with p off them: one sweep
+        serves both, with corner rows ``(a, b) = (p[i], p[j])`` leaving and
+        ``(p[j], p[i])`` entering.  Emptiness is one AND of row bit sets,
+        ``prefix[k]`` holding the rows of the points in the columns before k
+        and ``_arcs[into]`` the rows of each arc.  Role 0 spans the rows a up
+        to b over the columns strictly between i and j, so it is empty iff no
+        point there has a row in that arc.  Role 1 spans the rows b up to a
+        over the columns outside ``[i, j]``, likewise, their points' rows
+        being ``prefix[i]`` and ``rows ^ prefix[j + 1]``.  Only role 1 covers
+        the last column, so only it can cover the top-right cell: row n-1
+        joins the rows it must miss.
         """
         self._require_canonical()
-        sigma = tuple(sigma)
+        p = tuple(p)
         n, boxes, new = self.n, self._box_cache, tuple.__new__  # new(RectInfo, fields) skips its Python-level __new__
-        arcs, prefix = self._arcs, self._row_prefix(sigma)
-        rows, top = prefix[n], 1 << (n - 1)
-        infos = []
+        arcs, top, prefix = self._arcs[into], 1 << (n - 1), [0]
+        for v in p:
+            prefix.append(prefix[-1] | 1 << v)
+        rows, infos = prefix[n], []
         for i in range(n - 1):
-            si = sigma[i]
-            (up, down), low = arcs[si], prefix[i + 1]
+            si = p[i]
+            (arc0, arc1), low, outer = arcs[si], prefix[i + 1], prefix[i] | top
             for j in range(i + 1, n):
-                sj = sigma[j]
-                between = prefix[j] ^ low
-                role0 = not between & up[sj]
-                role1 = not (rows ^ between ^ 1 << sj | top) & down[sj]
+                sj = p[j]
+                role0 = not (prefix[j] ^ low) & arc0[sj]
+                role1 = not (outer | rows ^ prefix[j + 1]) & arc1[sj]
                 if role0 or role1:
                     pair = (i, j)
-                    tau = sigma[:i] + (sj,) + sigma[i + 1 : j] + (si,) + sigma[j + 1 :]
-                    h = (sj - si) % n
+                    q = p[:i] + (sj,) + p[i + 1 : j] + (si,) + p[j + 1 :]
+                    x, y, a, b = (q, p, sj, si) if into else (p, q, si, sj)
+                    h = (b - a) % n
                     if role0:
-                        shape = (i, j - i, si, h)
-                        infos.append(new(RectInfo, (sigma, tau, pair, 0) + (boxes.get(shape) or self._box(shape))))
+                        shape = (i, j - i, a, h)
+                        infos.append(new(RectInfo, (x, y, pair, 0) + (boxes.get(shape) or self._box(shape))))
                     if role1:
-                        shape = (j, n - (j - i), sj, n - h)
-                        infos.append(new(RectInfo, (sigma, tau, pair, 1) + (boxes.get(shape) or self._box(shape))))
+                        shape = (j, n - (j - i), b, n - h)
+                        infos.append(new(RectInfo, (x, y, pair, 1) + (boxes.get(shape) or self._box(shape))))
         return infos
 
     def _box(self, shape: tuple[int, int, int, int]) -> tuple:
@@ -432,44 +434,6 @@ class GridDiagram:
         for info in self.rectangle_infos(x.sigma):
             out.append((info.domain(self), self.generator(info.to_sigma)))
         return out
-
-    def rectangle_infos_into(self, y_sigma: Perm) -> list["RectInfo"]:
-        """All rectangles in R(z, y), over all z, as fresh records: for each
-        column pair i < j, the records of ``rectangle_infos(z)`` with that
-        pair, z being y with columns i and j swapped, in the same order.
-
-        This is the sweep of ``rectangle_infos`` with the arcs reversed: the
-        role-0 rectangle of z spans the rows ``y[j]`` up to ``y[i]`` over the
-        columns strictly between i and j, and the role-1 rectangle the rows
-        ``y[i]`` up to ``y[j]`` over the columns outside ``[i, j]``, which
-        must also miss row n-1.
-        """
-        self._require_canonical()
-        y = tuple(y_sigma)
-        n, boxes, new = self.n, self._box_cache, tuple.__new__  # new(RectInfo, fields) skips its Python-level __new__
-        arcs, prefix = self._arcs, self._row_prefix(y)
-        top = 1 << (n - 1)
-        infos = []
-        for i in range(n - 1):
-            si = y[i]
-            (up, down), low = arcs[si], prefix[i + 1]
-            others = prefix[n] ^ 1 << si
-            for j in range(i + 1, n):
-                sj = y[j]
-                between = prefix[j] ^ low
-                role0 = not between & down[sj]
-                role1 = not (others ^ between | top) & up[sj]
-                if role0 or role1:
-                    pair = (i, j)
-                    z = y[:i] + (sj,) + y[i + 1 : j] + (si,) + y[j + 1 :]
-                    h = (sj - si) % n
-                    if role0:
-                        shape = (i, j - i, sj, n - h)
-                        infos.append(new(RectInfo, (z, y, pair, 0) + (boxes.get(shape) or self._box(shape))))
-                    if role1:
-                        shape = (j, n - (j - i), si, h)
-                        infos.append(new(RectInfo, (z, y, pair, 1) + (boxes.get(shape) or self._box(shape))))
-        return infos
 
     def rectangles_into(self, y: Generator) -> list[tuple["GridDomain", Generator]]:
         """All rectangles in R(z, y), over all z."""
@@ -569,18 +533,14 @@ class GridDiagram:
 
 
 class RectInfo(NamedTuple):
-    """A rectangle leaving a fixed generator, in compact form.
+    """An empty rectangle from ``from_sigma`` to ``to_sigma``, in compact form.
 
     ``pair = (i, j)`` are the two columns carrying the moving coordinates and
     ``role`` selects which of them is the bottom-left corner (0: column i).
-    The cells covered are ``col0..col0+width-1 x row0..row0+height-1`` mod n.
-    A tuple record, built afresh by every ``rectangle_infos`` and
-    ``rectangle_infos_into`` call and kept by no cache of the diagram;
-    records of one box share its data.  An empty rectangle covers each
-    column's O and X at most once, so its markings are bit sets of columns
-    (``o_mask``, ``x_mask``).  ``a_vec``/``b_vec`` are the rectangle's data as
-    a ``GridDomain`` stores it, so ``domain`` passes them on and paints no
-    cell.
+    The cells covered are ``col0..col0+width-1 x row0..row0+height-1`` mod n;
+    records of one box share its data (``GridDiagram._box``).
+    ``a_vec``/``b_vec`` are the rectangle's data as a ``GridDomain`` stores
+    it, so ``domain`` passes them on and paints no cell.
     """
 
     from_sigma: Perm

@@ -228,6 +228,35 @@ def test_bad_input_exits_2(argv, capsys):
     assert "maslov_cap" not in err, err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate"],
+        ["generators"],
+        ["homology", "--flavor", "hat"],
+        ["homology", "--flavor", "tilde"],
+        ["homology", "--flavor", "plus"],
+        ["homology", "--flavor", "plus-prime", "--cap", "2"],
+        ["u-map", "--alexander", "0"],
+        ["signs-verify"],
+        ["poset-verify"],
+        ["cdp-verify", "--grid"],
+        ["strata"],
+        ["spectrum"],
+    ],
+)
+def test_one_by_one_grid_exits_0_or_2(argv, tmp_path, capsys):
+    """Every subcommand either handles the 1x1 grid or refuses it with one
+    ``error:`` line; none lets an exception escape."""
+    grid = tmp_path / "one.grid"
+    grid.write_text("n=1\nX: 1\nO: 1\n")
+    code = main([*argv, str(grid)])
+    err = capsys.readouterr().err
+    assert code in (0, 2), code
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 class TestCapWindow:
     """A capped result reports only the gradings k <= cap - 2, where the
     truncation is exact, and says so in ``exact_below``."""
