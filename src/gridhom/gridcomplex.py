@@ -27,7 +27,9 @@ rectangle, and cancelling one of its constant +-1 entries cancels every pair
 of cells that entry gives in every slice at once, and commutes with every U
 map.  So ``build_complex`` Morse-reduces the generator complex of a slice
 over Z[U] (``generator_complex``, ``homalg.UPoly``) and writes out only the
-survivors' cells: a reduction of the slice, with its U maps.
+survivors' cells: a reduction of the slice, with its U maps.  Survivors with
+equal gaps share one table of their cells' j, and an arrow's target j is one
+subtraction of packed integers (``GeneratorComplex.expand``).
 
 A window of slices shares one build.  U_m maps the cells with j_m >= k of a
 slice one to one onto the slice k steps lower on m's component, so the slice
@@ -55,7 +57,6 @@ import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from operator import sub
 
 from gridhom import partitions as pt
 from gridhom.gridcore import GridDiagram, GridError
@@ -174,61 +175,77 @@ class GeneratorComplex:
     free_cols: list  # per component, the O columns whose U power may be non-zero
     pinned: dict  # sliced component -> doubled Alexander grading
     maslov_cap: int | None
-    width: int  # bits per column of a packed exponent
+    width: int  # bits per column of an exponent in ``complex``; j is packed wider if it must be
 
     def expand(self, cx: IntegerChainComplex) -> IntegerChainComplex:
         """The slice of ``cx``, which is ``complex`` or a reduction of it.
 
         Each key sigma of ``cx`` gives the cells (sigma, j) of the slice,
-        in its order.  A cell (sigma, j) has an arrow c to (tau, j - e) for
-        each monomial c U^e of ``cx.diff[sigma][tau]``, tested on bit masks
-        (no O where j is zero) and looked up.  Every diff entry stores the
-        key object that ``grading`` holds for its cell, so all columns that
-        mention a cell share one key."""
-        n = self.g.n
+        in its order.  They depend only on sigma's gaps and, under a cap, on
+        the budget its grading leaves, so each distinct table of ``(j,
+        sum(j), packed j)`` is built once per call and shared.  A packed j
+        has a field per column, wide enough for the slice's largest entry,
+        and a guard bit above each.  A cell (sigma, j) has an arrow c to
+        (tau, j - e) for each monomial c U^e of ``cx.diff[sigma][tau]``
+        with j - e >= 0.  With e re-packed into the same fields, J - E is
+        then the packed j - e, and otherwise it sets a guard bit, which no
+        packed j has, so one look-up finds the target or misses.  Every diff
+        entry stores the key object that ``grading`` holds for its cell, so
+        all columns that mention a cell share one key."""
+        n, width = self.g.n, self.width
         cap, free_cols, pinned = self.maslov_cap, self.free_cols, self.pinned
-        # weak compositions of (total, parts), listed once for all generators
-        compositions = functools.cache(lambda total, parts: list(pt.weak_compositions(total, parts)))
+        free = len(pinned) < len(free_cols)
 
-        grading: dict = {}
+        # (sigma, maslov, table key) per survivor with a cell; the key holds
+        # the gaps, and with a free component the budget the gaps leave
+        rows = []
+        top = 0  # no j entry of the slice exceeds it
         for sigma in cx.grading:
             x = self.g.generator(sigma)
-            if cap is not None and x.maslov > cap:
-                continue
-            budget = None if cap is None else (cap - x.maslov) // 2
-            per_comp: list[list[tuple[int, ...]]] = []
+            gaps = tuple((pinned[k] - x.alexander2[k]) // 2 if k in pinned else 0 for k in range(len(free_cols)))
+            spare = None if cap is None else (cap - x.maslov) // 2 - sum(gaps)
+            if spare is not None and spare < 0:
+                continue  # above the cap, or an over-budget gap: no cell
+            if not free:
+                spare = None  # every cell spends exactly the gaps
+            rows.append((sigma, x.maslov, (gaps, spare)))
+            top = max(top, spare or 0, *gaps)
+        step = max(width, top.bit_length()) + 1  # a field and its guard bit
+
+        @functools.cache
+        def table(gaps, spare):
+            per_comp = []
             for k, cols in enumerate(free_cols):
-                if k not in pinned:
-                    # unconstrained component: bounded only by the Maslov cap
-                    options = []
-                    for total in range(budget + 1):
-                        options.extend(compositions(total, len(cols)))
-                    per_comp.append(options)
-                    continue
-                # an over-budget gap leaves no option, so no cell
-                gap = (pinned[k] - x.alexander2[k]) // 2
-                per_comp.append(compositions(gap, len(cols)) if budget is None or gap <= budget else [])
+                if k in pinned:
+                    per_comp.append(list(pt.weak_compositions(gaps[k], len(cols))))
+                else:  # a free component, bounded only by the Maslov cap
+                    per_comp.append([p for total in range(spare + 1) for p in pt.weak_compositions(total, len(cols))])
+            budget = None if spare is None else sum(gaps) + spare
+            out = []
             for choice in itertools.product(*per_comp):
                 j = [0] * n
                 for cols, part in zip(free_cols, choice):
                     for c, v in zip(cols, part):
                         j[c] = v
-                gr = x.maslov + 2 * sum(j)
-                if cap is None or gr <= cap:
-                    grading[(sigma, tuple(j))] = gr
+                total = sum(j)
+                if budget is None or total <= budget:
+                    out.append((tuple(j), total, sum(v << step * c for c, v in enumerate(j))))
+            return out
 
-        # cells[sigma][j] is the key the grading holds for the cell (sigma, j);
+        # cells[sigma][J] is the key the grading holds for the cell (sigma, j);
         # diff columns store these keys, so each cell has one key object.  The
         # grading lists each generator's cells together, so walking cells keeps
         # its order, which the Morse reduction's tie-breaks depend on.
+        grading: dict = {}
         cells: dict = {}
-        for key in grading:
-            cells.setdefault(key[0], {})[key[1]] = key
+        for sigma, maslov, tkey in rows:
+            by_j = cells[sigma] = {}
+            for j, total, packed in table(*tkey):
+                key = by_j[packed] = (sigma, j)
+                grading[key] = maslov + 2 * total
 
-        width = self.width
         field = (1 << width) - 1
-        monomials: dict = {}  # packed exponent -> (o_vec or None, its bit mask)
-        zero_cols: dict = {}  # j -> bit mask of the columns c with j[c] == 0
+        repacked: dict = {}  # packed exponent -> the same exponent in j's fields
         diff: dict = {}
         for sigma, by_j in cells.items():
             # the monomials leaving sigma towards a generator with cells
@@ -238,28 +255,14 @@ class GeneratorComplex:
                 if targets is None:
                     continue
                 for e, coeff in entry.items() if isinstance(entry, UPoly) else ((0, entry),):
-                    mono = monomials.get(e)
-                    if mono is None:
-                        o_vec = tuple(e >> (width * c) & field for c in range(n)) if e else None
-                        o_mask = sum(1 << c for c, v in enumerate(o_vec) if v) if e else 0
-                        mono = monomials[e] = (o_vec, o_mask)
-                    arrows.append((targets, *mono, coeff))
-            for j, key in by_j.items():
-                zeros = zero_cols.get(j)
-                if zeros is None:
-                    zeros = zero_cols[j] = sum(1 << c for c, v in enumerate(j) if not v)
-                col: dict = {}
-                for targets, o_vec, o_mask, coeff in arrows:
-                    if o_mask & zeros:
-                        continue  # an O where j has no U power: the target key would go negative
-                    key2 = targets.get(j if o_vec is None else tuple(map(sub, j, o_vec)))
-                    if key2 is None:
-                        continue
-                    coeff = col.get(key2, 0) + coeff
-                    if coeff:
-                        col[key2] = coeff
-                    else:
-                        del col[key2]
+                    o = repacked.get(e)
+                    if o is None:
+                        o = repacked[e] = sum((e >> width * c & field) << step * c for c in range(n))
+                    arrows.append((targets, o, coeff))
+            # distinct arrows reach distinct cells, so no two entries of a
+            # column meet
+            for packed, key in by_j.items():
+                col = {t: coeff for targets, o, coeff in arrows if (t := targets.get(packed - o)) is not None}
                 if col:
                     diff[key] = col
         return IntegerChainComplex(grading, diff)

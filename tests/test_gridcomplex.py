@@ -624,6 +624,9 @@ class TestBuildReference:
         for cap in (2, 4, 6, 8):
             for a2 in (-2, 0, 2, 4):
                 assert_same_build(hopf4, signs_hopf, spec, (a2,), cap)
+        # the free component's j reaches 35 here, past the 5 bits of an
+        # exponent's field at n = 4
+        assert_same_build(hopf4, signs_hopf, spec, (2,), 70)
 
     def test_t25_hat(self, t25, signs7):
         spec = FlavorSpec.make(t25, "hat")
