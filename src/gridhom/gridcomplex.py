@@ -143,7 +143,9 @@ def build_complex(
     generator.  ``reduce_complex`` cancels its unit entries, the ints +-1;
     each such cancellation cancels, at once, every pair of cells it gives
     in the slice, and commutes with every U map.  ``GeneratorComplex.expand``
-    then writes the slice of the few survivors out, cell by cell.  So the
+    then writes the slice of the few survivors out, cell by cell; it reads
+    nothing else, so the unreduced generator complex is released before the
+    write-out.  So the
     result is a reduction of the slice, with the slice's homology, and
     U_m still maps its cells with j_m >= k one to one onto the same
     reduction of the slice k steps lower (``slice_tower``).  Under a cap a
@@ -151,8 +153,8 @@ def build_complex(
     with its partner above, which changes homology only at the cap.
     """
     gens = generator_complex(g, s, spec, alexander2, maslov_cap)
-    (reduced,) = reduce_complex(gens.complex)
-    return gens.expand(reduced)
+    (gens.complex,) = reduce_complex(gens.complex)
+    return gens.expand(gens.complex)
 
 
 @dataclass
@@ -168,7 +170,9 @@ class GeneratorComplex:
     ``UPoly`` whose exponents pack o(r) in ``width`` bits per column.  The
     generators of every Alexander grading above the slice span a
     subcomplex (a rectangle only raises a pinned component's grading), so
-    this is the quotient by it, and a complex."""
+    this is the quotient by it, and a complex.  ``build_complex`` replaces
+    ``complex`` with its reduction, so only the survivors stay alive while
+    ``expand`` writes the slice."""
 
     g: GridDiagram
     complex: IntegerChainComplex

@@ -27,9 +27,10 @@ the hashes of its keys.
 The reduction tracks no homotopy equivalence.  Chain maps are pushed down
 to homology through a filtration instead: a complex may carry a ``level``
 that the differential never raises, and its reduction then cancels only
-pairs of cells on one level, so it also reduces every quotient
-{level >= L}, and the projection between two such quotients of the reduced
-complex is the map they induce (see ``reduce_complex``).
+pairs of cells on one level (a unit entry joining two levels is never
+queued), so it also reduces every quotient {level >= L}, and the projection
+between two such quotients of the reduced complex is the map they induce
+(see ``reduce_complex``).
 """
 
 from __future__ import annotations
@@ -197,10 +198,11 @@ def reduce_complex(cx: IntegerChainComplex) -> tuple[IntegerChainComplex]:
     homotopy equivalent to ``cx``.
 
     The cells are numbered in ``cx.grading`` order and the reduction runs on
-    those numbers.  Each row is a list of the columns that met it, in the
-    order they met it; a column leaves the row when its entry there cancels
-    to zero, but not when the column itself is cancelled, so a row still
-    counts the columns that died after meeting it.  A unit entry
+    those numbers; the key -> number index is freed once the columns are
+    read.  Each row is a list of the columns that met it, in the order they
+    met it; a column leaves the row when its entry there cancels to zero,
+    but not when the column itself is cancelled, so a row still counts the
+    columns that died after meeting it.  A unit entry
     ``d(b) = u*a + ...`` is queued when its column is read and whenever an
     update leaves it a unit, with the Markowitz priority
     |column of b| * |row of a| at that moment.  The least priority leaves
@@ -211,10 +213,11 @@ def reduce_complex(cx: IntegerChainComplex) -> tuple[IntegerChainComplex]:
 
     On a complex with a ``level``, an entry that raises the level raises
     ``NotAComplex``, and a unit entry whose two cells lie on different
-    levels is dropped when it leaves the queue, so only pairs on one level
-    cancel, in Markowitz order.  Each update then adds the column of a cell
-    on the pivot's level to a column on that level or above, so the reduced
-    complex is filtered by the same level, which it carries.  The
+    levels is never queued (levels never change, so it could never
+    cancel), so only pairs on one level cancel, in Markowitz order.  Each
+    update then adds the column of a cell on the pivot's level to a column
+    on that level or above, so the reduced complex is filtered by the same
+    level, which it carries.  The
     cancellations on the levels >= L reduce the quotient {level >= L} on
     their own, so that quotient of the result is homotopy equivalent to
     that quotient of ``cx``, and each level of the result to that level of
@@ -238,6 +241,7 @@ def reduce_complex(cx: IntegerChainComplex) -> tuple[IntegerChainComplex]:
                     rows[r] = [c]
                 else:
                     rows[r].append(c)
+    del index
     lev = None  # cell -> its level, on a filtered complex
     if cx.level is not None:
         lev = [cx.level(k) for k in keys]
@@ -246,13 +250,14 @@ def reduce_complex(cx: IntegerChainComplex) -> tuple[IntegerChainComplex]:
             for r in cols[c]:
                 if lev[r] > lc:
                     raise NotAComplex(f"the differential raises the level at {keys[c]!r}")
-    # the queue: priority -> deque of unit entries as flat column, row pairs,
-    # and a heap of the priorities that have a deque
+    # the queue: priority -> deque of the unit entries that join two cells on
+    # one level, as flat column, row pairs, and a heap of the priorities that
+    # have a deque
     buckets: dict = {}
     for c in read:
         col = cols[c]
         for r, v in col.items():
-            if v == 1 or v == -1:
+            if (v == 1 or v == -1) and (lev is None or lev[r] == lev[c]):
                 p = len(col) * len(rows[r])
                 bucket = buckets.get(p)
                 if bucket is None:
@@ -275,7 +280,7 @@ def reduce_complex(cx: IntegerChainComplex) -> tuple[IntegerChainComplex]:
             continue
         db = cols[b]
         u = db.get(a, 0)
-        if u != 1 and u != -1 or lev is not None and lev[a] != lev[b]:
+        if u != 1 and u != -1:
             continue
         # cancel the pair (a, b): d(b) = u*a + rest; live columns meet live
         # rows only, so ``r in col`` exactly when ``c`` is in ``rows[r]``
@@ -291,7 +296,7 @@ def reduce_complex(cx: IntegerChainComplex) -> tuple[IntegerChainComplex]:
                     row = rows[r]
                     if old is None:
                         row.append(c)
-                    if w == 1 or w == -1:
+                    if (w == 1 or w == -1) and (lev is None or lev[r] == lev[c]):
                         p = len(col) * len(row)
                         bucket = buckets.get(p)
                         if bucket is None:

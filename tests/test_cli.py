@@ -294,13 +294,18 @@ class TestSpectrum:
 
 class TestGoldenFiles:
     def test_spectrum_matches_golden(self, capsys):
-        argv = ["--json", "spectrum", fixture_path("trefoil5.grid")]
-        for a2 in (2, 4, 6, 8):
-            argv += ["--alexander", str(a2)]
-        code, out = run(capsys, *argv)
-        assert code == 0
-        with open(fixture_path(os.path.join("expected", "trefoil5_spectrum.json"))) as fh:
-            assert out == fh.read()
+        # the 12..18 spectrum and the u-map at 2A = 8 read levelled towers,
+        # so a change in their cancellation order shows here byte for byte
+        trefoil = fixture_path("trefoil5.grid")
+        for golden, argv in (
+            ("trefoil5_spectrum.json", ["spectrum", trefoil] + [f"--alexander={a2}" for a2 in (2, 4, 6, 8)]),
+            ("trefoil5_spectrum_12_18.json", ["spectrum", trefoil] + [f"--alexander={a2}" for a2 in (12, 14, 16, 18)]),
+            ("trefoil5_u_map_8.json", ["u-map", trefoil, "--alexander", "8"]),
+        ):
+            code, out = run(capsys, "--json", *argv)
+            assert code == 0
+            with open(fixture_path(os.path.join("expected", golden))) as fh:
+                assert out == fh.read(), golden
 
 
     @pytest.mark.parametrize("name,flavors", [

@@ -3,8 +3,8 @@
 Its cancellation order depends only on the insertion order of the complex:
 relabelling the cells by an order-preserving bijection, to ints or to
 objects with another hash, gives the same reduced complex once mapped
-back.  On the trefoil slice the reference reduction's ``iota`` and ``pi``
-are also checked to be chain homotopy data.
+back, with or without a level.  On the trefoil slice the reference
+reduction's ``iota`` and ``pi`` are also checked to be chain homotopy data.
 """
 
 import pytest
@@ -32,10 +32,14 @@ class Label:
 
 def relabel(cx, new):
     """``cx`` with every key ``k`` replaced by ``new[k]``, keeping every
-    insertion order (cells, columns and the entries of each column)."""
+    insertion order (cells, columns and the entries of each column) and
+    the level of each cell."""
+    old = {v: k for k, v in new.items()}
+    level = None if cx.level is None else lambda key: cx.level(old[key])
     return IntegerChainComplex(
         {new[k]: g for k, g in cx.grading.items()},
         {new[k]: {new[r]: v for r, v in col.items()} for k, col in cx.diff.items()},
+        level,
     )
 
 
@@ -63,7 +67,16 @@ def t25_hat_2(t25, signs7):
     return build_complex(t25, signs7, FlavorSpec.make(t25, "hat"), (2,))
 
 
-@pytest.mark.parametrize("slice_name", ["trefoil_plus_8", "t25_hat_2"])
+@pytest.fixture(scope="module")
+def trefoil_plus_10_levelled(trefoil5, signs5):
+    """The plus slice 2A = 10 with the level j_0, as ``slice_tower`` reduces
+    it; some of its unit entries join two levels, so they never cancel."""
+    cx = build_complex(trefoil5, signs5, FlavorSpec.make(trefoil5, "plus"), (10,))
+    assert any(v in (1, -1) and r[1][0] != k[1][0] for k, col in cx.diff.items() for r, v in col.items())
+    return IntegerChainComplex(cx.grading, cx.diff, lambda key: key[1][0])
+
+
+@pytest.mark.parametrize("slice_name", ["trefoil_plus_8", "t25_hat_2", "trefoil_plus_10_levelled"])
 def test_order_does_not_depend_on_hashes(slice_name, request):
     cx = request.getfixturevalue(slice_name)
     same = {k: k for k in cx.grading}
