@@ -28,7 +28,6 @@ from gridhom.gridcore import GridDiagram, GridError, canonicalize, load_grid
 from gridhom.gridcomplex import (
     FlavorSpec,
     ReducedSlice,
-    alexander2_range,
     build_complex,
     exact_below,
     lowest_cell_grading,
@@ -131,7 +130,7 @@ def _alexander_values(args, g: GridDiagram, spec: FlavorSpec) -> list[tuple[int,
         return [_parse_slice(text, g, len(spec.sliced)) for text in args.alexander]
     if g.num_components > 1:
         raise InputError("links need explicit --alexander slices")
-    return [(a2,) for a2 in alexander2_range(g)]
+    return [(a2,) for a2 in g.alexander2_range()]
 
 
 def cmd_homology(args) -> int:
@@ -165,8 +164,6 @@ def cmd_u_map(args) -> int:
     a2 = _parse_slice(args.alexander, g, g.num_components)
     s = build_sign_assignment(g)
     spec = FlavorSpec.make(g, "plus")
-    comp = g.component_of_o[args.marking]
-    target = tuple(v - 2 if k == comp else v for k, v in enumerate(a2))
     cap = args.cap
     top = exact_below(cap)
     if cap is not None and lowest_cell_grading(g, spec, a2) >= top:
@@ -174,8 +171,8 @@ def cmd_u_map(args) -> int:
     cx = build_complex(g, s, spec, a2, cap)
     # the target is the U_marking-quotient of the source, capped two lower
     tower = slice_tower(cx, args.marking)
-    src = ReducedSlice.from_tower(tower, spec, a2, args.marking, 0, cap)
-    dst = ReducedSlice.from_tower(tower, spec, target, args.marking, 1, None if cap is None else cap - 2)
+    src = ReducedSlice.from_tower(tower, spec, args.marking, 0, cap)
+    dst = ReducedSlice.from_tower(tower, spec, args.marking, 1, None if cap is None else cap - 2)
     res = u_map(src, dst, args.marking)
     gradings = sorted(res.matrices)
     obj = {

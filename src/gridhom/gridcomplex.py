@@ -29,7 +29,7 @@ map.  So ``build_complex`` Morse-reduces the generator complex of a slice
 over Z[U] (``generator_complex``, ``homalg.UPoly``) and writes out only the
 survivors' cells: a reduction of the slice, with its U maps.  Survivors with
 equal gaps share one table of their cells' j, and an arrow's target j is one
-subtraction of packed integers (``GeneratorComplex.expand``).
+subtraction of packed integers (``expand``).
 
 A window of slices shares one build.  U_m maps the cells with j_m >= k of a
 slice one to one onto the slice k steps lower on m's component, so the slice
@@ -104,14 +104,18 @@ class FlavorSpec:
         frozen = {"plus": (), "hat": tuple(first_o.values()), "tilde": every}[flavor]
         return FlavorSpec(flavor, frozen, every, tuple(range(g.num_components)))
 
+    def free_cols(self, g: GridDiagram) -> list[list[int]]:
+        """Per component of ``g``, its O columns whose U power may be
+        non-zero: those not in ``frozen``."""
+        comp_of_o = g.component_of_o
+        return [[c for c in range(g.n) if comp_of_o[c] == k and c not in self.frozen] for k in range(g.num_components)]
 
-def alexander2_range(g: GridDiagram) -> range:
-    """The doubled Alexander gradings of a knot's generators, ascending,
-    from the extremes of its grading table over all permutations; no
-    generator is walked."""
-    _, const = g._component_tables[0]
-    least, most = g._component_extremes[0]
-    return range(least[-1] + const, most[-1] + const + 1, 2)
+
+def exponent_width(g: GridDiagram) -> int:
+    """Bits per O column of a packed exponent in ``generator_complex``: an
+    exponent's total degree is at most half the Maslov span plus one,
+    below n * n, so its fields never carry."""
+    return (g.n * g.n).bit_length()
 
 
 def exact_below(maslov_cap: int | None) -> float:
@@ -138,145 +142,122 @@ def build_complex(
     without a cap this raises ``UnboundedSlice``.  A slice truncated at a
     cap has its homology exact below ``cap - 1``.
 
-    Three steps.  ``generator_complex`` builds the free complex over Z[U]
-    on the generators with cells in the slice, one entry per target
+    Three calls.  ``generator_complex`` builds the free complex over
+    Z[U] on the generators with cells in the slice, one entry per target
     generator.  ``reduce_complex`` cancels its unit entries, the ints +-1;
     each such cancellation cancels, at once, every pair of cells it gives
-    in the slice, and commutes with every U map.  ``GeneratorComplex.expand``
-    then writes the slice of the few survivors out, cell by cell; it reads
-    nothing else, so the unreduced generator complex is released before the
-    write-out.  So the
-    result is a reduction of the slice, with the slice's homology, and
-    U_m still maps its cells with j_m >= k one to one onto the same
-    reduction of the slice k steps lower (``slice_tower``).  Under a cap a
-    cancelled pair can straddle it; the cell at the cap is then dropped
-    with its partner above, which changes homology only at the cap.
+    in the slice, and commutes with every U map.  ``expand`` then writes
+    the slice of the few survivors out, cell by cell; it reads nothing
+    else, and nothing holds the unreduced generator complex once it is
+    reduced.  So the result is a reduction of the slice, with the slice's
+    homology, and U_m still maps its cells with j_m >= k one to one onto
+    the same reduction of the slice k steps lower (``slice_tower``).  Under
+    a cap a cancelled pair can straddle it; the cell at the cap is then
+    dropped with its partner above, which changes homology only at the cap.
     """
-    gens = generator_complex(g, s, spec, alexander2, maslov_cap)
-    (gens.complex,) = reduce_complex(gens.complex)
-    return gens.expand(gens.complex)
+    (cx,) = reduce_complex(generator_complex(g, s, spec, alexander2, maslov_cap))
+    return expand(g, spec, alexander2, maslov_cap, cx)
 
 
-@dataclass
-class GeneratorComplex:
-    """One slice's generators as a free complex over Z[U], and the slice
-    written out of it or out of its reduction.
+def expand(
+    g: GridDiagram, spec: FlavorSpec, alexander2, maslov_cap: int | None, cx: IntegerChainComplex
+) -> IntegerChainComplex:
+    """The slice ``alexander2``, truncated at ``maslov_cap``, of ``cx``,
+    which is ``generator_complex``'s complex of that slice or a reduction
+    of it.
 
-    ``complex`` has a key sigma, graded by M(x^sigma), for each generator
-    x^sigma with a cell in the slice before any Maslov cap, and
-    ``diff[sigma][tau]`` is the sum of s(r) U^o(r) over the rectangles r
-    from x^sigma to x^tau that the flavor keeps: no avoided X and no O in a
-    frozen column.  An entry without U powers is an int, any other a
-    ``UPoly`` whose exponents pack o(r) in ``width`` bits per column.  The
-    generators of every Alexander grading above the slice span a
-    subcomplex (a rectangle only raises a pinned component's grading), so
-    this is the quotient by it, and a complex.  ``build_complex`` replaces
-    ``complex`` with its reduction, so only the survivors stay alive while
-    ``expand`` writes the slice."""
+    Each key sigma of ``cx`` gives the cells (sigma, j) of the slice, in
+    its order.  They depend only on sigma's gaps and, under a cap, on the
+    budget its grading leaves, so each distinct table of ``(j, sum(j),
+    packed j)`` is built once per call and shared.  A packed j has a field
+    per column, wide enough for the slice's largest entry, and a guard bit
+    above each.  A cell (sigma, j) has an arrow c to (tau, j - e) for each
+    monomial c U^e of ``cx.diff[sigma][tau]`` with j - e >= 0.  With e
+    re-packed into the same fields, J - E is then the packed j - e, and
+    otherwise it sets a guard bit, which no packed j has, so one look-up
+    finds the target or misses.  Every diff entry stores the key object
+    that ``grading`` holds for its cell, so all columns that mention a cell
+    share one key."""
+    n, width = g.n, exponent_width(g)
+    free_cols, pinned = spec.free_cols(g), dict(zip(spec.sliced, alexander2))
+    free = len(pinned) < len(free_cols)
 
-    g: GridDiagram
-    complex: IntegerChainComplex
-    free_cols: list  # per component, the O columns whose U power may be non-zero
-    pinned: dict  # sliced component -> doubled Alexander grading
-    maslov_cap: int | None
-    width: int  # bits per column of an exponent in ``complex``; j is packed wider if it must be
+    # (sigma, maslov, table key) per survivor with a cell; the key holds
+    # the gaps, and with a free component the budget the gaps leave
+    rows = []
+    top = 0  # no j entry of the slice exceeds it
+    for sigma in cx.grading:
+        x = g.generator(sigma)
+        gaps = tuple((pinned[k] - x.alexander2[k]) // 2 if k in pinned else 0 for k in range(len(free_cols)))
+        spare = None if maslov_cap is None else (maslov_cap - x.maslov) // 2 - sum(gaps)
+        if spare is not None and spare < 0:
+            continue  # above the cap, or an over-budget gap: no cell
+        if not free:
+            spare = None  # every cell spends exactly the gaps
+        rows.append((sigma, x.maslov, (gaps, spare)))
+        top = max(top, spare or 0, *gaps)
+    step = max(width, top.bit_length()) + 1  # a field and its guard bit
 
-    def expand(self, cx: IntegerChainComplex) -> IntegerChainComplex:
-        """The slice of ``cx``, which is ``complex`` or a reduction of it.
+    @functools.cache
+    def table(gaps, spare):
+        per_comp = []
+        for k, cols in enumerate(free_cols):
+            if k in pinned:
+                per_comp.append(list(pt.weak_compositions(gaps[k], len(cols))))
+            else:  # a free component, bounded only by the Maslov cap
+                per_comp.append([p for total in range(spare + 1) for p in pt.weak_compositions(total, len(cols))])
+        budget = None if spare is None else sum(gaps) + spare
+        out = []
+        for choice in itertools.product(*per_comp):
+            j = [0] * n
+            for cols, part in zip(free_cols, choice):
+                for c, v in zip(cols, part):
+                    j[c] = v
+            total = sum(j)
+            if budget is None or total <= budget:
+                out.append((tuple(j), total, sum(v << step * c for c, v in enumerate(j))))
+        return out
 
-        Each key sigma of ``cx`` gives the cells (sigma, j) of the slice,
-        in its order.  They depend only on sigma's gaps and, under a cap, on
-        the budget its grading leaves, so each distinct table of ``(j,
-        sum(j), packed j)`` is built once per call and shared.  A packed j
-        has a field per column, wide enough for the slice's largest entry,
-        and a guard bit above each.  A cell (sigma, j) has an arrow c to
-        (tau, j - e) for each monomial c U^e of ``cx.diff[sigma][tau]``
-        with j - e >= 0.  With e re-packed into the same fields, J - E is
-        then the packed j - e, and otherwise it sets a guard bit, which no
-        packed j has, so one look-up finds the target or misses.  Every diff
-        entry stores the key object that ``grading`` holds for its cell, so
-        all columns that mention a cell share one key."""
-        n, width = self.g.n, self.width
-        cap, free_cols, pinned = self.maslov_cap, self.free_cols, self.pinned
-        free = len(pinned) < len(free_cols)
+    # cells[sigma][J] is the key the grading holds for the cell (sigma, j);
+    # diff columns store these keys, so each cell has one key object.  The
+    # grading lists each generator's cells together, so walking cells keeps
+    # its order, which the Morse reduction's tie-breaks depend on.
+    grading: dict = {}
+    cells: dict = {}
+    for sigma, maslov, tkey in rows:
+        by_j = cells[sigma] = {}
+        for j, total, packed in table(*tkey):
+            key = by_j[packed] = (sigma, j)
+            grading[key] = maslov + 2 * total
 
-        # (sigma, maslov, table key) per survivor with a cell; the key holds
-        # the gaps, and with a free component the budget the gaps leave
-        rows = []
-        top = 0  # no j entry of the slice exceeds it
-        for sigma in cx.grading:
-            x = self.g.generator(sigma)
-            gaps = tuple((pinned[k] - x.alexander2[k]) // 2 if k in pinned else 0 for k in range(len(free_cols)))
-            spare = None if cap is None else (cap - x.maslov) // 2 - sum(gaps)
-            if spare is not None and spare < 0:
-                continue  # above the cap, or an over-budget gap: no cell
-            if not free:
-                spare = None  # every cell spends exactly the gaps
-            rows.append((sigma, x.maslov, (gaps, spare)))
-            top = max(top, spare or 0, *gaps)
-        step = max(width, top.bit_length()) + 1  # a field and its guard bit
-
-        @functools.cache
-        def table(gaps, spare):
-            per_comp = []
-            for k, cols in enumerate(free_cols):
-                if k in pinned:
-                    per_comp.append(list(pt.weak_compositions(gaps[k], len(cols))))
-                else:  # a free component, bounded only by the Maslov cap
-                    per_comp.append([p for total in range(spare + 1) for p in pt.weak_compositions(total, len(cols))])
-            budget = None if spare is None else sum(gaps) + spare
-            out = []
-            for choice in itertools.product(*per_comp):
-                j = [0] * n
-                for cols, part in zip(free_cols, choice):
-                    for c, v in zip(cols, part):
-                        j[c] = v
-                total = sum(j)
-                if budget is None or total <= budget:
-                    out.append((tuple(j), total, sum(v << step * c for c, v in enumerate(j))))
-            return out
-
-        # cells[sigma][J] is the key the grading holds for the cell (sigma, j);
-        # diff columns store these keys, so each cell has one key object.  The
-        # grading lists each generator's cells together, so walking cells keeps
-        # its order, which the Morse reduction's tie-breaks depend on.
-        grading: dict = {}
-        cells: dict = {}
-        for sigma, maslov, tkey in rows:
-            by_j = cells[sigma] = {}
-            for j, total, packed in table(*tkey):
-                key = by_j[packed] = (sigma, j)
-                grading[key] = maslov + 2 * total
-
-        field = (1 << width) - 1
-        repacked: dict = {}  # packed exponent -> the same exponent in j's fields
-        diff: dict = {}
-        for sigma, by_j in cells.items():
-            # the monomials leaving sigma towards a generator with cells
-            arrows = []
-            for tau, entry in cx.diff.get(sigma, {}).items():
-                targets = cells.get(tau)
-                if targets is None:
-                    continue
-                for e, coeff in entry.items() if isinstance(entry, UPoly) else ((0, entry),):
-                    o = repacked.get(e)
-                    if o is None:
-                        o = repacked[e] = sum((e >> width * c & field) << step * c for c in range(n))
-                    arrows.append((targets, o, coeff))
-            # distinct arrows reach distinct cells, so no two entries of a
-            # column meet
-            for packed, key in by_j.items():
-                col = {t: coeff for targets, o, coeff in arrows if (t := targets.get(packed - o)) is not None}
-                if col:
-                    diff[key] = col
-        return IntegerChainComplex(grading, diff)
+    field = (1 << width) - 1
+    repacked: dict = {}  # packed exponent -> the same exponent in j's fields
+    diff: dict = {}
+    for sigma, by_j in cells.items():
+        # the monomials leaving sigma towards a generator with cells
+        arrows = []
+        for tau, entry in cx.diff.get(sigma, {}).items():
+            targets = cells.get(tau)
+            if targets is None:
+                continue
+            for e, coeff in entry.items() if isinstance(entry, UPoly) else ((0, entry),):
+                o = repacked.get(e)
+                if o is None:
+                    o = repacked[e] = sum((e >> width * c & field) << step * c for c in range(n))
+                arrows.append((targets, o, coeff))
+        # distinct arrows reach distinct cells, so no two entries of a
+        # column meet
+        for packed, key in by_j.items():
+            col = {t: coeff for targets, o, coeff in arrows if (t := targets.get(packed - o)) is not None}
+            if col:
+                diff[key] = col
+    return IntegerChainComplex(grading, diff)
 
 
-def _slice_generators(g: GridDiagram, spec: FlavorSpec, alexander2) -> tuple[dict, list, Iterator]:
-    """``(pinned, free_cols, generators)`` of a slice: sliced component ->
-    doubled Alexander grading; per component, the O columns whose U power
-    may be non-zero; and an iterator over the generators with a cell in the
-    slice before any Maslov cap, in the order of the slice walk.
+def _slice_generators(g: GridDiagram, spec: FlavorSpec, alexander2) -> tuple[dict, Iterator]:
+    """``(pinned, generators)`` of a slice: sliced component -> doubled
+    Alexander grading, and an iterator over the generators with a cell in
+    the slice before any Maslov cap, in the order of the slice walk.
 
     Only the slice's generators are walked and graded: each pinned
     component's grading is bounded by the slice from above (U powers only
@@ -286,21 +267,20 @@ def _slice_generators(g: GridDiagram, spec: FlavorSpec, alexander2) -> tuple[dic
     if len(alexander2) != len(spec.sliced):
         raise ValueError(f"a {spec.flavor} slice needs {len(spec.sliced)} entries, one per sliced component")
     pinned = dict(zip(spec.sliced, alexander2))
-    comp_of_o = g.component_of_o
-    free_cols = [[c for c in range(g.n) if comp_of_o[c] == k and c not in spec.frozen] for k in range(g.num_components)]
+    free_cols = spec.free_cols(g)
     lower = {k: v for k, v in pinned.items() if not free_cols[k]}
     # an odd gap leaves no cell
     generators = (
         x for x in g.generators(lower, pinned) if all((v - x.alexander2[k]) % 2 == 0 for k, v in pinned.items())
     )
-    return pinned, free_cols, generators
+    return pinned, generators
 
 
 def lowest_cell_grading(g: GridDiagram, spec: FlavorSpec, alexander2) -> float:
     """The least Maslov grading of a cell of the slice ``alexander2``
     (infinity if it has none), before any cap and before any reduction:
     a generator's least cell spends its gaps and nothing more."""
-    pinned, _, generators = _slice_generators(g, spec, alexander2)
+    pinned, generators = _slice_generators(g, spec, alexander2)
     return min(
         (x.maslov + sum(v - x.alexander2[k] for k, v in pinned.items()) for x in generators),
         default=math.inf,
@@ -313,10 +293,20 @@ def generator_complex(
     spec: FlavorSpec,
     alexander2,
     maslov_cap: int | None = None,
-) -> GeneratorComplex:
+) -> IntegerChainComplex:
     """The generator complex of the slice ``alexander2`` (see
-    ``build_complex`` for the slice and ``GeneratorComplex`` for the
-    complex); ``expand`` of its ``complex`` is the slice, unreduced.
+    ``build_complex``), a free complex over Z[U]; ``expand`` of it is the
+    slice, unreduced.
+
+    It has a key sigma, graded by M(x^sigma), for each generator x^sigma
+    with a cell in the slice before any Maslov cap, and ``diff[sigma][tau]``
+    is the sum of s(r) U^o(r) over the rectangles r from x^sigma to x^tau
+    that the flavor keeps: no avoided X and no O in a frozen column.  An
+    entry without U powers is an int, any other a ``UPoly`` whose exponents
+    pack o(r) in ``exponent_width`` bits per column.  The generators of
+    every Alexander grading above the slice span a subcomplex (a rectangle
+    only raises a pinned component's grading), so this is the quotient by
+    it, and a complex.
 
     The rectangles leaving each generator come from one fresh
     ``rectangle_infos`` call.  The flavor's avoided X and frozen O columns
@@ -326,12 +316,10 @@ def generator_complex(
     for its sign once; ``s`` itself stores no signs."""
     if maslov_cap is None and len(spec.sliced) < g.num_components:
         raise UnboundedSlice(f"{spec.flavor} slices of links are infinite; give a maslov_cap")
-    pinned, free_cols, generators = _slice_generators(g, spec, alexander2)
+    _, generators = _slice_generators(g, spec, alexander2)
     frozen = sum(1 << c for c in spec.frozen)
     avoid = sum(1 << c for c in spec.avoid)
-    # an exponent's total degree is at most half the Maslov span plus one,
-    # below n * n, so its fields never carry
-    width = (g.n * g.n).bit_length()
+    width = exponent_width(g)
 
     grading = {x.sigma: x.maslov for x in generators}
     # sigma -> the key ``grading`` holds for it; diff columns store these
@@ -366,7 +354,7 @@ def generator_complex(
                     del col[tau]
         if col:
             diff[sigma] = col
-    return GeneratorComplex(g, IntegerChainComplex(grading, diff), free_cols, pinned, maslov_cap, width)
+    return IntegerChainComplex(grading, diff)
 
 
 def slice_tower(cx: IntegerChainComplex, marking: int | None) -> IntegerChainComplex:
@@ -397,8 +385,7 @@ def reduced_slices(
     component no free column (tilde), and every slice under a cap (a slice
     read k steps down a capped tower would be capped 2k lower), is built
     and reduced on its own, with no level."""
-    comp = spec.sliced[0]
-    free = [c for c, k in enumerate(g.component_of_o) if k == comp and c not in spec.frozen]
+    free = spec.free_cols(g)[spec.sliced[0]]
     marking = free[0] if free and maslov_cap is None else None
     groups: dict = {}
     for a2 in sorted(set(values), reverse=True):
@@ -406,7 +393,7 @@ def reduced_slices(
     for top, *lower in groups.values():
         tower = slice_tower(build_complex(g, s, spec, top, maslov_cap), marking)
         for a2 in (top, *lower):
-            yield a2, ReducedSlice.from_tower(tower, spec, a2, marking, (top[0] - a2[0]) // 2, maslov_cap)
+            yield a2, ReducedSlice.from_tower(tower, spec, marking, (top[0] - a2[0]) // 2, maslov_cap)
 
 
 @dataclass
@@ -440,7 +427,8 @@ class UMapResult:
 @dataclass
 class ReducedSlice:
     """One slice as the survivors of a ``slice_tower``, so it can be the
-    source or the target of a U map.
+    source or the target of a U map.  It holds no label of its slice: the
+    caller that reads it off a tower knows which slice it asked for.
 
     ``reduced`` is the few-cell complex of the survivors, relabelled to this
     slice; ``bases`` are its homology bases.  A slice truncated at a Maslov
@@ -449,19 +437,17 @@ class ReducedSlice:
     truncation is exact."""
 
     spec: FlavorSpec
-    alexander2: tuple
     reduced: IntegerChainComplex  # the survivors, relabelled to this slice
     bases: dict  # grading -> GradedHomologyBasis of ``reduced``
 
     @staticmethod
     def from_tower(
-        tower: IntegerChainComplex, spec, alexander2, marking: int | None, steps: int, maslov_cap: int | None = None
+        tower: IntegerChainComplex, spec, marking: int | None, steps: int, maslov_cap: int | None = None
     ) -> "ReducedSlice":
-        """The slice ``alexander2``, ``steps`` lower on the marking's
-        component than the slice whose ``slice_tower`` is ``tower``, and
-        truncated at ``maslov_cap`` (two gradings lower per step than the
-        tower's cap).  Every slice the library reads, capped or not, is
-        read here.
+        """The slice ``steps`` lower on the marking's component than the
+        slice whose ``slice_tower`` is ``tower``, truncated at
+        ``maslov_cap`` (two gradings lower per step than the tower's cap).
+        Every slice the library reads, capped or not, is read here.
 
         U_marking^steps maps the survivors with j_marking >= steps one to one
         onto this slice's cells and commutes with d, so they are relabelled
@@ -487,7 +473,7 @@ class ReducedSlice:
                     diff[key2] = col
         cx = IntegerChainComplex(grading, diff)
         bases = {k: b for k, b in homology_with_bases(cx).items() if k < top}
-        return ReducedSlice(spec, tuple(alexander2), cx, bases)
+        return ReducedSlice(spec, cx, bases)
 
     @property
     def table(self) -> HomologyTable:

@@ -281,6 +281,14 @@ class GridDiagram:
             out.append((least, most))
         return tuple(out)
 
+    def alexander2_range(self) -> range:
+        """The doubled Alexander gradings of a knot's generators, ascending,
+        from the extremes of its grading table over all permutations; no
+        generator is walked."""
+        _, const = self._component_tables[0]
+        least, most = self._component_extremes[0]
+        return range(least[-1] + const, most[-1] + const + 1, 2)
+
     # -- generators and gradings --------------------------------------------
 
     def generators(self, lo: dict | None = None, hi: dict | None = None):

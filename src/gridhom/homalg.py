@@ -119,12 +119,6 @@ class IntegerChainComplex:
     diff: dict  # key -> Chain (keys absent mean zero differential)
     level: Callable | None = None  # key -> int that d never raises
 
-    def basis_at(self, k: int) -> list:
-        return [key for key, g in self.grading.items() if g == k]
-
-    def gradings(self) -> list[int]:
-        return sorted(set(self.grading.values()))
-
     def apply(self, chain: Chain) -> Chain:
         out: Chain = {}
         for k, c in chain.items():
@@ -169,9 +163,6 @@ class HomologyTable:
 
     def rank(self, k: int) -> int:
         return self.groups.get(k, (0, ()))[0]
-
-    def torsion(self, k: int) -> tuple:
-        return self.groups.get(k, (0, ()))[1]
 
     def is_torsion_free(self) -> bool:
         return all(not t for _, t in self.groups.values())
@@ -469,16 +460,19 @@ class GradedHomologyBasis:
 
 
 def homology_with_bases(cx: IntegerChainComplex) -> dict[int, GradedHomologyBasis]:
-    """Per-grading homology with explicit free-part cycle representatives."""
+    """Per-grading homology with explicit free-part cycle representatives.
+    Each grading's basis lists its cells in ``cx.grading`` order."""
     cx.validate_grading()
     out: dict[int, GradedHomologyBasis] = {}
-    gradings = cx.gradings()
-    if not gradings:
+    by_grading: dict = {}  # grading -> its cells, in one pass over the complex
+    for key, k in cx.grading.items():
+        by_grading.setdefault(k, []).append(key)
+    if not by_grading:
         return out
-    for k in range(min(gradings), max(gradings) + 1):
-        keys = cx.basis_at(k)
-        below = cx.basis_at(k - 1)
-        above = cx.basis_at(k + 1)
+    for k in range(min(by_grading), max(by_grading) + 1):
+        keys = by_grading.get(k, [])
+        below = by_grading.get(k - 1, ())
+        above = by_grading.get(k + 1, ())
         nk = len(keys)
         if nk == 0:
             out[k] = GradedHomologyBasis(keys=[], free_reps=[], torsion=())

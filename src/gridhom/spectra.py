@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from gridhom.gridcore import GridDiagram
 from gridhom.homalg import HomologyTable, IntegerChainComplex
-from gridhom.gridcomplex import FlavorSpec, ReducedSlice, alexander2_range, reduced_slices, u_map
+from gridhom.gridcomplex import FlavorSpec, ReducedSlice, reduced_slices, u_map
 from gridhom.signs import SignAssignment
 
 
@@ -78,7 +78,6 @@ def wedge_decomposition(table: HomologyTable) -> WedgeDecomposition:
 
 @dataclass
 class SliceReport:
-    alexander2: int
     tables: dict  # flavor -> HomologyTable
     wedges: dict  # flavor -> WedgeDecomposition
     u_maps: dict  # marking -> {"iso": bool, "matrices": {gr: matrix}}
@@ -105,7 +104,7 @@ def spectrum_report(g: GridDiagram, s: SignAssignment, alexander_range=None) -> 
     """
     if g.num_components != 1:
         raise ValueError("spectrum reports are per-component; use a knot grid")
-    order = list(alexander2_range(g) if alexander_range is None else alexander_range)
+    order = list(g.alexander2_range() if alexander_range is None else alexander_range)
     if any(a2 % 2 for a2 in order):
         raise ValueError("a knot's doubled Alexander gradings are even")
     window = {(a2 - step,) for a2 in order for step in (0, 2)}
@@ -128,7 +127,7 @@ def _slice_report(here: ReducedSlice, below: ReducedSlice) -> SliceReport:
             "iso": res.is_isomorphism(),
             "matrices": {gr: res.matrices.get(gr, []) for gr in sorted(tables["plus"].groups)},
         }
-    return SliceReport(here.alexander2[0], tables, wedges, umaps)
+    return SliceReport(tables, wedges, umaps)
 
 
 def alexander_label(a2: int) -> str:

@@ -9,7 +9,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from gridhom import partitions as pt
 from gridhom.cdp import cd_terms
-from gridhom.gridcomplex import FlavorSpec, UMapResult, exact_below, generator_complex
+from gridhom.gridcomplex import FlavorSpec, UMapResult, exact_below, expand, generator_complex
 from gridhom.gridcore import GridDiagram, load_grid
 from gridhom.homalg import HomologyTable, IntegerChainComplex, chain_add, homology_with_bases
 from gridhom.signs import build_sign_assignment
@@ -158,8 +158,7 @@ def reference_iota(survivors, steps):
 def raw_slice(g, s, spec, alexander2, maslov_cap=None):
     """The slice as built, unreduced: its generator complex over Z[U]
     written out cell by cell, with no Morse reduction before it."""
-    gens = generator_complex(g, s, spec, alexander2, maslov_cap)
-    return gens.expand(gens.complex)
+    return expand(g, spec, alexander2, maslov_cap, generator_complex(g, s, spec, alexander2, maslov_cap))
 
 
 def raw_table(g, s, spec, alexander2, maslov_cap=None):

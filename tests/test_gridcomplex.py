@@ -15,8 +15,9 @@ from gridhom.gridcomplex import (
     FlavorSpec,
     ReducedSlice,
     UnboundedSlice,
-    alexander2_range,
     build_complex,
+    exponent_width,
+    expand,
     generator_complex,
     reduced_slices,
     slice_tower,
@@ -120,7 +121,7 @@ class TestUMap:
     def test_reduced_slice_holds_no_differential(self, cap, trefoil5, signs5):
         spec = FlavorSpec.make(trefoil5, "plus")
         ((_, sl),) = reduced_slices(trefoil5, signs5, spec, [(6,)], cap)
-        assert set(vars(sl)) == {"spec", "alexander2", "reduced", "bases"}
+        assert set(vars(sl)) == {"spec", "reduced", "bases"}
         assert not any(isinstance(v, IntegerChainComplex) for k, v in vars(sl).items() if k != "reduced")
         # the one complex it keeps is its tower's survivors below the cap,
         # never the built slice
@@ -138,11 +139,11 @@ class TestUMap:
         with pytest.raises(GridError, match="not a cell of the target slice"):
             u_map(slices[(6,)], slices[(2,)], 0)
         tower = slice_tower(build_complex(trefoil5, signs5, spec, (6,), 8), 0)
-        capped = ReducedSlice.from_tower(tower, spec, (6,), 0, 0, 8)
-        too_low = ReducedSlice.from_tower(tower, spec, (4,), 0, 1, 2)
+        capped = ReducedSlice.from_tower(tower, spec, 0, 0, 8)
+        too_low = ReducedSlice.from_tower(tower, spec, 0, 1, 2)
         with pytest.raises(GridError, match="not a cell of the target slice"):
             u_map(capped, too_low, 0)
-        below = ReducedSlice.from_tower(tower, spec, (4,), 0, 1, 6)
+        below = ReducedSlice.from_tower(tower, spec, 0, 1, 6)
         assert u_map(capped, below, 0).matrices == plus_u_map(trefoil5, signs5, 0, (6,), 8).matrices == {6: [[1]]}
 
     @pytest.mark.parametrize("cap", [4, 5, 6, 8])
@@ -334,7 +335,7 @@ class TestAlexanderRange:
         g = load_grid(fixture_path("t27.grid"))
         with open(fixture_path(os.path.join("expected", "t27_tilde.json"))) as fh:
             keys = sorted(int(a2) for a2 in json.load(fh)["tables"])
-        assert alexander2_range(g) == range(keys[0], keys[-1] + 1, 2)
+        assert g.alexander2_range() == range(keys[0], keys[-1] + 1, 2)
 
 
 class TestSymmetry:
@@ -343,7 +344,7 @@ class TestSymmetry:
         # hat_M(A) = hat_{M-2A}(-A), torsion included; a slice outside the
         # Alexander range is zero
         g, s = request.getfixturevalue(name), request.getfixturevalue(signs)
-        slices = nonzero_tables(g, s, "hat", [(a2,) for a2 in alexander2_range(g)])
+        slices = nonzero_tables(g, s, "hat", [(a2,) for a2 in g.alexander2_range()])
         tables = {a2: groups for (a2,), groups in slices.items()}
         assert tables
         for a2, groups in tables.items():
@@ -582,7 +583,7 @@ def assert_same_build(g, s, spec, alexander2, cap=None):
     ref_signs, lib_signs = RecordingSigns(s), RecordingSigns(s)
     ref = reference_complex(g, ref_signs, spec, alexander2, cap)
     gens = generator_complex(g, lib_signs, spec, alexander2, cap)
-    lib = gens.expand(gens.complex)
+    lib = expand(g, spec, alexander2, cap, gens)
     assert list(lib.grading.items()) == list(ref.grading.items())
     assert lib.diff == ref.diff
     for key, col in ref.diff.items():
@@ -592,7 +593,7 @@ def assert_same_build(g, s, spec, alexander2, cap=None):
     # arrows miss the slice's cells
     assert ref_signs.asked <= lib_signs.asked
     assert lib_signs.calls == len(lib_signs.asked)
-    window = gens.complex.grading
+    window = gens.grading
     for sigma, (i, j), _ in lib_signs.asked:
         tau = sigma[:i] + (sigma[j],) + sigma[i + 1 : j] + (sigma[i],) + sigma[j + 1 :]
         assert sigma in window and tau in window
@@ -667,15 +668,15 @@ class TestGeneratorComplex:
         g = request.getfixturevalue(name)
         s = build_sign_assignment(g)
         spec = FlavorSpec.make(g, flavor)
+        width = exponent_width(g)
+        field = (1 << width) - 1
         for a2, cap in zu_slices(g, name, flavor):
-            gens = generator_complex(g, s, spec, a2, cap)
-            cx = gens.complex
+            cx = generator_complex(g, s, spec, a2, cap)
             assert cx.grading and cx.check_d_squared(), (a2, cap)
             # homogeneous: every monomial from sigma to tau has the U-degree
             # (M(tau) - M(sigma) + 1) / 2, so an entry is a constant, stored as
             # an int, or a UPoly of positive degree; on these grids every
             # constant is +-1, a unit that reduce_complex can cancel
-            field = (1 << gens.width) - 1
             for sigma, col in cx.diff.items():
                 for tau, entry in col.items():
                     degree = (cx.grading[tau] - cx.grading[sigma] + 1) // 2
@@ -685,7 +686,7 @@ class TestGeneratorComplex:
                     else:
                         assert isinstance(entry, UPoly) and entry and degree > 0
                         for e in entry:
-                            assert sum(e >> (gens.width * c) & field for c in range(g.n)) == degree
+                            assert sum(e >> (width * c) & field for c in range(g.n)) == degree
 
     @pytest.mark.parametrize("flavor", gridcomplex.FLAVORS)
     @pytest.mark.parametrize("name", ["unknot2", "unknot3", "trefoil5", "hopf4"])
@@ -732,11 +733,6 @@ class TestGeneratorComplex:
                 assert gridcomplex.lowest_cell_grading(g, spec, a2) == min(grades, default=math.inf), a2
 
 
-def free_marking(g, spec, comp):
-    """The first O column of the component ``comp`` that the flavor leaves free."""
-    return next(c for c, k in enumerate(g.component_of_o) if k == comp and c not in spec.frozen)
-
-
 def assert_towers_match_builds(g, s, flavor, slices, monkeypatch):
     """Read ``slices`` with ``reduced_slices``, compare each table with its
     direct, unreduced build's, and return the slices built, in the order
@@ -762,12 +758,12 @@ def assert_read_off(g, s, flavor, upper, lower, cap):
     under the cap two lower per step."""
     spec = FlavorSpec.make(g, flavor)
     (moved,) = [i for i, (u, v) in enumerate(zip(upper, lower)) if u != v]
-    marking = free_marking(g, spec, spec.sliced[moved])
+    marking = spec.free_cols(g)[spec.sliced[moved]][0]
     steps = (upper[moved] - lower[moved]) // 2
     tower = slice_tower(build_complex(g, s, spec, upper, cap), marking)
     for a2, k in ((upper, 0), (lower, steps)):
         c = None if cap is None else cap - 2 * k
-        assert ReducedSlice.from_tower(tower, spec, a2, marking, k, c).table == raw_table(g, s, spec, a2, c)
+        assert ReducedSlice.from_tower(tower, spec, marking, k, c).table == raw_table(g, s, spec, a2, c)
 
 
 class TestLowerSlice:
@@ -776,7 +772,7 @@ class TestLowerSlice:
 
     @pytest.mark.parametrize("flavor", ["plus", "hat", "plus_prime"])
     def test_trefoil5_range(self, flavor, trefoil5, signs5, monkeypatch):
-        rng = alexander2_range(trefoil5)
+        rng = trefoil5.alexander2_range()
         slices = [(a2,) for a2 in rng] + [(rng[0] - 2,), (3,)]  # one step below the range, and an odd value
         built = assert_towers_match_builds(trefoil5, signs5, flavor, slices, monkeypatch)
         assert built == [(rng[-1],), (3,)]  # one tower per parity
@@ -808,10 +804,10 @@ class TestLowerSlice:
 
     def test_t25_hat(self, t25, signs7, t25_hat):
         spec = FlavorSpec.make(t25, "hat")
-        marking = free_marking(t25, spec, 0)
+        marking = spec.free_cols(t25)[0][0]
         tower = slice_tower(t25_hat[4], marking)
         for a2 in (4, 2, 0, -2, -4):
-            sl = ReducedSlice.from_tower(tower, spec, (a2,), marking, (4 - a2) // 2)
+            sl = ReducedSlice.from_tower(tower, spec, marking, (4 - a2) // 2)
             assert sl.table == t25_hat[a2].homology(), a2
         assert t25_hat[4].diff  # the tower reads the built slice and leaves it as it is
 
@@ -878,7 +874,7 @@ class TestKernelCone:
     def test_trefoil5(self, trefoil5, signs5):
         hat = FlavorSpec.make(trefoil5, "hat")
         oracle = lambda a2: raw_table(trefoil5, signs5, hat, (a2,))  # noqa: E731
-        assert assert_level_is_hat(trefoil5, signs5, alexander2_range(trefoil5), oracle) == 3  # A = -1, 0 and 1
+        assert assert_level_is_hat(trefoil5, signs5, trefoil5.alexander2_range(), oracle) == 3  # A = -1, 0 and 1
 
     def test_t25(self, t25, signs7, t25_hat):
         assert assert_level_is_hat(t25, signs7, range(-4, 5, 2), lambda a2: t25_hat[a2].homology()) >= 1

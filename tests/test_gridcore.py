@@ -18,7 +18,6 @@ from gridhom.gridcore import (
     parse_grid_json,
     parse_grid_text,
 )
-from gridhom.gridcomplex import alexander2_range
 from conftest import fixture_path, meets_boundary_condition, recurrence_cells
 
 
@@ -481,7 +480,7 @@ class TestAlexanderExtremes:
     def test_range_is_the_span_of_the_walk(self, name, request):
         g = request.getfixturevalue(name)
         values = [x.alexander2[0] for x in g.generators()]
-        assert alexander2_range(g) == range(min(values), max(values) + 1, 2)
+        assert g.alexander2_range() == range(min(values), max(values) + 1, 2)
 
 
 class TestDomains:

@@ -203,7 +203,7 @@ class TestReduction:
                 table = HomologyTable.from_bases(homology_with_bases(c))
                 for g in range(5):
                     assert table.rank(g) == exp_rank[g]
-                    assert invariant_factors(table.torsion(g)) == invariant_factors(exp_tors[g])
+                    assert invariant_factors(table.groups.get(g, (0, ()))[1]) == invariant_factors(exp_tors[g])
 
 
 class TestAssociatedGraded:
